@@ -153,7 +153,10 @@ def _cmd_learn(args) -> int:
     config = LearnConfig(epsilon=args.epsilon, delta=args.delta,
                          alpha=args.alpha, m=args.m)
     if args.samples:
-        samples = dio.samples_from_csv(_read_text(args.samples))
+        try:
+            samples = dio.samples_from_csv(_read_text(args.samples))
+        except dio.SampleCsvError as exc:
+            raise _fail(EXIT_INPUT, "SampleCsvError", f"{args.samples}: {exc}")
     elif args.cbn:
         if args.seed is None:
             raise _fail(EXIT_INPUT, "MissingSeed",

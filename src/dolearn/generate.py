@@ -4,12 +4,8 @@ from __future__ import annotations
 
 from typing import Iterable
 
-import numpy as np
-
 from .learn import LearnedInterventional
-from .tables import Samples
-
-RNG_ALGORITHM = "numpy-pcg64"
+from .tables import Samples, ancestral_sample
 
 
 def sample(li: LearnedInterventional, seed: int, m: int) -> Samples:
@@ -21,24 +17,9 @@ def sample(li: LearnedInterventional, seed: int, m: int) -> Samples:
     output matches the evaluator exactly: the probability of producing an
     assignment equals its evaluated mass.
     """
-    rng = np.random.default_rng(seed)
-    cols: dict[str, np.ndarray] = {
-        n: np.full(m, v, dtype=np.int64) for n, v in li.x.items()
-    }
-    for name in li.order:
-        f = li.factors[name]
-        rows = np.zeros(m, dtype=np.int64)
-        for c, s in zip(f.cond, f._strides):
-            rows += cols[c] * s
-        cum = f.cumulative[rows]
-        u = rng.random(m)
-        vals = (u[:, None] > cum).sum(axis=1)
-        cols[name] = np.minimum(vals, f.target_card - 1).astype(np.int64)
-    values = (
-        np.stack([cols[n] for n in li.order], axis=1)
-        if li.order else np.zeros((m, 0), dtype=np.int64)
-    )
-    return Samples(li.order, values, rng_algorithm=RNG_ALGORITHM)
+    factors = [li.factors[n] for n in li.order]
+    steps = [(n, f.cond, f._strides, f.cumulative) for n, f in zip(li.order, factors)]
+    return ancestral_sample(steps, li.order, seed, m, fixed=li.x)
 
 
 def sample_marginal(

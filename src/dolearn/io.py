@@ -114,6 +114,10 @@ def query_from_dict(obj: Mapping) -> tuple[dict[str, int], frozenset[str]]:
 # -- samples --------------------------------------------------------------------
 
 
+class SampleCsvError(ValueError):
+    """A sample CSV is empty, ragged, or holds a cell that is not an integer."""
+
+
 def samples_to_csv(samples: Samples) -> str:
     buf = _io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
@@ -123,10 +127,22 @@ def samples_to_csv(samples: Samples) -> str:
 
 
 def samples_from_csv(text: str) -> Samples:
-    reader = csv.reader(_io.StringIO(text))
-    header = next(reader)
-    rows = [[int(v) for v in row] for row in reader if row]
-    values = np.asarray(rows, dtype=np.int64).reshape(len(rows), len(header))
+    """Parse a header row of names and at least one row of integer symbols."""
+    head, _, body = text.partition("\n")
+    header = next(csv.reader([head.rstrip("\r")]), [])
+    if not header:
+        raise SampleCsvError("sample CSV has no header row")
+    if not body.strip():
+        raise SampleCsvError("sample CSV has a header but no data rows")
+    try:
+        values = np.loadtxt(_io.StringIO(body), dtype=np.int64, delimiter=",",
+                            comments=None, ndmin=2)
+    except ValueError as exc:
+        raise SampleCsvError(f"sample CSV body: {exc}") from None
+    if values.shape[1] != len(header):
+        raise SampleCsvError(
+            f"sample CSV rows have {values.shape[1]} cells, header has {len(header)}"
+        )
     return Samples(tuple(header), values)
 
 

@@ -608,17 +608,22 @@ class LearnedInterventional:
         return evaluate_point(self, y)
 
     def table(self) -> PmfTable:
-        """Materialize the evaluator over all target assignments."""
-        cards = self.cards()
-        arr = np.empty(cards, dtype=np.float64)
-        for combo in np.ndindex(*cards):
-            env = dict(zip(self.order, (int(c) for c in combo)))
-            arr[combo] = evaluate_point(self, env)
+        """Materialize the evaluator over all target assignments: one
+        :func:`evaluate_point` call over an open grid of the targets."""
+        grid = dict(zip(self.order, np.indices(self.cards(), sparse=True)))
+        arr = np.asarray(evaluate_point(self, grid), dtype=np.float64)
         return PmfTable(self.order, arr, context=dict(self.x), normalized=False)
 
 
-def evaluate_point(li: LearnedInterventional, y: Mapping[str, int]) -> float:
-    """Product of conditional-row lookups along the sampling order."""
+def evaluate_point(
+    li: LearnedInterventional, y: Mapping[str, int | np.ndarray]
+) -> float | np.ndarray:
+    """Product of conditional-row lookups along the sampling order.
+
+    The values of ``y`` may also be integer arrays that broadcast together;
+    the result is then the array of products at every broadcast position,
+    each formed with the same multiplications in the same order.
+    """
     if set(y) != set(li.order):
         raise ScopeMismatch(
             f"assignment must cover exactly {sorted(li.order)}, got {sorted(y)}"
@@ -628,8 +633,8 @@ def evaluate_point(li: LearnedInterventional, y: Mapping[str, int]) -> float:
     out = 1.0
     for n in li.order:
         f = li.factors[n]
-        out *= float(f.row(env)[env[n]])
-    return out
+        out = out * f.probs[f.row_index(env), env[n]]
+    return float(out) if np.ndim(out) == 0 else out
 
 
 def assemble(
@@ -717,6 +722,7 @@ def learn_interventional(
     """Full pipeline against a sample batch: partition, learn both factor
     groups, assemble."""
     config = config or LearnConfig()
+    samples.check_symbols(g.names, g.cards)
     xset = g.indices(x)
     part = relative_partition(g, xset)
     q = learn_q(samples, g, part, config)

@@ -15,11 +15,10 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from .admg import Admg, CycleDetected, GraphError
-from .tables import PmfTable, Samples, strides_for
+from .tables import PmfTable, Samples, ancestral_sample, strides_for
 
 STATE_CEILING = 2**24
 CPT_ROW_TOL = 1e-12
-RNG_ALGORITHM = "numpy-pcg64"
 
 
 class StateSpaceTooLarge(ValueError):
@@ -217,25 +216,12 @@ def sample_observational(net: CausalBayesNet, seed: int, m: int) -> Samples:
     Each node is sampled in topological order from its conditional row via one
     uniform draw. Deterministic for a fixed seed.
     """
-    rng = np.random.default_rng(seed)
-    order = net.topological_order()
-    cols: dict[str, np.ndarray] = {}
-    for name in order:
-        nd = net.node(name)
-        if nd.parents:
-            strides = strides_for([net.cardinality(p) for p in nd.parents])
-            rows = np.zeros(m, dtype=np.int64)
-            for p, s in zip(nd.parents, strides):
-                rows += cols[p] * s
-        else:
-            rows = np.zeros(m, dtype=np.int64)
-        cum = np.cumsum(nd.cpt, axis=1)[rows]
-        u = rng.random(m)
-        vals = (u[:, None] > cum).sum(axis=1)
-        cols[name] = np.minimum(vals, nd.cardinality - 1).astype(np.int64)
-    obs = net.observables
-    values = np.stack([cols[n] for n in obs], axis=1) if obs else np.zeros((m, 0), int)
-    return Samples(obs, values, rng_algorithm=RNG_ALGORITHM)
+    steps = (
+        (nd.name, nd.parents, strides_for([net.cardinality(p) for p in nd.parents]),
+         np.cumsum(nd.cpt, axis=1))
+        for nd in map(net.node, net.topological_order())
+    )
+    return ancestral_sample(steps, net.observables, seed, m)
 
 
 def latent_project(net: CausalBayesNet) -> Admg:

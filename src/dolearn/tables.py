@@ -3,11 +3,15 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Mapping, Sequence
+from functools import cached_property
+from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
 TOTAL_TOL = 1e-9
+RNG_ALGORITHM = "numpy-pcg64"
+CODE_LIMIT = 2**62  # largest mixed-radix code space encoded without re-densifying
+DENSE_FACTOR = 4  # code spaces up to this many times m (or 2**16) are bincounted directly
 
 
 class ScopeMismatch(ValueError):
@@ -133,18 +137,35 @@ class PmfTable:
         return iter_assignments(self.names, self.cards)
 
 
+class DistinctRows(NamedTuple):
+    """The distinct rows of a batch, in ascending mixed-radix code order, and
+    how often each occurs."""
+
+    rows: np.ndarray
+    counts: np.ndarray
+
+
 @dataclass(frozen=True, eq=False)
 class Samples:
-    """A batch of joint observations: one column per variable, one row per draw."""
+    """A batch of joint observations: one column per variable, one row per draw.
+
+    ``values`` is a read-only view of the array passed in; samplers pass the
+    transpose of an (n_vars, m) buffer, so each column is contiguous. The
+    batch's sufficient statistics (its distinct rows and their multiplicities)
+    are computed on first use and memoized, so each ``counts_over`` is a
+    bincount over at most min(m, prod(cards)) distinct rows. The batch keeps
+    them valid only while the caller leaves the array it passed in unchanged.
+    """
 
     names: tuple[str, ...]
     values: np.ndarray
     rng_algorithm: str | None = None
 
     def __post_init__(self) -> None:
-        values = np.asarray(self.values)
+        values = np.asarray(self.values).view()
         if values.ndim != 2 or values.shape[1] != len(self.names):
             raise ScopeMismatch("sample array must be (m, n_vars)")
+        values.flags.writeable = False
         object.__setattr__(self, "values", values)
         object.__setattr__(self, "names", tuple(self.names))
 
@@ -152,11 +173,14 @@ class Samples:
     def m(self) -> int:
         return int(self.values.shape[0])
 
-    def column(self, name: str) -> np.ndarray:
+    def _index(self, name: str) -> int:
         try:
-            return self.values[:, self.names.index(name)]
+            return self.names.index(name)
         except ValueError:
             raise ScopeMismatch(f"{name!r} not among sampled variables") from None
+
+    def column(self, name: str) -> np.ndarray:
+        return self.values[:, self._index(name)]
 
     def project(self, names: Sequence[str]) -> "Samples":
         cols = [self.names.index(n) for n in names]
@@ -166,18 +190,138 @@ class Samples:
         for row in self.values:
             yield {n: int(v) for n, v in zip(self.names, row)}
 
+    @cached_property
+    def _top(self) -> tuple[int, ...]:
+        """Largest symbol per column, after checking dtype and sign once."""
+        if self.values.dtype.kind not in "iu":
+            raise ScopeMismatch(
+                f"sample values must be integer symbols, got dtype {self.values.dtype}"
+            )
+        if self.m == 0:
+            return (-1,) * len(self.names)
+        lows = self.values.min(axis=0)
+        if (lows < 0).any():
+            j = int(np.argmax(lows < 0))
+            raise ScopeMismatch(f"negative symbol {int(lows[j])} in column {self.names[j]!r}")
+        return tuple(int(t) for t in self.values.max(axis=0))
+
+    @cached_property
+    def distinct(self) -> DistinctRows:
+        """Distinct rows and multiplicities, from one mixed-radix encoding pass.
+
+        Each row gets an int64 code over the observed per-column radix; when
+        the next column would overflow int64, the running code is first
+        re-densified to its rank among the codes seen so far. The rows kept
+        are ``values[first_index]`` of each code.
+        """
+        m = self.m
+        code = np.zeros(m, dtype=np.int64)
+        size = 1
+        for j, top in enumerate(self._top):
+            col = self.values[:, j].astype(np.int64, copy=False)
+            radix = top + 1
+            if radix > m:
+                col, radix = _densify(col)
+            if size * radix > CODE_LIMIT:
+                code, size = _densify(code)
+            code *= radix
+            code += col
+            size *= radix
+        if size > max(DENSE_FACTOR * m, 1 << 16):
+            code, size = _densify(code)
+        counts = np.bincount(code, minlength=size)
+        first = np.full(size, m, dtype=np.int64)
+        np.minimum.at(first, code, np.arange(m, dtype=np.int64))
+        present = np.flatnonzero(counts)
+        rows = self.values[first[present]].astype(np.int64)
+        weights = counts[present].astype(np.float64)
+        rows.flags.writeable = False
+        weights.flags.writeable = False
+        return DistinctRows(rows, weights)
+
+    def check_symbols(self, names: Sequence[str], cards: Sequence[int]) -> list[int]:
+        """Column positions of ``names``, after checking that every symbol in
+        them is an integer in ``[0, card)``; raises :class:`ScopeMismatch`."""
+        cols = [self._index(n) for n in names]
+        top = self._top
+        for n, j, card in zip(names, cols, cards):
+            if top[j] >= card:
+                raise ScopeMismatch(
+                    f"symbol {top[j]} in column {n!r} is out of range for cardinality {card}"
+                )
+        return cols
+
     def counts_over(self, names: Sequence[str], cards: Sequence[int]) -> np.ndarray:
-        """Joint occurrence counts over a sub-scope, shaped like the sub-scope."""
+        """Joint occurrence counts over a sub-scope, shaped like the sub-scope.
+
+        Raises :class:`ScopeMismatch` for a non-integer batch, a negative
+        symbol, or a symbol at or above its requested cardinality.
+        """
         names = tuple(names)
         cards = tuple(cards)
+        cols = self.check_symbols(names, cards)
         if not names:
             return np.array(float(self.m))
-        strides = strides_for(cards)
-        codes = np.zeros(self.m, dtype=np.int64)
-        for n, s in zip(names, strides):
-            codes += self.column(n).astype(np.int64) * s
+        rows, weights = self.distinct
+        codes = np.zeros(len(rows), dtype=np.int64)
+        for j, s in zip(cols, strides_for(cards)):
+            codes += rows[:, j] * s
         size = int(np.prod(cards))
-        return np.bincount(codes, minlength=size).reshape(cards).astype(np.float64)
+        return np.bincount(codes, weights=weights, minlength=size).reshape(cards)
+
+
+def draw_inverse_cdf(
+    cum: np.ndarray, rows: np.ndarray | int, u: np.ndarray, out: np.ndarray
+) -> None:
+    """Invert one uniform per draw through the cumulative row it selects.
+
+    ``cum`` has one cumulative-probability row per conditioning configuration.
+    ``out[i]`` becomes the number of thresholds of row ``rows[i]`` that
+    ``u[i]`` exceeds, capped at ``card - 1`` so that rounding in the last
+    cumulative entry cannot yield an out-of-range symbol.
+    """
+    card = cum.shape[1]
+    np.greater(u, np.take(cum[:, 0], rows), out=out)
+    for k in range(1, card):
+        out += u > np.take(cum[:, k], rows)
+    np.minimum(out, card - 1, out=out)
+
+
+def ancestral_sample(
+    steps: Iterable[tuple[str, Sequence[str], Sequence[int], np.ndarray]],
+    keep: Sequence[str],
+    seed: int,
+    m: int,
+    fixed: Mapping[str, int] | None = None,
+) -> Samples:
+    """Draw ``m`` rows along ``steps`` with one uniform per variable and draw.
+
+    Each step is (variable, conditioning variables, their row-major strides,
+    cumulative table); every conditioning variable is drawn by an earlier step
+    or held at its ``fixed`` value. Variables in ``keep`` are written straight
+    into the rows of an (n_keep, m) buffer whose transpose is the batch.
+    """
+    fixed = fixed or {}
+    rng = np.random.default_rng(seed)
+    slot = {n: i for i, n in enumerate(keep)}
+    buf = np.empty((len(keep), m), dtype=np.int64)
+    cols: dict[str, np.ndarray] = {}
+    u = np.empty(m, dtype=np.float64)
+    for name, cond, strides, cum in steps:
+        rows: np.ndarray | int = 0
+        for c, s in zip(cond, strides):
+            rows = rows + (fixed[c] * s if c in fixed else cols[c] * s)
+        out = buf[slot[name]] if name in slot else np.empty(m, dtype=np.int64)
+        rng.random(out=u)
+        draw_inverse_cdf(cum, rows, u, out)
+        cols[name] = out
+    return Samples(tuple(keep), buf.T, rng_algorithm=RNG_ALGORITHM)
+
+
+def _densify(codes: np.ndarray) -> tuple[np.ndarray, int]:
+    """Replace each code by its rank among the distinct codes."""
+    uniq, inverse = np.unique(codes, return_inverse=True)
+    return inverse.reshape(-1).astype(np.int64, copy=False), len(uniq)
 
 
 @dataclass(frozen=True, eq=False)

@@ -160,3 +160,25 @@ def test_demo_example1(capsys):
 def test_float_rendering_17_digits(tmp_path):
     text = dio.dump_json({"p": 1 / 3})
     assert "0.33333333333333331" in text
+
+
+@pytest.mark.parametrize("corrupt, error", [
+    (lambda rows: rows[:-1] + [rows[-1][:-1] + "2"], "ScopeMismatch"),
+    (lambda rows: rows[:-1] + [rows[-1][:-1] + "-1"], "ScopeMismatch"),
+    (lambda rows: rows[:-1] + [rows[-1][:-1] + "0.7"], "SampleCsvError"),
+    (lambda rows: rows[:-1] + [rows[-1] + ",1"], "SampleCsvError"),
+    (lambda rows: rows[:1], "SampleCsvError"),
+])
+def test_learn_rejects_bad_sample_csv(workdir, capsys, corrupt, error):
+    tmp, g, net = workdir
+    assert main(["simulate", "--cbn", str(tmp / "net.json"), "--seed", "3",
+                 "--m", "2000", "--out", str(tmp / "samples.csv")]) == 0
+    rows = (tmp / "samples.csv").read_text().splitlines()
+    (tmp / "bad.csv").write_text("\n".join(corrupt(rows)) + "\n")
+    capsys.readouterr()
+    code = main(["learn", "--graph", str(tmp / "graph.json"),
+                 "--query", str(tmp / "query.json"),
+                 "--samples", str(tmp / "bad.csv")])
+    assert code == 4
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == error

@@ -1,0 +1,181 @@
+"""Vectorized batch kernels against their loop-and-stack reference versions."""
+
+import numpy as np
+import pytest
+
+from dolearn.admg import Admg
+from dolearn.demo import fig3a_graph, fig4a_graph
+from dolearn.generate import sample
+from dolearn.identify import CausalQuery, is_identifiable
+from dolearn.learn import evaluate_point, fit_from_table, learn_interventional
+from dolearn.scm import (
+    CausalBayesNet,
+    CbnNode,
+    exact_observational,
+    random_admg,
+    random_net_for,
+    sample_observational,
+)
+from dolearn.tables import Samples, draw_inverse_cdf
+
+from . import reference_kernels as ref
+
+
+def _cum_with_negative_entry(rng, n_rows, card):
+    probs = rng.dirichlet(np.ones(card), size=n_rows)
+    probs[0, -1] = -1e-13
+    probs[0, 0] += 1e-13
+    return np.cumsum(probs, axis=1)
+
+
+@pytest.mark.parametrize("card", [2, 3, 4])
+def test_draw_kernel_matches_compare_and_cap(card):
+    rng = np.random.default_rng(card)
+    m = 20_000
+    cum = _cum_with_negative_entry(rng, 6, card)
+    rows = rng.integers(0, 6, size=m)
+    u = rng.random(m)
+    # uniforms sitting exactly on, just above and just below the thresholds
+    edges = cum[rows[:300], rng.integers(0, card, size=300)]
+    u[:300] = np.clip(edges + rng.choice([-1e-16, 0.0, 1e-16], size=300), 0.0, np.nextafter(1, 0))
+    out = np.empty(m, dtype=np.int64)
+    draw_inverse_cdf(cum, rows, u, out)
+    assert np.array_equal(out, ref.draw_compare_and_cap(cum[rows], u))
+    draw_inverse_cdf(cum, 0, u, out)  # a parentless variable indexes one row
+    assert np.array_equal(out, ref.draw_compare_and_cap(cum[np.zeros(m, dtype=int)], u))
+
+
+def test_draw_kernel_caps_a_short_last_threshold():
+    cum = np.array([[0.5, 1.0, 1.0 - 1e-13]])  # last entry below an earlier one
+    u = np.array([0.25, 0.75, 1.0 - 5e-14])
+    out = np.empty(3, dtype=np.int64)
+    draw_inverse_cdf(cum, 0, u, out)
+    assert list(out) == [0, 1, 2]
+    assert np.array_equal(out, ref.draw_compare_and_cap(cum[[0, 0, 0]], u))
+
+
+def _card3_net():
+    g = random_admg(5, 6, n_bidirected=2, cardinality=3)
+    return g, random_net_for(g, seed=5)
+
+
+def _net_with_negative_cpt_entry():
+    rows = np.array([[0.6, 0.4 + 1e-13, -1e-13], [0.2, 0.3, 0.5]])
+    return CausalBayesNet([
+        CbnNode("U", 2, (), np.array([0.3, 0.7]), hidden=True),
+        CbnNode("A", 2, ("U",), np.array([[0.9, 0.1], [0.2, 0.8]])),
+        CbnNode("B", 3, ("A",), rows),
+        CbnNode("C", 2, ("B", "U"), np.full((6, 2), 0.5)),
+    ])
+
+
+@pytest.mark.parametrize("make", [
+    lambda: random_net_for(fig3a_graph(), seed=7),
+    lambda: random_net_for(fig4a_graph(), seed=3),
+    lambda: _card3_net()[1],
+    _net_with_negative_cpt_entry,
+])
+def test_sample_observational_matches_reference(make):
+    net = make()
+    for seed, m in [(0, 1), (1, 5_000), (2, 0)]:
+        batch = sample_observational(net, seed=seed, m=m)
+        assert batch.names == net.observables
+        assert batch.rng_algorithm == "numpy-pcg64"
+        assert np.array_equal(batch.values, ref.sample_observational(net, seed, m))
+        assert batch.values.dtype == np.int64
+
+
+def _learned_objects():
+    g3, net3 = _card3_net()
+    out = []
+    for g, net, x in [
+        (fig3a_graph(), random_net_for(fig3a_graph(), seed=7), {"X": 0}),
+        (fig4a_graph(), random_net_for(fig4a_graph(), seed=3), {"W": 0, "R": 0, "X": 1}),
+        (g3, net3, {}),
+    ]:
+        out.append(fit_from_table(exact_observational(net), g, x))
+        out.append(learn_interventional(sample_observational(net, 4, 20_000), g, x))
+    rng = np.random.default_rng(11)
+    while len(out) < 12:  # identifiable card-3 cases with one intervened variable
+        g = random_admg(int(rng.integers(2**31)), 5, n_bidirected=2, cardinality=3)
+        name = g.names[int(rng.integers(g.n))]
+        x = {name: int(rng.integers(3))}
+        if is_identifiable(CausalQuery(g, x, frozenset(g.names) - {name})):
+            out.append(fit_from_table(exact_observational(random_net_for(g, 1)), g, x))
+    return out
+
+
+LEARNED = _learned_objects()
+
+
+@pytest.mark.parametrize("li", LEARNED)
+def test_generate_sample_matches_reference(li):
+    draws = sample(li, seed=9, m=4_000)
+    assert draws.names == li.order
+    assert draws.rng_algorithm == "numpy-pcg64"
+    assert np.array_equal(draws.values, ref.generate_sample(li, 9, 4_000))
+
+
+@pytest.mark.parametrize("li", LEARNED)
+def test_table_equals_evaluate_point_everywhere(li):
+    table = li.table()
+    assert table.names == li.order
+    assert np.array_equal(table.probs, ref.evaluator_table(li))
+    for env in table.assignments():
+        assert evaluate_point(li, env) == table.pmf(env)
+
+
+def test_table_with_every_variable_intervened():
+    g = Admg.build(["A", "B"], [("A", "B")])
+    li = fit_from_table(exact_observational(random_net_for(g, 2)), g, {"A": 1, "B": 0})
+    assert li.order == ()
+    assert li.table().probs == ref.evaluator_table(li) == 1.0
+
+
+def _random_batch(rng, m, cards):
+    values = np.stack([rng.integers(0, c, size=m) for c in cards], axis=1)
+    return tuple(f"V{j}" for j in range(len(cards))), values
+
+
+@pytest.mark.parametrize("m, cards", [
+    (1, (2,)),
+    (500, (2, 3, 4)),
+    (3_000, (2,) * 14),
+    (2_000, (3, 2, 5, 2, 3, 4)),
+    (1_000, (2,) * 75),  # too wide for one int64 code: re-densified while encoding
+    (200, (300, 300, 7)),  # more symbols than rows in two columns
+])
+def test_counts_over_matches_per_call_bincount(m, cards):
+    rng = np.random.default_rng(m + len(cards))
+    names, values = _random_batch(rng, m, cards)
+    s = Samples(names, values)
+    for _ in range(25):
+        k = int(rng.integers(0, min(len(cards), 6) + 1))
+        keep = tuple(names[j] for j in sorted(rng.choice(len(cards), size=k, replace=False)))
+        sub = tuple(cards[names.index(n)] for n in keep)
+        assert np.array_equal(s.counts_over(keep, sub), ref.counts_over(names, values, keep, sub))
+    rows, counts = s.distinct
+    assert counts.sum() == m
+    assert len(np.unique(rows, axis=0)) == len(rows)
+
+
+def test_wide_batch_keeps_rows_that_differ_only_in_leading_columns():
+    # 75 binary columns: rows 1.. differ only in the first 11, whose mixed-radix
+    # weights are multiples of 2**64 unless the code is re-densified
+    rng = np.random.default_rng(3)
+    values = np.zeros((400, 75), dtype=np.int64)
+    values[:, :11] = rng.integers(0, 2, size=(400, 11))
+    values[0, 11:] = 1
+    names = tuple(f"V{j}" for j in range(75))
+    s = Samples(names, values)
+    keep = names[:11]
+    assert np.array_equal(s.counts_over(keep, (2,) * 11),
+                          ref.counts_over(names, values, keep, (2,) * 11))
+    assert len(s.distinct.rows) == len(np.unique(values, axis=0))
+
+
+def test_distinct_rows_are_first_occurrences_in_code_order():
+    values = np.array([[1, 0], [0, 2], [1, 0], [0, 1], [0, 2], [0, 2]])
+    rows, counts = Samples(("A", "B"), values).distinct
+    assert rows.tolist() == [[0, 1], [0, 2], [1, 0]]
+    assert counts.tolist() == [1.0, 3.0, 2.0]

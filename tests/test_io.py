@@ -91,3 +91,33 @@ def test_dump_json_is_deterministic_and_unicode(setup):
     b = dio.dump_json(dio.admg_to_dict(g))
     assert a == b
     assert dio.dump_json({"s": "Σ_x"}).strip() == '{\n  "s": "Σ_x"\n}'
+
+
+def test_samples_csv_bytes_unchanged(setup):
+    _, net = setup
+    s = sample_observational(net, seed=3, m=50)
+    rows = "".join(",".join(str(int(v)) for v in row) + "\n" for row in s.values)
+    assert dio.samples_to_csv(s) == "X,Z1,Z2,Y\n" + rows
+
+
+def test_samples_csv_accepts_crlf_and_blank_lines():
+    s = dio.samples_from_csv("A,B\r\n0,1\r\n\r\n1,0\r\n")
+    assert s.names == ("A", "B")
+    assert s.values.tolist() == [[0, 1], [1, 0]]
+    assert s.values.dtype == np.int64
+    assert dio.samples_from_csv("A\n1\n").values.shape == (1, 1)
+
+
+@pytest.mark.parametrize("text, message", [
+    ("A,B\n0,1\n1,0,1\n", "number of columns changed"),
+    ("A,B\n0,1,1\n1,0,0\n", "rows have 3 cells, header has 2"),
+    ("A,B,C\n0,1\n1,0\n", "rows have 2 cells, header has 3"),
+    ("A,B\n", "no data rows"),
+    ("A,B\n\n\n", "no data rows"),
+    ("", "no header row"),
+    ("A,B\n0.7,1\n", "could not convert"),
+    ("A,B\n0,x\n", "could not convert"),
+])
+def test_samples_csv_rejects_malformed_files(text, message):
+    with pytest.raises(dio.SampleCsvError, match=message):
+        dio.samples_from_csv(text)

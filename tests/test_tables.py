@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+from dolearn.demo import fig3a_graph
+from dolearn.scm import random_net_for, sample_observational
 from dolearn.tables import (
     EmpiricalAccess,
     PmfTable,
@@ -69,6 +71,11 @@ class TestSamples:
         assert np.array_equal(counts, [[1, 2], [0, 1]])
         assert s.counts_over((), ()) == 4.0
 
+    def test_sampler_batches_are_column_major(self):
+        s = sample_observational(random_net_for(fig3a_graph(), seed=7), seed=1, m=100)
+        assert s.values.flags.f_contiguous
+        assert s.column("Y").flags.c_contiguous
+
     def test_project_and_assignments(self):
         s = Samples(("A", "B"), np.array([[0, 1], [1, 0]]))
         p = s.project(("B",))
@@ -81,3 +88,46 @@ class TestSamples:
         acc = EmpiricalAccess(s, (2,))
         assert acc.pmf({"A": 1}) == pytest.approx(0.75)
         assert np.allclose(acc.table().probs, [0.25, 0.75])
+
+    def test_symbol_at_or_above_cardinality_is_rejected(self):
+        s = Samples(("A", "B"), [[0, 2], [0, 0], [1, 1]])
+        with pytest.raises(ScopeMismatch, match="'B' is out of range for cardinality 2"):
+            s.counts_over(("A", "B"), (2, 2))
+        assert np.array_equal(s.counts_over(("A",), (2,)), [2, 1])
+        assert s.counts_over(("A", "B"), (2, 3))[0, 2] == 1
+        with pytest.raises(ScopeMismatch):
+            EmpiricalAccess(s, (2, 2)).pmf({"A": 1, "B": 0})
+
+    def test_negative_symbol_is_rejected(self):
+        s = Samples(("A", "B"), [[0, 1], [-1, 0]])
+        with pytest.raises(ScopeMismatch, match="negative symbol -1 in column 'A'"):
+            s.counts_over(("B",), (2,))
+
+    @pytest.mark.parametrize("values", [[[0.7], [1.2]], [[0.0], [1.0]]])
+    def test_non_integer_batch_is_rejected(self, values):
+        s = Samples(("A",), np.array(values))
+        with pytest.raises(ScopeMismatch, match="integer symbols"):
+            s.counts_over(("A",), (2,))
+
+    def test_check_symbols_names_missing_columns(self):
+        s = Samples(("A",), [[0], [1]])
+        assert s.check_symbols(("A",), (2,)) == [0]
+        with pytest.raises(ScopeMismatch, match="'B' not among sampled variables"):
+            s.check_symbols(("A", "B"), (2, 2))
+
+    def test_values_are_read_only_and_statistics_memoized(self):
+        raw = np.array([[0, 1], [1, 1], [0, 1]])
+        s = Samples(("A", "B"), raw)
+        with pytest.raises(ValueError):
+            s.values[0, 0] = 1
+        assert raw.flags.writeable  # the caller's own array is left alone
+        assert s.distinct is s.distinct
+        rows, counts = s.distinct
+        assert rows.tolist() == [[0, 1], [1, 1]]
+        assert counts.tolist() == [2.0, 1.0]
+        assert not rows.flags.writeable and not counts.flags.writeable
+
+    def test_empty_batch_counts_zero(self):
+        s = Samples(("A", "B"), np.zeros((0, 2), dtype=np.int64))
+        assert np.array_equal(s.counts_over(("A", "B"), (2, 2)), np.zeros((2, 2)))
+        assert s.counts_over((), ()) == 0.0
