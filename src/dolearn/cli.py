@@ -1,8 +1,9 @@
 """Command-line interface tying the modules into reproducible batch workflows.
 
-Exit codes: 0 success, 2 query not identifiable, 3 positivity violation,
-4 input error. Failures additionally emit a machine-readable JSON object on
-stderr. Every subcommand is deterministic given its inputs and seeds.
+Exit codes: 0 success, 2 query not identifiable, 3 positivity violation (a
+conditioning event with zero count or mass), 4 input error. Failures
+additionally emit a machine-readable JSON object on stderr. Every subcommand
+is deterministic given its inputs and seeds.
 """
 
 from __future__ import annotations
@@ -14,7 +15,6 @@ from pathlib import Path
 
 from . import io as dio
 from .admg import GraphError
-from .estimand import ZeroConditioningEvent
 from .identify import CausalQuery, HedgeWitness, InvalidQuery, NotIdentifiable, identify
 from .learn import (
     LearnConfig,
@@ -149,7 +149,13 @@ def _cmd_simulate(args) -> int:
 
 def _cmd_learn(args) -> int:
     g = _load_graph(args.graph)
-    x, _ = _load_query(args.query)
+    x, targets = _load_query(args.query)
+    rest = frozenset(g.names) - set(x)
+    if targets and targets != rest:
+        raise InvalidQuery(
+            f"learn covers every non-intervened variable: targets must be empty "
+            f"or {sorted(rest)}, got {sorted(targets)}"
+        )
     config = LearnConfig(epsilon=args.epsilon, delta=args.delta,
                          alpha=args.alpha, m=args.m)
     if args.samples:
@@ -328,12 +334,6 @@ def main(argv: list[str] | None = None) -> int:
     except PositivityViolation as exc:
         print(dio.dump_json({
             "error": "PositivityViolation", "message": str(exc),
-            "variable": exc.variable, "event": exc.event,
-        }), file=sys.stderr, end="")
-        return EXIT_POSITIVITY
-    except ZeroConditioningEvent as exc:
-        print(dio.dump_json({
-            "error": "ZeroConditioningEvent", "message": str(exc),
             "variable": exc.variable, "event": exc.event,
         }), file=sys.stderr, end="")
         return EXIT_POSITIVITY

@@ -4,7 +4,8 @@ The identification compiler emits these trees; they can be evaluated pointwise
 or materialized as tables against any pmf access (an exact table, a learned
 table, or an empirical frequency estimator). Conditionals are not a node kind:
 they arise only inside :class:`ChainProduct` as ratios of two marginals of the
-child, which keeps the zero-conditioning error site unique.
+child, which keeps the zero-conditioning error, :class:`PositivityViolation`,
+at one site.
 """
 
 from __future__ import annotations
@@ -21,11 +22,12 @@ from .tables import PmfTable, ScopeMismatch, iter_assignments
 TABLE_TOTAL_TOL = 1e-6
 
 
-class ZeroConditioningEvent(ArithmeticError):
-    """A conditioning event carries zero mass under the supplied distribution.
+class PositivityViolation(ArithmeticError):
+    """A conditioning event carries zero mass under the supplied distribution
+    (for a sample batch: zero count).
 
-    Signals a positivity violation at the unique site where conditionals are
-    formed; never silently treated as 0/0 = 0.
+    Raised where conditionals are formed, for the compiled estimands and the
+    learner alike; never silently treated as 0/0 = 0.
     """
 
     def __init__(self, variable: str, event: Mapping[str, int]):
@@ -37,15 +39,18 @@ class ZeroConditioningEvent(ArithmeticError):
         )
 
 
+ZeroConditioningEvent = PositivityViolation  # the error's former name
+
+
 class DistAccess(Protocol):
-    """Pointwise pmf access over an ordered scope."""
+    """Pmf access over an ordered scope: pointwise, or as a marginal table."""
 
     names: tuple[str, ...]
     cards: tuple[int, ...]
 
     def pmf(self, assignment: Mapping[str, int]) -> float: ...
 
-    def table(self) -> PmfTable: ...
+    def marginal_to(self, keep: Iterable[str]) -> PmfTable: ...
 
 
 class DistExpr:
@@ -195,6 +200,16 @@ def depth(expr: DistExpr) -> int:
     return 1 + max(depth(c) for c in expr.children)
 
 
+def chain_depth(expr: DistExpr) -> int:
+    """The deepest nesting of :class:`ChainProduct` nodes: how many chain
+    materializations stack up on the way to the input distribution."""
+    if isinstance(expr, BaseDist):
+        return 0
+    if isinstance(expr, Product):
+        return max(chain_depth(c) for c in expr.children)
+    return isinstance(expr, ChainProduct) + chain_depth(expr.child)
+
+
 # -- evaluation ----------------------------------------------------------------
 
 
@@ -241,7 +256,7 @@ def _value(
             zset = frozenset(zs)
             den = _marginal_value(expr.child, zset, access, env, cards)
             if den == 0.0:
-                raise ZeroConditioningEvent(v, {z: env[z] for z in zs})
+                raise PositivityViolation(v, {z: env[z] for z in zs})
             num = _marginal_value(expr.child, zset | {v}, access, env, cards)
             out *= num / den
         return out
@@ -287,10 +302,12 @@ def _node_table(
     """Dense array over the node's scope plus unfixed free references.
 
     Axis order follows the base distribution's variable order. Free references
-    present in ``fixed`` are sliced out as early as possible.
+    present in ``fixed`` are sliced out as early as possible. Marginals of the
+    input distribution, alone or as chain factors, come from the access itself,
+    so the full joint is built only when a node needs it whole.
     """
-    if isinstance(expr, BaseDist):
-        t = access.table()
+    if _is_base_chain(expr):
+        t = access.marginal_to(expr.scope)
         return t.names, t.probs
     if isinstance(expr, Marginal):
         names, arr = _node_table(expr.child, access, fixed, order_key)
@@ -307,17 +324,23 @@ def _node_table(
             out = a if out is None else out * a
         return union, out
     if isinstance(expr, ChainProduct):
-        cnames, carr = _node_table(expr.child, access, fixed, order_key)
         # only free references may be fixed here; scope variables stay as axes
         fixed_free = {n: v for n, v in fixed.items() if n not in expr.scope}
         family = expr.child.free - set(fixed_free)  # context axes: never summed out
+        base_chain = _is_base_chain(expr.child)
+        if not base_chain:
+            cnames, carr = _node_table(expr.child, access, fixed, order_key)
         out = np.ones((), dtype=np.float64)
         out_names: tuple[str, ...] = ()
         for v, zs in expr.conds:
             keep = set(zs) | {v} | family
-            sum_axes = tuple(i for i, n in enumerate(cnames) if n not in keep)
-            num_names = tuple(n for n in cnames if n in keep)
-            num = carr.sum(axis=sum_axes)
+            if base_chain:
+                num_table = access.marginal_to(keep)
+                num_names, num = num_table.names, num_table.probs
+            else:
+                sum_axes = tuple(i for i, n in enumerate(cnames) if n not in keep)
+                num_names = tuple(n for n in cnames if n in keep)
+                num = carr.sum(axis=sum_axes)
             slc = tuple(
                 fixed_free[n] if n in fixed_free else slice(None) for n in num_names
             )
@@ -330,7 +353,7 @@ def _node_table(
                 pos = np.unravel_index(flat, den.shape)
                 event = {n: int(p) for n, p in zip(num_names, pos) if n != v}
                 event |= {n: fixed_free[n] for n in zs if n in fixed_free}
-                raise ZeroConditioningEvent(v, event)
+                raise PositivityViolation(v, event)
             factor = num / den
             target = tuple(sorted(set(out_names) | set(num_names), key=order_key))
             out = _aligned(out, out_names, target) * _aligned(factor, num_names, target)

@@ -5,9 +5,14 @@ The pipeline splits the problem along the c-component structure of the graph:
 * components untouched by the intervention keep a Bayes-net form and their
   conditionals are learned with add-1 smoothing over effective-parent
   configurations;
-* components that contain intervened variables are handled by re-running the
-  identification recursion against the sample batch, materializing small
-  probability tables at every rebasing step and at the leaves.
+* every component that contains intervened variables splits into fragments
+  ``C``; each fragment's query ``P(C | do(V∖C))`` is compiled by
+  :func:`~dolearn.identify.identify` and its estimand is materialized by
+  :func:`~dolearn.estimand.full_table` against the sample batch (or an exact
+  table), so there is one identification recursion and one place where a
+  conditional is formed. A non-identifiable fragment raises
+  :class:`~dolearn.identify.NotIdentifiable` carrying identify's witness and
+  step trace; an empty conditioning event raises :class:`PositivityViolation`.
 
 The assembled object is a product of per-variable conditional rows in a fixed
 topological order, usable both as a pointwise evaluator and as the driver of
@@ -19,29 +24,17 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping
 
 import numpy as np
 
 from .admg import Admg
-from .identify import HedgeWitness, NotIdentifiable, chain_conds
-from .tables import PmfTable, Samples, ScopeMismatch, strides_for
+from .estimand import BaseDist, ChainProduct, PositivityViolation, chain_depth, full_table
+from .identify import CausalQuery, HedgeWitness, NotIdentifiable, identify
+from .tables import EmpiricalAccess, PmfTable, Samples, ScopeMismatch, strides_for
 
 ROW_TOL = 1e-12
 FAMILY_CONSTANCY_TOL = 1e-9
-
-
-class PositivityViolation(RuntimeError):
-    """A conditioning event required by the learner has zero mass or count."""
-
-    def __init__(self, variable: str, event: Mapping[str, int], source: str):
-        self.variable = variable
-        self.event = dict(event)
-        self.source = source
-        super().__init__(
-            f"conditioning event {self.event!r} for {variable!r} has zero "
-            f"{'count' if source == 'samples' else 'mass'}"
-        )
 
 
 @dataclass(frozen=True)
@@ -145,297 +138,6 @@ class ConditionalTable:
         return self.probs[self.row_index(env)]
 
 
-@dataclass(frozen=True, eq=False)
-class TableFamily:
-    """A table of distributions: context axes index the family, variable axes
-    carry the mass. Every context slice sums to 1. Axes are addressed by name;
-    merged families order them by the host graph's topological order.
-    ``rebase_depth`` counts the chain materializations that produced the table,
-    the quantity the nominal pointwise approximation factor grows with."""
-
-    names: tuple[str, ...]
-    cards: tuple[int, ...]
-    ctx: frozenset[str]
-    arr: np.ndarray
-    fixed: Mapping[str, int] = field(default_factory=dict)
-    rebase_depth: int = 0
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "names", tuple(self.names))
-        object.__setattr__(self, "cards", tuple(self.cards))
-        object.__setattr__(self, "ctx", frozenset(self.ctx))
-        object.__setattr__(self, "fixed", dict(self.fixed))
-        arr = np.asarray(self.arr, dtype=np.float64)
-        object.__setattr__(self, "arr", arr)
-        if arr.shape != self.cards:
-            raise ScopeMismatch("family array shape does not match cardinalities")
-
-    @property
-    def variables(self) -> tuple[str, ...]:
-        return tuple(n for n in self.names if n not in self.ctx)
-
-    def var_axes(self) -> tuple[int, ...]:
-        return tuple(i for i, n in enumerate(self.names) if n not in self.ctx)
-
-    def marginal_vars(self, keep: Iterable[str]) -> "TableFamily":
-        """Sum out distribution variables not in ``keep``; context axes stay."""
-        keep = set(keep)
-        axes = tuple(
-            i for i, n in enumerate(self.names) if n not in self.ctx and n not in keep
-        )
-        kept = tuple(n for i, n in enumerate(self.names) if i not in axes)
-        cards = tuple(c for i, c in enumerate(self.cards) if i not in axes)
-        return TableFamily(kept, cards, self.ctx, self.arr.sum(axis=axes),
-                           self.fixed, self.rebase_depth)
-
-    def slice_ctx(self, fixed: Mapping[str, int]) -> "TableFamily":
-        relevant = {n: v for n, v in fixed.items() if n in self.ctx}
-        if not relevant:
-            return self
-        idx = tuple(relevant.get(n, slice(None)) for n in self.names)
-        kept = tuple(n for n in self.names if n not in relevant)
-        cards = tuple(c for n, c in zip(self.names, self.cards) if n not in relevant)
-        merged = dict(self.fixed)
-        merged.update(relevant)
-        return TableFamily(kept, cards, self.ctx - set(relevant), self.arr[idx],
-                           merged, self.rebase_depth)
-
-    def pmf(self, env: Mapping[str, int]) -> float:
-        idx = tuple(env[n] for n in self.names)
-        return float(self.arr[idx])
-
-
-def _align(arr: np.ndarray, names: tuple[str, ...], target: tuple[str, ...]) -> np.ndarray:
-    idx = tuple(slice(None) if n in names else None for n in target)
-    perm = tuple(names.index(n) for n in target if n in names)
-    return np.transpose(arr, perm)[idx]
-
-
-def _merge_families(fams: Sequence[TableFamily], order_key) -> TableFamily:
-    """Pointwise product of families; combined variables absorb matching
-    context axes of siblings."""
-    all_names = sorted({n for f in fams for n in f.names}, key=order_key)
-    all_names = tuple(all_names)
-    card_of: dict[str, int] = {}
-    for f in fams:
-        for n, c in zip(f.names, f.cards):
-            card_of[n] = c
-    out = np.ones((), dtype=np.float64)
-    out = _align(out, (), all_names)
-    for f in fams:
-        out = out * _align(f.arr, f.names, all_names)
-    variables = {n for f in fams for n in f.variables}
-    fixed: dict[str, int] = {}
-    for f in fams:
-        fixed.update(f.fixed)
-    return TableFamily(
-        all_names,
-        tuple(card_of[n] for n in all_names),
-        frozenset(all_names) - variables,
-        out,
-        fixed,
-        max(f.rebase_depth for f in fams),
-    )
-
-
-# -- distribution handles ------------------------------------------------------
-
-
-class _SampleHandle:
-    """Empirical access to the observational batch (raw count ratios)."""
-
-    is_samples = True
-
-    def __init__(self, samples: Samples, cards: Mapping[str, int]):
-        self.samples = samples
-        self.cards = cards
-
-    def restricted(self, keep: frozenset[str]) -> "_SampleHandle":
-        return self  # scope is tracked by the recursion, counts are lazy
-
-    def joint(self, keep: Sequence[str]) -> TableFamily:
-        keep = tuple(keep)
-        cards = tuple(self.cards[n] for n in keep)
-        counts = self.samples.counts_over(keep, cards)
-        return TableFamily(keep, cards, frozenset(), counts / self.samples.m)
-
-    def _conditional(
-        self, v: str, zs: tuple[str, ...], x: Mapping[str, int],
-        over: frozenset[str],
-    ) -> TableFamily:
-        names = tuple(zs) + (v,)
-        cards = tuple(self.cards[n] for n in names)
-        counts = self.samples.counts_over(names, cards)
-        sliced = {n: x[n] for n in zs if n in x and n not in over}
-        if sliced:
-            idx = tuple(sliced.get(n, slice(None)) for n in names)
-            counts = counts[idx]
-            names = tuple(n for n in names if n not in sliced)
-            cards = tuple(c for n, c in zip(tuple(zs) + (v,), cards) if n not in sliced)
-        den = counts.sum(axis=-1, keepdims=True)
-        if np.any(den == 0.0):
-            flat = int(np.argmax((den == 0.0).reshape(-1)))
-            pos = np.unravel_index(flat, den.shape)
-            event = {n: int(p) for n, p in zip(names[:-1], pos[:-1])}
-            event.update(sliced)
-            raise PositivityViolation(v, event, "samples")
-        return TableFamily(
-            names, cards, frozenset(names[:-1]), counts / den, sliced
-        )
-
-    def chain_family(
-        self,
-        conds: Sequence[tuple[str, tuple[str, ...]]],
-        x: Mapping[str, int],
-        order_key,
-    ) -> TableFamily:
-        over = frozenset(v for v, _ in conds)
-        factors = [self._conditional(v, zs, x, over) for v, zs in conds]
-        merged = _merge_families(factors, order_key)
-        return TableFamily(
-            merged.names,
-            merged.cards,
-            frozenset(merged.names) - over,
-            merged.arr,
-            merged.fixed,
-            1,
-        )
-
-
-class _TableHandle:
-    """Exact access to an already-materialized table family."""
-
-    is_samples = False
-
-    def __init__(self, family: TableFamily, rebase_depth: int = 0):
-        self.family = family
-        self.rebase_depth = rebase_depth
-
-    def restricted(self, keep: frozenset[str]) -> "_TableHandle":
-        return _TableHandle(self.family.marginal_vars(keep), self.rebase_depth)
-
-    def joint(self, keep: Sequence[str]) -> TableFamily:
-        fam = self.family.marginal_vars(keep)
-        return fam
-
-    def _conditional(
-        self, v: str, zs: tuple[str, ...], x: Mapping[str, int],
-        over: frozenset[str],
-    ) -> TableFamily:
-        fam = self.family
-        in_scope = [z for z in zs if z in fam.variables]
-        keep = set(in_scope) | {v}
-        num = fam.marginal_vars(keep)
-        sliced = {n: x[n] for n in in_scope if n in x and n not in over}
-        arr = num.arr
-        names = num.names
-        if sliced:
-            idx = tuple(sliced.get(n, slice(None)) for n in names)
-            arr = arr[idx]
-            names = tuple(n for n in names if n not in sliced)
-        v_axis = names.index(v)
-        den = arr.sum(axis=v_axis, keepdims=True)
-        if np.any(den == 0.0):
-            flat = int(np.argmax((den == 0.0).reshape(-1)))
-            pos = np.unravel_index(flat, den.shape)
-            event = {n: int(p) for n, p in zip(names, pos) if n != v}
-            event.update(sliced)
-            raise PositivityViolation(v, event, "table")
-        cards = tuple(
-            c for n, c in zip(num.names, num.cards) if n not in sliced
-        )
-        fixed = dict(fam.fixed)
-        fixed.update(sliced)
-        return TableFamily(
-            names, cards, frozenset(n for n in names if n != v), arr / den,
-            fixed, fam.rebase_depth,
-        )
-
-    def chain_family(
-        self,
-        conds: Sequence[tuple[str, tuple[str, ...]]],
-        x: Mapping[str, int],
-        order_key,
-    ) -> TableFamily:
-        over = frozenset(v for v, _ in conds)
-        factors = [self._conditional(v, zs, x, over) for v, zs in conds]
-        merged = _merge_families(factors, order_key)
-        return TableFamily(
-            merged.names,
-            merged.cards,
-            frozenset(merged.names) - over,
-            merged.arr,
-            merged.fixed,
-            self.rebase_depth + 1,
-        )
-
-
-# -- the sample-based identification recursion ---------------------------------
-
-
-def _hedge_witness(g: Admg, vs: frozenset[int], root: frozenset[int]) -> HedgeWitness:
-    return HedgeWitness(
-        graph=g.induced_subgraph(vs),
-        root_set=frozenset(g.names_of(root)),
-        internal=frozenset(g.names_of(vs - root)),
-        trace=(),
-    )
-
-
-def _learn_component(
-    g: Admg,
-    order: tuple[int, ...],
-    y: frozenset[int],
-    xset: frozenset[int],
-    handle,
-    vs: frozenset[int],
-    x_assign: Mapping[str, int],
-    order_key,
-    depth: int = 0,
-) -> TableFamily:
-    if depth > 3 * g.n + 3:  # pragma: no cover - termination guard
-        raise RuntimeError("learning recursion exceeded its depth bound")
-    if not xset:
-        return handle.joint([g.names[i] for i in order if i in y])
-
-    an = g.ancestors(y, within=vs)
-    if vs - an:
-        keep = frozenset(g.names[i] for i in an)
-        return _learn_component(
-            g, order, y, xset & an, handle.restricted(keep), an,
-            x_assign, order_key, depth + 1,
-        )
-
-    # with targets equal to the non-intervened remainder, the third base case
-    # of the recursion can never trigger
-    assert not (vs - xset) - g.ancestors(y, within=vs, severed=xset)
-
-    comps = g.c_components(within=vs - xset)
-    if len(comps) > 1:
-        fams = [
-            _learn_component(
-                g, order, s, vs - s, handle, vs, x_assign, order_key, depth + 1
-            )
-            for s in comps
-        ]
-        return _merge_families(fams, order_key)
-
-    s = comps[0]
-    cc = g.c_components(within=vs)
-    if len(cc) == 1:
-        raise NotIdentifiable(_hedge_witness(g, vs, s))
-    if s in cc:
-        return handle.chain_family(chain_conds(g, order, s, vs), x_assign, order_key)
-
-    s_prime = next(c for c in cc if s < c)
-    fam = handle.chain_family(chain_conds(g, order, s_prime, vs), x_assign, order_key)
-    return _learn_component(
-        g, order, y, xset & s_prime,
-        _TableHandle(fam, fam.rebase_depth),
-        s_prime, x_assign, order_key, depth + 1,
-    )
-
-
 # -- the two learners and assembly ---------------------------------------------
 
 
@@ -468,24 +170,20 @@ def learn_q(
 def _q_from_table(
     obs: PmfTable, g: Admg, part: RelativePartition
 ) -> dict[str, ConditionalTable]:
-    """Infinite-sample conditionals: exact ratios of the supplied table."""
+    """Infinite-sample conditionals: exact ratios of the supplied table, each
+    materialized as a one-factor chain over the input distribution."""
     order = g.topological_order()
+    base = BaseDist(g.names)
     out: dict[str, ConditionalTable] = {}
     for i in sorted(part.c_high):
         name = g.names[i]
-        card = g.cards[i]
         zs = sorted(g.effective_parents(order, i))
         znames = tuple(g.names[z] for z in zs)
         zcards = tuple(g.cards[z] for z in zs)
-        joint = obs.marginal_to(set(znames) | {name}).aligned_to(znames + (name,))
-        flat = joint.probs.reshape(-1, card)
-        den = flat.sum(axis=1, keepdims=True)
-        if np.any(den == 0.0):
-            row = int(np.argmax((den == 0.0).reshape(-1)))
-            event = dict(zip(znames, np.unravel_index(row, zcards))) if znames else {}
-            raise PositivityViolation(name, {k: int(v) for k, v in event.items()}, "table")
+        chain = ChainProduct(base, (name,), ((name, znames),))
+        rows = full_table(chain, obs, allow_free_axes=True).aligned_to(znames + (name,))
         out[name] = ConditionalTable(
-            name, card, znames, zcards, flat / den, kind="exact"
+            name, g.cards[i], znames, zcards, rows.probs, kind="exact"
         )
     return out
 
@@ -496,80 +194,85 @@ def learn_r(
     part: RelativePartition,
     x: Mapping[str, int],
     config: LearnConfig | None = None,
-) -> dict[tuple[int, int], TableFamily]:
-    """One materialized table family per intervened-component fragment.
+) -> dict[tuple[int, int], tuple[PmfTable, int]]:
+    """One materialized table per intervened-component fragment, with its
+    rebase depth.
 
-    Each family evaluates the fragment's interventional distribution at every
-    assignment of the fragment and of its non-intervened references;
-    intervention coordinates are baked in at their queried values.
+    Fragment ``C`` is the query ``P(C | do(V∖C))``. Every fragment is first
+    compiled by :func:`identify` on the graph alone, so a non-identifiable
+    query raises :class:`NotIdentifiable` with identify's witness and trace
+    before anything is counted. Each estimand is then materialized against
+    the batch or the exact table with the intervention coordinates baked in
+    at their queried values; its other references stay as context axes, one
+    distribution over ``C`` per configuration. The rebase depth counts the
+    nested chain materializations of the estimand, the quantity the nominal
+    pointwise approximation factor grows with.
     """
-    order = g.topological_order()
-    order_key = {g.names[i]: k for k, i in enumerate(order)}.get
-    if isinstance(samples_or_table, PmfTable):
-        base = samples_or_table.aligned_to(
-            tuple(n for n in g.names if n in samples_or_table.scope)
-        )
-        handle = _TableHandle(
-            TableFamily(base.names, base.cards, frozenset(), base.probs)
-        )
-    else:
-        cards = dict(zip(g.names, g.cards))
-        handle = _SampleHandle(samples_or_table, cards)
-    out: dict[tuple[int, int], TableFamily] = {}
-    every = frozenset(range(g.n))
+    exprs = {}
     for key, cij in part.sub_components:
-        out[key] = _learn_component(
-            g, order, cij, every - cij, handle, every, dict(x), order_key
+        frag = frozenset(g.names_of(cij))
+        # the estimand is symbolic in the intervention values; references
+        # outside x only need some in-range value to form the query
+        rest = {n: x.get(n, 0) for n in g.names if n not in frag}
+        est = identify(CausalQuery(g, rest, frag))
+        if isinstance(est, HedgeWitness):
+            raise NotIdentifiable(est)
+        exprs[key] = est.expr
+    if isinstance(samples_or_table, PmfTable):
+        access = samples_or_table
+    else:
+        samples = samples_or_table
+        if samples.names != g.names:
+            samples = samples.project(g.names)
+        access = EmpiricalAccess(samples, g.cards)
+    return {
+        key: (
+            full_table(expr, access, {n: x[n] for n in expr.free if n in x},
+                       allow_free_axes=True),
+            chain_depth(expr),
         )
-    return out
+        for key, expr in exprs.items()
+    }
 
 
 def _family_conditionals(
-    fam: TableFamily,
+    table: PmfTable,
+    variables: Iterable[str],
     g: Admg,
-    x: Mapping[str, int],
 ) -> dict[str, ConditionalTable]:
-    """Chain-rule a fragment family into per-variable conditional rows.
+    """Chain-rule a fragment table into per-variable conditional rows.
 
+    ``variables`` carry the mass; the other axes of the table are context.
     Context axes that follow a variable in the global order provably do not
-    influence its conditional (the family factorizes along the order), so they
-    are sliced away; the residual variation is checked against a tight bound.
+    influence its conditional (the fragment factorizes along the order), so
+    they are sliced away; the residual variation is checked against a tight
+    bound.
     """
-    order_pos = {n: i for i, n in enumerate(g.names)}
-    gorder = g.topological_order()
-    topo_pos = {g.names[i]: k for k, i in enumerate(gorder)}
-    variables = sorted(fam.variables, key=topo_pos.get)
+    topo_pos = {g.names[i]: k for k, i in enumerate(g.topological_order())}
+    variables = sorted(variables, key=topo_pos.get)
+    ctx = set(table.names) - set(variables)
     out: dict[str, ConditionalTable] = {}
     for t, v in enumerate(variables):
-        keep = set(variables[: t + 1])
-        marg = fam.marginal_vars(keep)
-        later_ctx = [n for n in marg.names if n in fam.ctx and topo_pos[n] > topo_pos[v]]
-        arr = marg.arr
-        names = marg.names
-        if later_ctx:
-            probe = arr
-            for n in later_ctx:
-                ax = names.index(n)
-                spread = probe.max(axis=ax) - probe.min(axis=ax)
-                if spread.max(initial=0.0) > FAMILY_CONSTANCY_TOL:
-                    raise ValueError(
-                        f"fragment table for {v!r} varies with later context {n!r}"
-                    )
-            idx = tuple(0 if n in later_ctx else slice(None) for n in names)
-            arr = arr[idx]
-            names = tuple(n for n in names if n not in later_ctx)
-        v_axis = names.index(v)
+        marg = table.marginal_to(ctx | set(variables[: t + 1]))
+        later_ctx = [n for n in marg.names if n in ctx and topo_pos[n] > topo_pos[v]]
+        for n in later_ctx:
+            ax = marg.axis(n)
+            spread = marg.probs.max(axis=ax) - marg.probs.min(axis=ax)
+            if spread.max(initial=0.0) > FAMILY_CONSTANCY_TOL:
+                raise ValueError(
+                    f"fragment table for {v!r} varies with later context {n!r}"
+                )
+        marg = marg.sliced(dict.fromkeys(later_ctx, 0))
         # order conditioning axes by topological position for the row layout
-        cond = tuple(sorted((n for n in names if n != v), key=topo_pos.get))
-        arr = _align(arr, names, cond + (v,))
+        cond = tuple(sorted((n for n in marg.names if n != v), key=topo_pos.get))
         card = g.cards[g.index(v)]
-        flat = arr.reshape(-1, card)
+        flat = marg.aligned_to(cond + (v,)).probs.reshape(-1, card)
         den = flat.sum(axis=1, keepdims=True)
         rows = np.where(den > 0.0, flat / np.where(den == 0.0, 1.0, den),
                         1.0 / card)  # unreachable configurations get uniform rows
         out[v] = ConditionalTable(
             v, card, cond, tuple(g.cards[g.index(n)] for n in cond), rows,
-            kind="fragment", fixed_context=dict(fam.fixed),
+            kind="fragment", fixed_context=dict(table.context or {}),
         )
     return out
 
@@ -639,7 +342,7 @@ def evaluate_point(
 
 def assemble(
     q_factors: Mapping[str, ConditionalTable],
-    r_factors: Mapping[tuple[int, int], TableFamily],
+    r_factors: Mapping[tuple[int, int], tuple[PmfTable, int]],
     part: RelativePartition,
     g: Admg,
     x: Mapping[str, int],
@@ -647,8 +350,9 @@ def assemble(
 ) -> LearnedInterventional:
     """Combine the two factor maps into one evaluator/generator object."""
     factors: dict[str, ConditionalTable] = dict(q_factors)
-    for fam in r_factors.values():
-        factors.update(_family_conditionals(fam, g, x))
+    fragments = dict(part.sub_components)
+    for key, (table, _) in r_factors.items():
+        factors.update(_family_conditionals(table, g.names_of(fragments[key]), g))
     order = tuple(
         g.names[i] for i in g.topological_order() if g.names[i] not in x
     )
@@ -662,7 +366,7 @@ def assemble(
         # nominal pointwise approximation factor grows with this depth
         meta.setdefault(
             "fragment_rebase_depths",
-            {str(k): fam.rebase_depth for k, fam in r_factors.items()},
+            {str(k): depth for k, (_, depth) in r_factors.items()},
         )
     return LearnedInterventional(g, dict(x), order, factors, meta)
 
@@ -772,7 +476,7 @@ def tian_q_value(
         num = obs.marginal_to(set(znames) | {name}).pmf(env)
         den = obs.marginal_to(set(znames)).pmf(env)
         if den == 0.0:
-            raise PositivityViolation(name, {z: env[z] for z in znames}, "table")
+            raise PositivityViolation(name, {z: env[z] for z in znames})
         out *= num / den
     return out
 

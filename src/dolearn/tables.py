@@ -339,5 +339,18 @@ class EmpiricalAccess:
         counts = self.samples.counts_over(self.names, self.cards)
         return PmfTable(self.names, counts / self.samples.m)
 
+    def marginal_to(self, keep: Iterable[str]) -> PmfTable:
+        """Relative frequencies over ``keep``, axes in batch column order. An
+        empty batch gives an all-zero table, so conditioning on it fails
+        positivity instead of dividing by zero."""
+        keep = set(keep)
+        unknown = keep - set(self.names)
+        if unknown:
+            raise ScopeMismatch(f"cannot keep unknown variables {sorted(unknown)}")
+        names = tuple(n for n in self.names if n in keep)
+        cards = tuple(c for n, c in zip(self.names, self.cards) if n in keep)
+        counts = self.samples.counts_over(names, cards)
+        return PmfTable(names, counts / max(self.samples.m, 1), normalized=self.samples.m > 0)
+
     def pmf(self, assignment: Mapping[str, int]) -> float:
         return self.table().pmf(assignment)

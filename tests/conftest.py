@@ -33,16 +33,17 @@ def fig4b_graph():
 
 
 @st.composite
-def admgs(draw, max_n=6, max_bidirected=3, cardinalities=(2,)):
+def admgs(draw, max_n=6, max_bidirected=3, cardinalities=(2,), min_n=1, min_bidirected=0):
     """Random small mixed graphs; directed part guaranteed acyclic by
     orienting edges along the index order."""
-    n = draw(st.integers(min_value=1, max_value=max_n))
+    n = draw(st.integers(min_value=min_n, max_value=max_n))
     names = [f"V{i}" for i in range(n)]
     cards = [draw(st.sampled_from(cardinalities)) for _ in range(n)]
     pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
     directed = draw(st.lists(st.sampled_from(pairs), unique=True, max_size=2 * n)) if pairs else []
     bidirected = (
-        draw(st.lists(st.sampled_from(pairs), unique=True, max_size=max_bidirected))
+        draw(st.lists(st.sampled_from(pairs), unique=True,
+                      min_size=min_bidirected, max_size=max_bidirected))
         if pairs else []
     )
     return Admg(

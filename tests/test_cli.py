@@ -125,6 +125,40 @@ def test_learn_positivity_exit_code(workdir, capsys):
     assert err["error"] == "PositivityViolation"
 
 
+def test_learn_rejects_non_default_targets(workdir, capsys):
+    tmp, g, net = workdir
+    (tmp / "q_y.json").write_text(json.dumps({
+        "intervene": [{"var": "X", "value": 0}], "targets": ["Y"],
+    }))
+    code = main(["learn", "--graph", str(tmp / "graph.json"),
+                 "--query", str(tmp / "q_y.json"),
+                 "--cbn", str(tmp / "net.json"), "--seed", "1", "--m", "2000"])
+    assert code == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert json.loads(captured.err)["error"] == "InvalidQuery"
+
+
+def test_learn_non_identifiable_fragment_beats_positivity(tmp_path, capsys):
+    # at 50 rows the fragment's step-5c rebase meets empty conditioning
+    # events, but the fragment is not identifiable: exit 2, not exit 3
+    from .test_learn import six_ternary_hedge_graph
+
+    g = six_ternary_hedge_graph()
+    (tmp_path / "g.json").write_text(dio.dump_json(dio.admg_to_dict(g)))
+    (tmp_path / "net.json").write_text(dio.dump_json(dio.net_to_dict(random_net_for(g, 1053))))
+    (tmp_path / "q.json").write_text(json.dumps({
+        "intervene": [{"var": "V0", "value": 1}, {"var": "V1", "value": 0}],
+    }))
+    code = main(["learn", "--graph", str(tmp_path / "g.json"),
+                 "--query", str(tmp_path / "q.json"),
+                 "--cbn", str(tmp_path / "net.json"), "--seed", "60", "--m", "50"])
+    assert code == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["root_set"] == ["V3", "V5"]
+    assert err["trace"][-1]["step"] == "step5a"
+
+
 def test_learn_not_identifiable_exit_code(tmp_path, capsys):
     bow = bow_graph()
     net = random_net_for(bow, seed=2)

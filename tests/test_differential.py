@@ -1,13 +1,31 @@
-"""Vectorized batch kernels against their loop-and-stack reference versions."""
+"""Package code against reference versions kept in the test tree: the
+vectorized batch kernels against their loop-and-stack forms, and the fragment
+learner against its former copy of the identification recursion."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dolearn.admg import Admg
 from dolearn.demo import fig3a_graph, fig4a_graph
+from dolearn.estimand import ZeroConditioningEvent
 from dolearn.generate import sample
-from dolearn.identify import CausalQuery, is_identifiable
-from dolearn.learn import evaluate_point, fit_from_table, learn_interventional
+from dolearn.identify import (
+    CausalQuery,
+    HedgeWitness,
+    NotIdentifiable,
+    identify,
+    is_identifiable,
+)
+from dolearn.learn import (
+    PositivityViolation,
+    evaluate_point,
+    fit_from_table,
+    learn_interventional,
+    learn_r,
+    relative_partition,
+)
 from dolearn.scm import (
     CausalBayesNet,
     CbnNode,
@@ -19,6 +37,8 @@ from dolearn.scm import (
 from dolearn.tables import Samples, draw_inverse_cdf
 
 from . import reference_kernels as ref
+from . import reference_learner as ref_learn
+from .conftest import admgs
 
 
 def _cum_with_negative_entry(rng, n_rows, card):
@@ -179,3 +199,103 @@ def test_distinct_rows_are_first_occurrences_in_code_order():
     rows, counts = Samples(("A", "B"), values).distinct
     assert rows.tolist() == [[0, 1], [0, 2], [1, 0]]
     assert counts.tolist() == [1.0, 3.0, 2.0]
+
+
+# -- fragment learner against the reference recursion ---------------------------
+
+
+@st.composite
+def learner_cases(draw):
+    """A random mixed graph with binary and ternary variables, one or two
+    intervened variables that each sit on a bidirected edge (so that most
+    draws have fragments), a realization seed and a batch size."""
+    g = draw(admgs(max_n=7, max_bidirected=5, cardinalities=(2, 3), min_n=3, min_bidirected=1))
+    confounded = sorted({g.names[v] for edge in g.bidirected for v in edge})
+    names = draw(st.lists(st.sampled_from(confounded), min_size=1, max_size=2, unique=True))
+    x = {n: draw(st.integers(0, g.cards[g.index(n)] - 1)) for n in names}
+    return g, x, draw(st.integers(0, 2**16)), draw(st.sampled_from([50, 5_000, 50_000]))
+
+
+def _rebasing_cases(k=6):
+    """The first ``k`` ternary graphs, in seed order, whose fragments rebase at
+    step 5c of the recursion."""
+    out = []
+    rng = np.random.default_rng(5)
+    while len(out) < k:
+        n = 6 + len(out) % 2
+        g = random_admg(int(rng.integers(2**31)), n, n_bidirected=5, max_component=5,
+                        cardinality=3)
+        x = {g.names[int(rng.integers(n))]: int(rng.integers(3))}
+        est = identify(CausalQuery(g, x, frozenset(g.names) - set(x)))
+        if isinstance(est, HedgeWitness) or all(t.step != "step5c" for t in est.trace):
+            continue
+        out.append((g, x, int(rng.integers(2**16)), 50_000))
+    return out
+
+
+def _same_witness(a: HedgeWitness, b: HedgeWitness) -> None:
+    assert a.graph == b.graph
+    assert a.root_set == b.root_set
+    assert a.internal == b.internal
+
+
+def _check_fragments(g, x, seed, m):
+    net = random_net_for(g, seed=seed)
+    part = relative_partition(g, g.indices(x))
+    frag_names = {key: set(g.names_of(cij)) for key, cij in part.sub_components}
+    for source in (exact_observational(net), sample_observational(net, seed + 1, m)):
+        try:
+            want = ref_learn.learn_r(source, g, part, x)
+        except NotIdentifiable as exc:
+            with pytest.raises(NotIdentifiable) as got:
+                learn_r(source, g, part, x)
+            _same_witness(got.value.witness, exc.witness)
+            continue
+        except ref_learn.PositivityViolation as exc:
+            # a fragment after the one that hit the empty event may still be
+            # non-identifiable; the package reports that first
+            with pytest.raises((PositivityViolation, NotIdentifiable)) as got:
+                learn_r(source, g, part, x)
+            if isinstance(got.value, PositivityViolation):
+                assert (got.value.variable, got.value.event) == (exc.variable, exc.event)
+            continue
+        got = learn_r(source, g, part, x)
+        assert set(got) == set(want)
+        for key, fam in want.items():
+            table, depth = got[key]
+            assert set(fam.variables) == frag_names[key]
+            assert set(table.names) == set(fam.names)
+            assert np.abs(table.aligned_to(fam.names).probs - fam.arr).max() <= 1e-12
+            assert dict(table.context) == fam.fixed
+            assert depth == fam.rebase_depth
+
+
+@settings(max_examples=80, deadline=None)
+@given(learner_cases())
+def test_fragments_match_reference_recursion(case):
+    _check_fragments(*case)
+
+
+@pytest.mark.parametrize("case", _rebasing_cases())
+def test_rebased_fragments_match_reference_recursion(case):
+    _check_fragments(*case)
+
+
+@settings(max_examples=80, deadline=None)
+@given(learner_cases())
+def test_table_fit_matches_estimand_table(case):
+    g, x, seed, _ = case
+    obs = exact_observational(random_net_for(g, seed=seed))
+    est = identify(CausalQuery(g, x, frozenset(g.names) - set(x)))
+    if isinstance(est, HedgeWitness):
+        with pytest.raises(NotIdentifiable):
+            fit_from_table(obs, g, x)
+        return
+    try:
+        want = est.table(obs, x)
+    except ZeroConditioningEvent:
+        with pytest.raises((PositivityViolation, ZeroConditioningEvent)):
+            fit_from_table(obs, g, x)
+        return
+    got = fit_from_table(obs, g, x).table().aligned_to(want.names)
+    assert np.abs(got.probs - want.probs).max() <= 1e-12

@@ -8,7 +8,9 @@ from dolearn.estimand import (
     ChainProduct,
     Marginal,
     Product,
+    PositivityViolation,
     ZeroConditioningEvent,
+    chain_depth,
     evaluate,
     from_json_dict,
     full_table,
@@ -17,8 +19,13 @@ from dolearn.estimand import (
     to_json_dict,
 )
 from dolearn.identify import CausalQuery, identify
-from dolearn.scm import exact_interventional, exact_observational, random_net_for
-from dolearn.tables import PmfTable, ScopeMismatch
+from dolearn.scm import (
+    exact_interventional,
+    exact_observational,
+    random_net_for,
+    sample_observational,
+)
+from dolearn.tables import EmpiricalAccess, PmfTable, ScopeMismatch
 
 
 def fair_coin():
@@ -94,6 +101,18 @@ class TestFullTable:
                 tab.pmf(env), abs=1e-12
             )
 
+    def test_batch_marginals_come_from_the_access(self, fig4a, monkeypatch):
+        # the rebased estimand of example 2 against a batch: every marginal of
+        # the input is counted directly, the full joint is never built
+        net = random_net_for(fig4a, seed=11)
+        access = EmpiricalAccess(sample_observational(net, 3, 20_000), fig4a.cards)
+        joint = access.table()
+        x = {"W": 0, "R": 1, "X": 0}
+        est = identify(CausalQuery(fig4a, x, frozenset({"Y"})))
+        monkeypatch.setattr(EmpiricalAccess, "table", None)
+        got = est.table(access, x)
+        assert np.abs(got.probs - est.table(joint, x).probs).max() <= 1e-12
+
     def test_zero_conditioning_is_hard_error(self):
         # point mass on (A=0): conditioning on A=1 has zero mass
         t = PmfTable(("A", "B"), np.array([[0.5, 0.5], [0.0, 0.0]]))
@@ -103,6 +122,11 @@ class TestFullTable:
         assert exc.value.event == {"A": 1}
         with pytest.raises(ZeroConditioningEvent):
             evaluate(expr, t, {"A": 1, "B": 0})
+
+    def test_one_positivity_error_for_estimands_and_learner(self):
+        from dolearn import learn
+
+        assert ZeroConditioningEvent is PositivityViolation is learn.PositivityViolation
 
 
 class TestRender:
@@ -157,6 +181,13 @@ class TestStructure:
         child = ChainProduct(base, ("A",), (("A", ()),))
         with pytest.raises(ScopeMismatch):
             Product((child, child))
+
+    def test_chain_depth_counts_nested_chains(self, fig3a, fig4a):
+        assert chain_depth(BaseDist(("A",))) == 0
+        one = identify(CausalQuery(fig3a, {"X": 0}, frozenset({"Z1", "Z2", "Y"})))
+        two = identify(CausalQuery(fig4a, {"W": 0, "R": 0, "X": 0}, frozenset({"Y"})))
+        assert chain_depth(one.expr) == 1
+        assert chain_depth(two.expr) == 2
 
     def test_json_roundtrip(self, fig3a):
         est = identify(CausalQuery(fig3a, {"X": 0}, frozenset({"Z1", "Z2", "Y"})))

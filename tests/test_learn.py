@@ -37,6 +37,26 @@ def part_of(g, x_names):
     return relative_partition(g, g.indices(x_names))
 
 
+def six_ternary_hedge_graph():
+    """Under do(V0, V1) the fragment {V3, V5} is not identifiable: its
+    recursion rebases at step 5c and only then meets a hedge."""
+    return Admg.build(
+        [(f"V{i}", 3) for i in range(6)],
+        [("V0", "V1"), ("V0", "V5"), ("V1", "V3"), ("V2", "V3"), ("V3", "V4")],
+        [("V0", "V3"), ("V1", "V4"), ("V3", "V5")],
+    )
+
+
+def five_ternary_hedge_graph():
+    """Under do(V0, V1) the fragments are {V3}, identifiable, then {V2}, not
+    identifiable (V1 -> V2 with V1 <-> V2)."""
+    return Admg.build(
+        [(f"V{i}", 3) for i in range(5)],
+        [("V0", "V1"), ("V0", "V2"), ("V1", "V2"), ("V1", "V3")],
+        [("V0", "V3"), ("V1", "V2")],
+    )
+
+
 class TestRelativePartition:
     def test_fig3a(self, fig3a):
         part = part_of(fig3a, {"X"})
@@ -105,10 +125,11 @@ class TestLearnR:
         net = random_net_for(fig3a, seed=7)
         obs = exact_observational(net)
         part = part_of(fig3a, {"X"})
-        fams = learn_r(obs, fig3a, part, {"X": 0})
-        fam = fams[(0, 0)]
-        assert set(fam.variables) == {"Z2"}
-        assert fam.ctx == {"Z1"}
+        fam, depth = learn_r(obs, fig3a, part, {"X": 0})[(0, 0)]
+        # the fragment variable Z2 carries the mass; Z1 is a context axis
+        assert set(fam.names) == {"Z2", "Z1"}
+        assert np.allclose(fam.marginal_to({"Z1"}).probs, 1.0)
+        assert depth == 1
         # hand construction: sum_x P(x) P(z2 | x, z1), one row per z1
         px = obs.marginal_to({"X"})
         pj = obs.marginal_to({"X", "Z1", "Z2"})
@@ -126,19 +147,19 @@ class TestLearnR:
         net = random_net_for(fig3a, seed=7)
         part = part_of(fig3a, {"X"})
         samples = sample_observational(net, seed=8, m=200_000)
-        fams = learn_r(samples, fig3a, part, {"X": 0})
-        exact = learn_r(exact_observational(net), fig3a, part, {"X": 0})
-        assert np.abs(fams[(0, 0)].arr - exact[(0, 0)].arr).max() < 0.02
+        fam, _ = learn_r(samples, fig3a, part, {"X": 0})[(0, 0)]
+        exact, _ = learn_r(exact_observational(net), fig3a, part, {"X": 0})[(0, 0)]
+        assert np.abs(fam.aligned_to(exact.names).probs - exact.probs).max() < 0.02
 
     def test_example2_single_rebased_table(self, fig4a):
         net = random_net_for(fig4a, seed=11)
         obs = exact_observational(net)
         part = part_of(fig4a, {"W", "R", "X"})
         x = {"W": 0, "R": 1, "X": 0}
-        fams = learn_r(obs, fig4a, part, x)
-        fam = fams[(0, 0)]
-        assert set(fam.variables) == {"Y"}
-        assert fam.fixed == {"R": 1, "X": 0}
+        fam, depth = learn_r(obs, fig4a, part, x)[(0, 0)]
+        assert fam.names == ("Y",)
+        assert fam.context == {"R": 1, "X": 0}
+        assert depth == 2
         # the leaf is the rebased conditional at the queried intervention
         def term(w, yy):
             pw = obs.marginal_to({"W"}).pmf({"W": w})
@@ -162,6 +183,38 @@ class TestLearnR:
         samples = sample_observational(net, seed=2, m=100)
         with pytest.raises(NotIdentifiable):
             learn_r(samples, bow, part_of(bow, {"X"}), {"X": 0})
+
+    @pytest.mark.parametrize("m", [0, 50, 200_000])
+    @pytest.mark.parametrize("case", [
+        # small batches leave events of the fragment's own step-5c rebase empty
+        (six_ternary_hedge_graph, 1053, 60, {"V0": 1, "V1": 0}, {"V3", "V5"}),
+        # small batches leave events of an earlier, identifiable fragment {V3}
+        # empty; the later fragment {V2} is not identifiable
+        (five_ternary_hedge_graph, 151672821, 151672822, {"V0": 0, "V1": 1}, {"V2"}),
+    ])
+    def test_not_identifiable_beats_positivity(self, case, m):
+        # every fragment is identified on the graph before anything is counted
+        make_graph, net_seed, batch_seed, x, root_set = case
+        g = make_graph()
+        batch = sample_observational(random_net_for(g, net_seed), batch_seed, m)
+        with pytest.raises(NotIdentifiable) as exc:
+            learn_interventional(batch, g, x)
+        witness = exc.value.witness
+        assert witness.root_set == root_set
+        assert witness.trace and witness.trace[-1].step == "step5a"
+
+    def test_batch_column_order_and_extra_columns_do_not_matter(self, fig4a):
+        net = random_net_for(fig4a, seed=11)
+        batch = sample_observational(net, seed=12, m=5_000)
+        noise = np.arange(batch.m)[:, None] % 5
+        shuffled = Samples(("Y", "Extra") + batch.names[:-1],
+                           np.hstack([batch.values[:, -1:], noise, batch.values[:, :-1]]))
+        part = part_of(fig4a, {"W", "R", "X"})
+        x = {"W": 0, "R": 1, "X": 0}
+        want, _ = learn_r(batch, fig4a, part, x)[(0, 0)]
+        got, _ = learn_r(shuffled, fig4a, part, x)[(0, 0)]
+        assert got.names == want.names
+        assert np.array_equal(got.probs, want.probs)
 
     def test_zero_count_conditioning_is_positivity_violation(self, fig3a):
         net = random_net_for(fig3a, seed=3)
@@ -314,8 +367,9 @@ class TestStatisticalBehaviour:
 
 class TestDualRoute:
     def test_table_fit_matches_symbolic_estimand(self):
-        """Two independent implementations of the recursion (symbolic compiler
-        and table-based learner) must agree exactly on the same input table."""
+        """The table fit (per-fragment estimands chain-ruled into rows, times
+        the exact Bayes-net conditionals) must agree exactly with the estimand
+        of the whole query on the same input table."""
         from dolearn.demo import random_identifiable_case
         from dolearn.identify import CausalQuery, identify
 
@@ -332,21 +386,20 @@ class TestDualRoute:
     def test_fragment_recursion_handles_component_splits(self):
         """A target set that is bidirected-disconnected splits into separate
         chain estimates whose product is the joint."""
-        from dolearn.learn import _SampleHandle, _learn_component
+        from dolearn.estimand import full_table
+        from dolearn.identify import CausalQuery, identify
+        from dolearn.tables import EmpiricalAccess
 
         g = Admg.build(["X", "A", "B"], [("X", "A"), ("X", "B")])
         net = random_net_for(g, seed=61)
-        obs = exact_observational(net)
         samples = sample_observational(net, seed=62, m=200_000)
-        handle = _SampleHandle(samples, dict(zip(g.names, g.cards)))
-        order = g.topological_order()
-        order_key = {g.names[i]: k for k, i in enumerate(order)}.get
-        fam = _learn_component(
-            g, order, g.indices({"A", "B"}), g.indices({"X"}), handle,
-            frozenset(range(g.n)), {"X": 1}, order_key,
-        )
-        assert set(fam.variables) == {"A", "B"}
-        assert fam.fixed == {"X": 1}
+        # the fragment query the learner compiles, materialized as it does
+        est = identify(CausalQuery(g, {"X": 1}, frozenset({"A", "B"})))
+        assert est.trace[0].step == "step4"
+        fam = full_table(est.expr, EmpiricalAccess(samples, g.cards), {"X": 1},
+                         allow_free_axes=True)
+        assert set(fam.names) == {"A", "B"}
+        assert fam.context == {"X": 1}
         oracle = exact_interventional(net, {"X": 1})
         for env in oracle.assignments():
             assert fam.pmf(env) == pytest.approx(oracle.pmf(env), abs=0.01)
@@ -368,9 +421,10 @@ class TestInterleavedContext:
         ]
         net = random_net_for(g, seed=3)
         obs = exact_observational(net)
-        fam = learn_r(obs, g, part, {"X": 1})[(0, 0)]
-        assert set(fam.variables) == {"A", "C"}
-        assert fam.ctx == {"B"}
+        fam, _ = learn_r(obs, g, part, {"X": 1})[(0, 0)]
+        # A and C carry the mass; B is a context axis
+        assert set(fam.names) == {"A", "C"} | {"B"}
+        assert np.allclose(fam.marginal_to({"B"}).probs, 1.0)
 
         li0 = fit_from_table(obs, g, {"X": 1})
         assert li0.factors["A"].cond == ()

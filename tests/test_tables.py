@@ -89,6 +89,18 @@ class TestSamples:
         assert acc.pmf({"A": 1}) == pytest.approx(0.75)
         assert np.allclose(acc.table().probs, [0.25, 0.75])
 
+    def test_empirical_marginal(self):
+        s = Samples(("A", "B"), np.array([[0, 1], [1, 1], [1, 0], [1, 1]]))
+        acc = EmpiricalAccess(s, (2, 2))
+        marg = acc.marginal_to({"B"})
+        assert marg.names == ("B",)
+        assert marg.probs.tolist() == [0.25, 0.75]
+        assert np.array_equal(acc.marginal_to({"B", "A"}).probs, acc.table().probs)
+        with pytest.raises(ScopeMismatch, match="unknown variables"):
+            acc.marginal_to({"C"})
+        empty = EmpiricalAccess(Samples(("A",), np.zeros((0, 1), dtype=np.int64)), (2,))
+        assert empty.marginal_to({"A"}).probs.tolist() == [0.0, 0.0]
+
     def test_symbol_at_or_above_cardinality_is_rejected(self):
         s = Samples(("A", "B"), [[0, 2], [0, 0], [1, 1]])
         with pytest.raises(ScopeMismatch, match="'B' is out of range for cardinality 2"):
