@@ -156,8 +156,7 @@ def _cmd_learn(args) -> int:
             f"learn covers every non-intervened variable: targets must be empty "
             f"or {sorted(rest)}, got {sorted(targets)}"
         )
-    config = LearnConfig(epsilon=args.epsilon, delta=args.delta,
-                         alpha=args.alpha, m=args.m)
+    config = LearnConfig(epsilon=args.epsilon, delta=args.delta, alpha=args.alpha)
     if args.samples:
         try:
             samples = dio.samples_from_csv(_read_text(args.samples))
@@ -254,8 +253,6 @@ def build_parser() -> argparse.ArgumentParser:
             "integer symbols."
         ),
     )
-    parser.add_argument("--threads", type=int, default=1,
-                        help="reserved; computations currently run single-threaded")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("identify", help="compile a query into an estimand or a witness")

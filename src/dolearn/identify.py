@@ -67,10 +67,16 @@ class CausalQuery:
             raise InvalidQuery(f"intervened and target sets overlap on {sorted(overlap)}")
         if not self.y:
             raise InvalidQuery("target set is empty")
-        for n, v in self.x.items():
-            card = g.cards[g.index(n)]
-            if not (0 <= int(v) < card):
-                raise InvalidQuery(f"value {v} out of range for {n!r} (cardinality {card})")
+        check_intervention(g, self.x)
+
+
+def check_intervention(g: Admg, x: Mapping[str, int]) -> None:
+    """Raise :class:`InvalidQuery` unless every intervention value is a symbol
+    of its variable."""
+    for n, v in x.items():
+        card = g.cards[g.index(n)]
+        if not (0 <= int(v) < card):
+            raise InvalidQuery(f"value {v} out of range for {n!r} (cardinality {card})")
 
 
 @dataclass(frozen=True)

@@ -30,8 +30,16 @@ import numpy as np
 
 from .admg import Admg
 from .estimand import BaseDist, ChainProduct, PositivityViolation, chain_depth, full_table
-from .identify import CausalQuery, HedgeWitness, NotIdentifiable, identify
-from .tables import EmpiricalAccess, PmfTable, Samples, ScopeMismatch, strides_for
+from .identify import CausalQuery, HedgeWitness, NotIdentifiable, check_intervention, identify
+from .tables import (
+    EmpiricalAccess,
+    PmfTable,
+    Samples,
+    ScopeMismatch,
+    row_product,
+    strides_for,
+    symbols_of,
+)
 
 ROW_TOL = 1e-12
 FAMILY_CONSTANCY_TOL = 1e-9
@@ -42,13 +50,12 @@ class LearnConfig:
     """Accuracy targets and assumptions for the learner.
 
     ``alpha`` is an assumption about the ground truth, never estimated from
-    data. ``m`` overrides the budget arithmetic when set.
+    data.
     """
 
     epsilon: float = 0.1
     delta: float = 0.1
     alpha: float = 0.05
-    m: int | None = None
 
 
 @dataclass(frozen=True)
@@ -62,7 +69,6 @@ class RelativePartition:
 
     components: tuple[frozenset[int], ...]
     ell: int
-    x_parts: tuple[frozenset[int], ...]
     c_low: frozenset[int]
     c_high: frozenset[int]
     sub_components: tuple[tuple[tuple[int, int], frozenset[int]], ...]
@@ -75,7 +81,6 @@ def relative_partition(g: Admg, x: Iterable[int]) -> RelativePartition:
     untouched = [c for c in comps if not c & x]
     ordered = tuple(touched + untouched)
     ell = len(touched)
-    x_parts = tuple(c & x for c in touched)
     c_low = frozenset().union(*touched) if touched else frozenset()
     c_high = frozenset().union(*untouched) if untouched else frozenset()
     subs = []
@@ -83,7 +88,7 @@ def relative_partition(g: Admg, x: Iterable[int]) -> RelativePartition:
         rest = c - x
         for j, cij in enumerate(g.c_components(within=rest)):
             subs.append(((i, j), cij))
-    return RelativePartition(ordered, ell, x_parts, c_low, c_high, tuple(subs))
+    return RelativePartition(ordered, ell, c_low, c_high, tuple(subs))
 
 
 @dataclass(frozen=True, eq=False)
@@ -123,29 +128,28 @@ class ConditionalTable:
     def _strides(self) -> tuple[int, ...]:
         return strides_for(self.cond_cards)
 
+    @property
+    def step(self) -> tuple[str, tuple[str, ...], tuple[int, ...], np.ndarray]:
+        """This factor as a :func:`~dolearn.tables.row_product` step."""
+        return self.target, self.cond, self._strides, self.probs
+
     @cached_property
     def cumulative(self) -> np.ndarray:
         """Per-row cumulative sums, precomputed for inverse-cdf sampling."""
         return np.cumsum(self.probs, axis=1)
 
-    def row_index(self, env: Mapping[str, int]) -> int:
+    def row(self, env: Mapping[str, int]) -> np.ndarray:
         try:
-            return sum(env[n] * s for n, s in zip(self.cond, self._strides))
+            return self.probs[sum(env[n] * s for n, s in zip(self.cond, self._strides))]
         except KeyError as missing:
             raise ScopeMismatch(f"no value for conditioning variable {missing}") from None
-
-    def row(self, env: Mapping[str, int]) -> np.ndarray:
-        return self.probs[self.row_index(env)]
 
 
 # -- the two learners and assembly ---------------------------------------------
 
 
 def learn_q(
-    samples: Samples,
-    g: Admg,
-    part: RelativePartition,
-    config: LearnConfig | None = None,
+    samples: Samples, g: Admg, part: RelativePartition
 ) -> dict[str, ConditionalTable]:
     """Add-1 smoothed conditionals for every variable outside the intervened
     components, conditioned on its effective parents. Configurations never
@@ -193,7 +197,6 @@ def learn_r(
     g: Admg,
     part: RelativePartition,
     x: Mapping[str, int],
-    config: LearnConfig | None = None,
 ) -> dict[tuple[int, int], tuple[PmfTable, int]]:
     """One materialized table per intervened-component fragment, with its
     rebase depth.
@@ -292,6 +295,7 @@ class LearnedInterventional:
         object.__setattr__(self, "x", dict(self.x))
         object.__setattr__(self, "factors", dict(self.factors))
         object.__setattr__(self, "metadata", dict(self.metadata))
+        check_intervention(self.graph, self.x)  # a baked-in value must not alias a row
         pos = {n: i for i, n in enumerate(self.order)}
         for n, f in self.factors.items():
             for c in f.cond:
@@ -299,10 +303,6 @@ class LearnedInterventional:
                     raise ScopeMismatch(
                         f"factor {n!r} conditions on {c!r} which is not yet determined"
                     )
-
-    @property
-    def target_names(self) -> tuple[str, ...]:
-        return self.order
 
     def cards(self) -> tuple[int, ...]:
         return tuple(self.graph.cards[self.graph.index(n)] for n in self.order)
@@ -321,22 +321,22 @@ class LearnedInterventional:
 def evaluate_point(
     li: LearnedInterventional, y: Mapping[str, int | np.ndarray]
 ) -> float | np.ndarray:
-    """Product of conditional-row lookups along the sampling order.
+    """Product of conditional-row lookups along the sampling order, through
+    :func:`~dolearn.tables.row_product`.
 
     The values of ``y`` may also be integer arrays that broadcast together;
     the result is then the array of products at every broadcast position,
-    each formed with the same multiplications in the same order.
+    each formed with the same multiplications in the same order. A symbol
+    outside ``[0, card)`` raises :class:`ScopeMismatch`.
     """
     if set(y) != set(li.order):
         raise ScopeMismatch(
             f"assignment must cover exactly {sorted(li.order)}, got {sorted(y)}"
         )
+    symbols_of(y, li.order, li.cards())
     env = dict(li.x)
     env.update(y)
-    out = 1.0
-    for n in li.order:
-        f = li.factors[n]
-        out = out * f.probs[f.row_index(env), env[n]]
+    out = row_product((li.factors[n].step for n in li.order), env)
     return float(out) if np.ndim(out) == 0 else out
 
 
@@ -427,10 +427,10 @@ def learn_interventional(
     groups, assemble."""
     config = config or LearnConfig()
     samples.check_symbols(g.names, g.cards)
-    xset = g.indices(x)
-    part = relative_partition(g, xset)
-    q = learn_q(samples, g, part, config)
-    r = learn_r(samples, g, part, x, config)
+    check_intervention(g, x)
+    part = relative_partition(g, g.indices(x))
+    q = learn_q(samples, g, part)
+    r = learn_r(samples, g, part, x)
     meta = {
         "m": samples.m,
         "epsilon": config.epsilon,
@@ -452,109 +452,8 @@ def fit_from_table(
     All factors become exact ratios of the table, so the assembled evaluator
     reproduces the identification formula with no statistical error.
     """
-    xset = g.indices(x)
-    part = relative_partition(g, xset)
+    check_intervention(g, x)
+    part = relative_partition(g, g.indices(x))
     q = _q_from_table(obs, g, part)
     r = learn_r(obs, g, part, x)
     return assemble(q, r, part, g, x, {"source": "exact-table"})
-
-
-# -- exact structural identities (verification helpers) -------------------------
-
-
-def tian_q_value(
-    obs: PmfTable, g: Admg, part: RelativePartition, env: Mapping[str, int]
-) -> float:
-    """Product of exact effective-parent conditionals over the non-intervened
-    components, evaluated at a full assignment."""
-    order = g.topological_order()
-    out = 1.0
-    for i in sorted(part.c_high):
-        name = g.names[i]
-        zs = sorted(g.effective_parents(order, i))
-        znames = [g.names[z] for z in zs]
-        num = obs.marginal_to(set(znames) | {name}).pmf(env)
-        den = obs.marginal_to(set(znames)).pmf(env)
-        if den == 0.0:
-            raise PositivityViolation(name, {z: env[z] for z in znames})
-        out *= num / den
-    return out
-
-
-def tian_q_table(
-    obs: PmfTable,
-    g: Admg,
-    part: RelativePartition,
-    fix: Mapping[str, int],
-    factors: Mapping[str, ConditionalTable] | None = None,
-) -> PmfTable:
-    """The non-intervened-components distribution for one fixing of the rest.
-
-    With ``factors`` given, learned rows replace the exact conditionals.
-    """
-    names = tuple(g.names[i] for i in sorted(part.c_high))
-    cards = tuple(g.cards[i] for i in sorted(part.c_high))
-    arr = np.empty(cards, dtype=np.float64)
-    for combo in np.ndindex(*cards):
-        env = dict(fix)
-        env.update(zip(names, (int(c) for c in combo)))
-        if factors is None:
-            arr[combo] = tian_q_value(obs, g, part, env)
-        else:
-            out = 1.0
-            for n in names:
-                f = factors[n]
-                out *= float(f.row(env)[env[n]])
-            arr[combo] = out
-    return PmfTable(names, arr, context=dict(fix), normalized=False)
-
-
-def kl_decomposition_sides(
-    obs: PmfTable,
-    g: Admg,
-    part: RelativePartition,
-    q_factors: Mapping[str, ConditionalTable],
-    fix: Mapping[str, int],
-) -> tuple[float, float]:
-    """Both sides of the Bayes-net KL decomposition for one fixing.
-
-    Left: KL between the exact and learned component distributions computed
-    directly. Right: the per-variable sum of conditioning-weighted row KLs.
-    """
-    order = g.topological_order()
-    q = tian_q_table(obs, g, part, fix)
-    q_hat = tian_q_table(obs, g, part, fix, q_factors)
-    direct = float(
-        np.sum(np.where(q.probs > 0.0, q.probs * np.log(
-            np.where(q.probs > 0.0, q.probs, 1.0)
-            / np.where(q_hat.probs > 0.0, q_hat.probs, 1.0)
-        ), 0.0))
-    )
-    decomposed = 0.0
-    high_names = set(q.names)
-    for i in sorted(part.c_high):
-        name = g.names[i]
-        zs = sorted(g.effective_parents(order, i))
-        znames = [g.names[z] for z in zs]
-        free = [z for z in znames if z in high_names]
-        fcards = [g.cards[g.index(z)] for z in free]
-        joint = obs.marginal_to(set(znames) | {name})
-        z_marg = obs.marginal_to(set(znames))
-        q_marg = q.marginal_to(free)
-        for combo in np.ndindex(*fcards):
-            env = dict(fix)
-            env.update(zip(free, (int(c) for c in combo)))
-            weight = q_marg.pmf(env) if free else 1.0
-            if weight == 0.0:
-                continue
-            den = z_marg.pmf(env)
-            true_row = np.array([
-                joint.pmf(env | {name: s}) / den
-                for s in range(g.cards[i])
-            ])
-            hat_row = q_factors[name].row(env)
-            mask = true_row > 0.0
-            decomposed += weight * float(
-                np.sum(true_row[mask] * np.log(true_row[mask] / hat_row[mask]))
-            )
-    return direct, decomposed

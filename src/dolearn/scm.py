@@ -9,13 +9,15 @@ scale.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
 from .admg import Admg, CycleDetected, GraphError
-from .tables import PmfTable, Samples, ancestral_sample, strides_for
+from .tables import PmfTable, Samples, ancestral_sample, row_product, strides_for
 
 STATE_CEILING = 2**24
 CPT_ROW_TOL = 1e-12
@@ -104,9 +106,6 @@ class CausalBayesNet:
     def cardinality(self, name: str) -> int:
         return self.node(name).cardinality
 
-    def observable_cards(self) -> tuple[int, ...]:
-        return tuple(nd.cardinality for nd in self.nodes if not nd.hidden)
-
     def topological_order(self) -> tuple[str, ...]:
         indeg = {nd.name: len(nd.parents) for nd in self.nodes}
         children: dict[str, list[str]] = {nd.name: [] for nd in self.nodes}
@@ -128,45 +127,42 @@ class CausalBayesNet:
         return tuple(out)
 
     def joint_states(self) -> int:
-        return int(np.prod([nd.cardinality for nd in self.nodes], dtype=np.float64))
+        return math.prod(nd.cardinality for nd in self.nodes)
+
+    @cached_property
+    def _mechanisms(self) -> tuple[dict[str, np.ndarray], tuple[tuple, ...]]:
+        """An open grid over all nodes, and every mechanism as a row-kernel
+        step in declaration order: built once, because the oracle multiplies
+        the same CPTs again for every intervened set."""
+        shape = tuple(nd.cardinality for nd in self.nodes)
+        grid = dict(zip(self.names, np.indices(shape, sparse=True)))
+        return grid, tuple(_step(self, nd, nd.cpt) for nd in self.nodes)
 
 
-def _check_ceiling(net: CausalBayesNet) -> None:
+def _step(net: CausalBayesNet, nd: CbnNode, rows: np.ndarray) -> tuple:
+    """One mechanism as a row-kernel step over ``rows`` (its CPT or cumulative CPT)."""
+    return nd.name, nd.parents, strides_for([net.cardinality(p) for p in nd.parents]), rows
+
+
+def _full_joint(net: CausalBayesNet, skip: frozenset[str] = frozenset()) -> np.ndarray:
+    """Truncated-factorization array over the observables: the product of every
+    mechanism outside ``skip`` over all nodes (skipped variables keep their
+    axes but carry no factor), with the hidden axes summed out."""
     if net.joint_states() > STATE_CEILING:
         raise StateSpaceTooLarge(
             f"joint state space {net.joint_states()} exceeds ceiling {STATE_CEILING}"
         )
-
-
-def _full_joint(net: CausalBayesNet, skip: frozenset[str] = frozenset()) -> np.ndarray:
-    """Dense joint over all nodes in declaration order, omitting the mechanisms
-    of ``skip`` (their axes remain but carry no factor)."""
-    _check_ceiling(net)
-    pos = {nd.name: i for i, nd in enumerate(net.nodes)}
-    shape = tuple(nd.cardinality for nd in net.nodes)
-    joint = np.ones(shape, dtype=np.float64)
-    for nd in net.nodes:
-        if nd.name in skip:
-            continue
-        axes = [pos[p] for p in nd.parents] + [pos[nd.name]]
-        arr = nd.cpt.reshape(
-            tuple(net.cardinality(p) for p in nd.parents) + (nd.cardinality,)
-        )
-        arr = np.transpose(arr, np.argsort(axes))
-        full_shape = [1] * len(shape)
-        for ax in sorted(axes):
-            full_shape[ax] = shape[ax]
-        joint = joint * arr.reshape(full_shape)
-    return joint
+    grid, steps = net._mechanisms
+    steps = (s for s in steps if s[0] not in skip)
+    # the ones are passed unnamed, so the first product can release them
+    joint = row_product(steps, grid, np.ones(tuple(nd.cardinality for nd in net.nodes)))
+    hidden_axes = tuple(i for i, nd in enumerate(net.nodes) if nd.hidden)
+    return joint.sum(axis=hidden_axes) if hidden_axes else joint
 
 
 def exact_observational(net: CausalBayesNet) -> PmfTable:
     """Exact joint over the observables, marginalizing out every hidden node."""
-    joint = _full_joint(net)
-    hidden_axes = tuple(i for i, nd in enumerate(net.nodes) if nd.hidden)
-    if hidden_axes:
-        joint = joint.sum(axis=hidden_axes)
-    return PmfTable(net.observables, joint)
+    return PmfTable(net.observables, _full_joint(net))
 
 
 def exact_interventional(net: CausalBayesNet, x: Mapping[str, int]) -> PmfTable:
@@ -178,18 +174,10 @@ def exact_interventional(net: CausalBayesNet, x: Mapping[str, int]) -> PmfTable:
     """
     for name, val in x.items():
         nd = net.node(name)
-        if nd.hidden:
-            raise GraphError(f"cannot intervene on hidden variable {name!r}")
-        if not (0 <= val < nd.cardinality):
+        if not nd.hidden and not 0 <= val < nd.cardinality:
             raise GraphError(f"value {val} out of range for {name!r}")
-    joint = _full_joint(net, skip=frozenset(x))
-    hidden_axes = tuple(i for i, nd in enumerate(net.nodes) if nd.hidden)
-    if hidden_axes:
-        joint = joint.sum(axis=hidden_axes)
-    obs = net.observables
-    idx = tuple(x[n] if n in x else slice(None) for n in obs)
-    kept = tuple(n for n in obs if n not in x)
-    return PmfTable(kept, joint[idx], context=dict(x))
+    t = interventional_family(net, x).sliced(x)
+    return PmfTable(t.names, t.probs, context=dict(x))
 
 
 def interventional_family(net: CausalBayesNet, x_vars: Iterable[str]) -> PmfTable:
@@ -203,11 +191,7 @@ def interventional_family(net: CausalBayesNet, x_vars: Iterable[str]) -> PmfTabl
     for name in x_vars:
         if net.node(name).hidden:
             raise GraphError(f"cannot intervene on hidden variable {name!r}")
-    joint = _full_joint(net, skip=x_vars)
-    hidden_axes = tuple(i for i, nd in enumerate(net.nodes) if nd.hidden)
-    if hidden_axes:
-        joint = joint.sum(axis=hidden_axes)
-    return PmfTable(net.observables, joint, normalized=False)
+    return PmfTable(net.observables, _full_joint(net, skip=x_vars), normalized=False)
 
 
 def sample_observational(net: CausalBayesNet, seed: int, m: int) -> Samples:
@@ -217,8 +201,7 @@ def sample_observational(net: CausalBayesNet, seed: int, m: int) -> Samples:
     uniform draw. Deterministic for a fixed seed.
     """
     steps = (
-        (nd.name, nd.parents, strides_for([net.cardinality(p) for p in nd.parents]),
-         np.cumsum(nd.cpt, axis=1))
+        _step(net, nd, np.cumsum(nd.cpt, axis=1))
         for nd in map(net.node, net.topological_order())
     )
     return ancestral_sample(steps, net.observables, seed, m)

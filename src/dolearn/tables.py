@@ -32,6 +32,25 @@ def iter_assignments(names: Sequence[str], cards: Sequence[int]) -> Iterator[dic
         yield dict(zip(names, combo))
 
 
+def symbols_of(
+    assignment: Mapping[str, int | np.ndarray], names: Sequence[str], cards: Sequence[int]
+) -> tuple[int | np.ndarray, ...]:
+    """The values of ``names`` in ``assignment``, after checking that each is
+    an integer (or integer array) of symbols in ``[0, card)``; raises
+    :class:`ScopeMismatch` otherwise, so a symbol never wraps around a row."""
+    try:
+        values = tuple([assignment[n] for n in names])
+    except KeyError as missing:
+        raise ScopeMismatch(f"assignment lacks value for {missing}") from None
+    for n, v, card in zip(names, values, cards):
+        if type(v) is int and 0 <= v < card:
+            continue  # the common scalar case, without an array round trip
+        v = np.asarray(v)
+        if v.dtype.kind not in "iu" or not np.all((v >= 0) & (v < card)):
+            raise ScopeMismatch(f"value for {n!r} is not a symbol in [0, {card})")
+    return values
+
+
 @dataclass(frozen=True, eq=False)
 class PmfTable:
     """A probability mass table over an ordered set of discrete variables.
@@ -79,13 +98,13 @@ class PmfTable:
         except ValueError:
             raise ScopeMismatch(f"{name!r} not in table over {self.names}") from None
 
-    def pmf(self, assignment: Mapping[str, int]) -> float:
-        """Mass at an assignment. Extra keys are ignored, missing ones are an error."""
-        try:
-            idx = tuple(assignment[n] for n in self.names)
-        except KeyError as missing:
-            raise ScopeMismatch(f"assignment lacks value for {missing}") from None
-        return float(self.probs[idx])
+    def pmf(self, assignment: Mapping[str, int | np.ndarray]) -> float | np.ndarray:
+        """Mass at an assignment. Extra keys are ignored; a missing key or a
+        symbol outside ``[0, card)`` is a :class:`ScopeMismatch`. Values may be
+        integer arrays that broadcast together; the result is then the array
+        of masses at every broadcast position."""
+        out = self.probs[symbols_of(assignment, self.names, self.probs.shape)]
+        return out if isinstance(out, np.ndarray) else float(out)
 
     def marginal_to(self, keep: Iterable[str]) -> "PmfTable":
         keep = set(keep)
@@ -122,16 +141,6 @@ class PmfTable:
             names, np.transpose(self.probs, perm),
             context=self.context, normalized=self.normalized,
         )
-
-    def renormalized(self) -> "PmfTable":
-        total = self.total
-        if total <= 0.0:
-            raise ValueError("cannot renormalize a zero-mass table")
-        return PmfTable(self.names, self.probs / total, context=self.context)
-
-    def table(self) -> "PmfTable":
-        """Distribution-access hook: a table is its own materialization."""
-        return self
 
     def assignments(self) -> Iterator[dict[str, int]]:
         return iter_assignments(self.names, self.cards)
@@ -318,6 +327,26 @@ def ancestral_sample(
     return Samples(tuple(keep), buf.T, rng_algorithm=RNG_ALGORITHM)
 
 
+def row_product(
+    steps: Iterable[tuple[str, Sequence[str], Sequence[int], np.ndarray]],
+    grid: Mapping[str, int | np.ndarray],
+    out: float | np.ndarray = 1.0,
+) -> float | np.ndarray:
+    """Multiply ``out`` by one conditional-row entry per step, in step order.
+
+    The evaluation twin of :func:`ancestral_sample`, over the same steps but
+    with probability rows: each contributes ``table[sum(grid[c] * stride),
+    grid[variable]]``. Values of ``grid`` may be integer arrays that broadcast
+    together; the product is then formed at every broadcast position.
+    """
+    for name, cond, strides, rows in steps:
+        row: np.ndarray | int = 0
+        for c, s in zip(cond, strides):
+            row = row + grid[c] * s
+        out = out * rows[row, grid[name]]
+    return out
+
+
 def _densify(codes: np.ndarray) -> tuple[np.ndarray, int]:
     """Replace each code by its rank among the distinct codes."""
     uniq, inverse = np.unique(codes, return_inverse=True)
@@ -335,9 +364,14 @@ class EmpiricalAccess:
     def names(self) -> tuple[str, ...]:
         return self.samples.names
 
-    def table(self) -> PmfTable:
+    @cached_property
+    def _joint(self) -> PmfTable:
         counts = self.samples.counts_over(self.names, self.cards)
         return PmfTable(self.names, counts / self.samples.m)
+
+    def table(self) -> PmfTable:
+        """Relative frequencies over every column, counted once per access."""
+        return self._joint
 
     def marginal_to(self, keep: Iterable[str]) -> PmfTable:
         """Relative frequencies over ``keep``, axes in batch column order. An

@@ -1,4 +1,6 @@
-"""Distances between distributions given tables, evaluators, and samplers."""
+"""Distances between distributions given tables, evaluators, and samplers,
+oracle comparison reports, and the exact structural identities of the
+component factorization."""
 
 from __future__ import annotations
 
@@ -8,9 +10,10 @@ from typing import Callable, Mapping, NamedTuple
 
 import numpy as np
 
-from .learn import LearnedInterventional
+from .admg import Admg
+from .learn import ConditionalTable, LearnedInterventional, RelativePartition, _q_from_table
 from .scm import CausalBayesNet, exact_interventional, latent_project
-from .tables import PmfTable, Samples, ScopeMismatch
+from .tables import PmfTable, Samples, ScopeMismatch, row_product
 
 
 class InfiniteKL(ArithmeticError):
@@ -54,8 +57,8 @@ class TvEstimate(NamedTuple):
 
 def estimate_tv(
     sampler: Callable[[int, int], Samples],
-    eval_p: Callable[[Mapping[str, int]], float],
-    eval_q: Callable[[Mapping[str, int]], float],
+    eval_p: Callable[[Mapping[str, np.ndarray]], float | np.ndarray],
+    eval_q: Callable[[Mapping[str, np.ndarray]], float | np.ndarray],
     epsilon: float,
     delta: float,
     seed: int,
@@ -66,16 +69,23 @@ def estimate_tv(
     ``max(0, 1 - q(x)/p(x))`` over the draws estimates the distance; with
     pointwise-accurate evaluators the additive error is within ``4*epsilon``
     with probability at least ``1 - delta``.
+
+    Each evaluator is called once, with the whole batch: a mapping from each
+    sampled variable to its integer column. It returns the mass at every row
+    (an array of length m, or anything that broadcasts to it), as
+    ``PmfTable.pmf`` and ``LearnedInterventional.evaluate`` do.
     """
     m = int(math.ceil(2.0 * epsilon**-2 * math.log(2.0 / delta)))
     batch = sampler(seed, m)
-    total = 0.0
-    for a in batch.assignments():
-        p = eval_p(a)
-        if p == 0.0:
-            raise ZeroEvaluatorMass(f"reference evaluator is zero at {a!r}")
-        total += max(0.0, 1.0 - eval_q(a) / p)
-    return TvEstimate(total / m, m)
+    cols = {n: batch.values[:, j] for j, n in enumerate(batch.names)}
+    p = np.broadcast_to(np.asarray(eval_p(cols), dtype=np.float64), (batch.m,))
+    zero = p == 0.0
+    if zero.any():
+        row = batch.values[int(np.argmax(zero))]
+        a = {n: int(v) for n, v in zip(batch.names, row)}
+        raise ZeroEvaluatorMass(f"reference evaluator is zero at {a!r}")
+    q = np.broadcast_to(np.asarray(eval_q(cols), dtype=np.float64), (batch.m,))
+    return TvEstimate(float(np.maximum(0.0, 1.0 - q / p).sum()) / m, m)
 
 
 @dataclass(frozen=True)
@@ -123,27 +133,94 @@ def compare_to_oracle(
     for name in li.order:
         f = li.factors[name]
         free = [c for c in f.cond if c not in li.x]
-        joint = oracle.marginal_to(set(free) | {name})
-        cond_marg = oracle.marginal_to(set(free))
-        worst = 0.0
-        worst_event: dict[str, int] = {}
-        cards = [li.graph.cards[li.graph.index(c)] for c in free]
-        for combo in np.ndindex(*cards):
-            env = dict(li.x)
-            env.update(zip(free, (int(c) for c in combo)))
-            mass = cond_marg.pmf(env) if free else 1.0
-            if mass <= 0.0:
-                continue  # unreachable configuration: rows are immaterial
-            row = f.row(env)
-            for s in range(f.target_card):
-                true_p = joint.pmf(env | {name: s}) / mass
-                err = abs(float(row[s]) - true_p)
-                if err > worst:
-                    worst = err
-                    worst_event = {k: v for k, v in env.items() if k in free}
-                    worst_event[name] = s
-        factor_errors.append(FactorError(name, worst_event, worst))
+        axes = free + [name]
+        cards = [li.graph.cards[li.graph.index(c)] for c in axes]
+        grid = dict(li.x)
+        grid.update(zip(axes, np.indices(cards, sparse=True)))
+        learned = row_product([f.step], grid)
+        joint = oracle.marginal_to(axes).aligned_to(axes).probs
+        mass = oracle.marginal_to(free).aligned_to(free).probs[..., None] if free else 1.0
+        # unreachable configurations are skipped: their rows are immaterial
+        reached = np.broadcast_to(np.greater(mass, 0.0), joint.shape)
+        true = np.divide(joint, mass, out=np.zeros_like(joint), where=reached)
+        err = np.where(reached, np.abs(learned - true), 0.0)
+        worst = int(np.argmax(err))  # the first maximum in row-major order
+        worst_event = (
+            dict(zip(axes, map(int, np.unravel_index(worst, err.shape))))
+            if err.flat[worst] > 0.0 else {}
+        )
+        factor_errors.append(FactorError(name, worst_event, float(err.flat[worst])))
     m = li.metadata.get("m") if isinstance(li.metadata, dict) else None
     return VerifyReport(
         tv=tv, kl=kl, x=dict(x), m=m, factor_errors=tuple(factor_errors)
     )
+
+
+# -- exact structural identities of the component factorization ----------------
+
+
+def tian_q_value(
+    obs: PmfTable, g: Admg, part: RelativePartition, env: Mapping[str, int]
+) -> float:
+    """Product of exact effective-parent conditionals over the non-intervened
+    components, evaluated at a full assignment."""
+    exact = _q_from_table(obs, g, part)
+    return float(row_product([exact[g.names[i]].step for i in sorted(part.c_high)], env))
+
+
+def tian_q_table(
+    obs: PmfTable,
+    g: Admg,
+    part: RelativePartition,
+    fix: Mapping[str, int],
+    factors: Mapping[str, ConditionalTable] | None = None,
+) -> PmfTable:
+    """The non-intervened-components distribution for one fixing of the rest.
+
+    With ``factors`` given, learned rows replace the exact conditionals.
+    """
+    if factors is None:
+        factors = _q_from_table(obs, g, part)
+    names = tuple(g.names[i] for i in sorted(part.c_high))
+    cards = tuple(g.cards[i] for i in sorted(part.c_high))
+    grid = dict(fix)
+    grid.update(zip(names, np.indices(cards, sparse=True)))
+    arr = row_product([factors[n].step for n in names], grid, np.ones(cards))
+    return PmfTable(names, arr, context=dict(fix), normalized=False)
+
+
+def kl_decomposition_sides(
+    obs: PmfTable,
+    g: Admg,
+    part: RelativePartition,
+    q_factors: Mapping[str, ConditionalTable],
+    fix: Mapping[str, int],
+) -> tuple[float, float]:
+    """Both sides of the Bayes-net KL decomposition for one fixing.
+
+    Left: KL between the exact and learned component distributions computed
+    directly. Right: the per-variable sum of conditioning-weighted row KLs.
+    """
+    exact = _q_from_table(obs, g, part)
+    q = tian_q_table(obs, g, part, fix, exact)
+    q_hat = tian_q_table(obs, g, part, fix, q_factors)
+    direct = float(
+        np.sum(np.where(q.probs > 0.0, q.probs * np.log(
+            np.where(q.probs > 0.0, q.probs, 1.0)
+            / np.where(q_hat.probs > 0.0, q_hat.probs, 1.0)
+        ), 0.0))
+    )
+    decomposed = 0.0
+    for name in q.names:
+        free = [z for z in exact[name].cond if z in q.names]
+        axes = free + [name]
+        grid = dict(fix)
+        grid.update(zip(axes, np.indices([g.cards[g.index(n)] for n in axes], sparse=True)))
+        true = row_product([exact[name].step], grid)
+        ratio = np.divide(true, row_product([q_factors[name].step], grid),
+                          out=np.ones_like(true), where=true > 0.0)
+        row_kl = (true * np.log(ratio)).sum(axis=-1)
+        weight = q.marginal_to(free).aligned_to(free).probs if free else np.ones(())
+        seen = weight > 0.0
+        decomposed += float(np.sum(weight[seen] * row_kl[seen]))
+    return direct, decomposed

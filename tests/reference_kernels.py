@@ -1,14 +1,16 @@
 """Loop-and-stack reference versions of the vectorized batch kernels.
 
 Each function here is the straightforward form that the package code
-replaced; the differential tests require the package to match them exactly.
+replaced; the differential tests require the package to match them exactly
+(or, for the verification identities, to 1e-12).
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from dolearn.tables import strides_for
+from dolearn.estimand import PositivityViolation
+from dolearn.tables import PmfTable, strides_for
 
 
 def draw_compare_and_cap(cum_rows: np.ndarray, u: np.ndarray) -> np.ndarray:
@@ -78,3 +80,148 @@ def counts_over(names, values: np.ndarray, keep, cards) -> np.ndarray:
         codes += values[:, list(names).index(n)].astype(np.int64) * s
     size = int(np.prod(cards))
     return np.bincount(codes, minlength=size).reshape(cards).astype(np.float64)
+
+
+# -- row products and verification identities, as they were before the shared
+#    row-product kernel --------------------------------------------------------
+
+
+def _full_joint(net, skip: frozenset[str] = frozenset()) -> np.ndarray:
+    """Dense joint over all nodes in declaration order, omitting the mechanisms
+    of ``skip`` (their axes remain but carry no factor)."""
+    pos = {nd.name: i for i, nd in enumerate(net.nodes)}
+    shape = tuple(nd.cardinality for nd in net.nodes)
+    joint = np.ones(shape, dtype=np.float64)
+    for nd in net.nodes:
+        if nd.name in skip:
+            continue
+        axes = [pos[p] for p in nd.parents] + [pos[nd.name]]
+        arr = nd.cpt.reshape(
+            tuple(net.cardinality(p) for p in nd.parents) + (nd.cardinality,)
+        )
+        arr = np.transpose(arr, np.argsort(axes))
+        full_shape = [1] * len(shape)
+        for ax in sorted(axes):
+            full_shape[ax] = shape[ax]
+        joint = joint * arr.reshape(full_shape)
+    return joint
+
+
+def observable_family(net, skip: frozenset[str] = frozenset()) -> np.ndarray:
+    """The truncated-factorization array over the observables: the joint above
+    with every hidden axis summed out."""
+    joint = _full_joint(net, skip)
+    hidden_axes = tuple(i for i, nd in enumerate(net.nodes) if nd.hidden)
+    if hidden_axes:
+        joint = joint.sum(axis=hidden_axes)
+    return joint
+
+
+def tian_q_value(obs, g, part, env) -> float:
+    """Product of exact effective-parent conditionals over the non-intervened
+    components, evaluated at a full assignment."""
+    order = g.topological_order()
+    out = 1.0
+    for i in sorted(part.c_high):
+        name = g.names[i]
+        zs = sorted(g.effective_parents(order, i))
+        znames = [g.names[z] for z in zs]
+        num = obs.marginal_to(set(znames) | {name}).pmf(env)
+        den = obs.marginal_to(set(znames)).pmf(env)
+        if den == 0.0:
+            raise PositivityViolation(name, {z: env[z] for z in znames})
+        out *= num / den
+    return out
+
+
+def tian_q_table(obs, g, part, fix, factors=None) -> PmfTable:
+    """The non-intervened-components distribution for one fixing of the rest.
+
+    With ``factors`` given, learned rows replace the exact conditionals.
+    """
+    names = tuple(g.names[i] for i in sorted(part.c_high))
+    cards = tuple(g.cards[i] for i in sorted(part.c_high))
+    arr = np.empty(cards, dtype=np.float64)
+    for combo in np.ndindex(*cards):
+        env = dict(fix)
+        env.update(zip(names, (int(c) for c in combo)))
+        if factors is None:
+            arr[combo] = tian_q_value(obs, g, part, env)
+        else:
+            out = 1.0
+            for n in names:
+                f = factors[n]
+                out *= float(f.row(env)[env[n]])
+            arr[combo] = out
+    return PmfTable(names, arr, context=dict(fix), normalized=False)
+
+
+def kl_decomposition_sides(obs, g, part, q_factors, fix) -> tuple[float, float]:
+    """Both sides of the Bayes-net KL decomposition for one fixing."""
+    order = g.topological_order()
+    q = tian_q_table(obs, g, part, fix)
+    q_hat = tian_q_table(obs, g, part, fix, q_factors)
+    direct = float(
+        np.sum(np.where(q.probs > 0.0, q.probs * np.log(
+            np.where(q.probs > 0.0, q.probs, 1.0)
+            / np.where(q_hat.probs > 0.0, q_hat.probs, 1.0)
+        ), 0.0))
+    )
+    decomposed = 0.0
+    high_names = set(q.names)
+    for i in sorted(part.c_high):
+        name = g.names[i]
+        zs = sorted(g.effective_parents(order, i))
+        znames = [g.names[z] for z in zs]
+        free = [z for z in znames if z in high_names]
+        fcards = [g.cards[g.index(z)] for z in free]
+        joint = obs.marginal_to(set(znames) | {name})
+        z_marg = obs.marginal_to(set(znames))
+        q_marg = q.marginal_to(free)
+        for combo in np.ndindex(*fcards):
+            env = dict(fix)
+            env.update(zip(free, (int(c) for c in combo)))
+            weight = q_marg.pmf(env) if free else 1.0
+            if weight == 0.0:
+                continue
+            den = z_marg.pmf(env)
+            true_row = np.array([
+                joint.pmf(env | {name: s}) / den
+                for s in range(g.cards[i])
+            ])
+            hat_row = q_factors[name].row(env)
+            mask = true_row > 0.0
+            decomposed += weight * float(
+                np.sum(true_row[mask] * np.log(true_row[mask] / hat_row[mask]))
+            )
+    return direct, decomposed
+
+
+def factor_errors(li, oracle) -> list[tuple[str, dict[str, int], float]]:
+    """(target, worst event, worst absolute error) of each learned factor
+    against the conditionals of the oracle table, one assignment at a time."""
+    out = []
+    for name in li.order:
+        f = li.factors[name]
+        free = [c for c in f.cond if c not in li.x]
+        joint = oracle.marginal_to(set(free) | {name})
+        cond_marg = oracle.marginal_to(set(free))
+        worst = 0.0
+        worst_event: dict[str, int] = {}
+        cards = [li.graph.cards[li.graph.index(c)] for c in free]
+        for combo in np.ndindex(*cards):
+            env = dict(li.x)
+            env.update(zip(free, (int(c) for c in combo)))
+            mass = cond_marg.pmf(env) if free else 1.0
+            if mass <= 0.0:
+                continue  # unreachable configuration: rows are immaterial
+            row = f.row(env)
+            for s in range(f.target_card):
+                true_p = joint.pmf(env | {name: s}) / mass
+                err = abs(float(row[s]) - true_p)
+                if err > worst:
+                    worst = err
+                    worst_event = {k: v for k, v in env.items() if k in free}
+                    worst_event[name] = s
+        out.append((name, worst_event, worst))
+    return out

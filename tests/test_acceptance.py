@@ -23,13 +23,7 @@ from dolearn.demo import (
 )
 from dolearn.generate import sample as generate_sample
 from dolearn.identify import CausalQuery, Estimand, HedgeWitness, identify
-from dolearn.learn import (
-    evaluate_point,
-    kl_decomposition_sides,
-    learn_interventional,
-    relative_partition,
-    tian_q_value,
-)
+from dolearn.learn import evaluate_point, learn_interventional, relative_partition
 from dolearn.scm import (
     check_strong_positivity,
     exact_interventional,
@@ -39,7 +33,13 @@ from dolearn.scm import (
     sample_observational,
 )
 from dolearn.tables import PmfTable, Samples, iter_assignments
-from dolearn.verify import compare_to_oracle, estimate_tv, exact_tv
+from dolearn.verify import (
+    compare_to_oracle,
+    estimate_tv,
+    exact_tv,
+    kl_decomposition_sides,
+    tian_q_value,
+)
 from dolearn.witness import indistinguishable_pair
 
 # seed-fixed random cases for the finite-sample criteria:

@@ -105,6 +105,25 @@ def test_full_pipeline_roundtrip(workdir, capsys):
     assert report["m"] == 20000
 
 
+@pytest.mark.parametrize("point", [
+    {"Z1": -1, "Z2": 0, "Y": 1},
+    {"Z1": 0, "Z2": 0, "Y": 2},
+])
+def test_eval_rejects_out_of_range_symbols(workdir, capsys, point):
+    tmp, g, net = workdir
+    from dolearn.learn import learn_interventional
+    from dolearn.scm import sample_observational
+
+    li = learn_interventional(sample_observational(net, seed=3, m=5_000), g, {"X": 0})
+    (tmp / "li.json").write_text(dio.dump_json(dio.li_to_dict(li)))
+    (tmp / "point.json").write_text(json.dumps(point))
+    code = main(["eval", "--li", str(tmp / "li.json"), "--assign", str(tmp / "point.json")])
+    assert code == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert json.loads(captured.err)["error"] == "ScopeMismatch"
+
+
 def test_learn_self_generate_requires_seed(workdir, capsys):
     tmp, g, net = workdir
     code = main(["learn", "--graph", str(tmp / "graph.json"),

@@ -1,6 +1,8 @@
 """Package code against reference versions kept in the test tree: the
-vectorized batch kernels against their loop-and-stack forms, and the fragment
-learner against its former copy of the identification recursion."""
+vectorized batch kernels against their loop-and-stack forms, the fragment
+learner against its former copy of the identification recursion, and the
+row products (oracle joints, learned evaluator, structural identities, factor
+errors) against their hand-written forms."""
 
 import numpy as np
 import pytest
@@ -23,18 +25,27 @@ from dolearn.learn import (
     evaluate_point,
     fit_from_table,
     learn_interventional,
+    learn_q,
     learn_r,
     relative_partition,
 )
 from dolearn.scm import (
     CausalBayesNet,
     CbnNode,
+    exact_interventional,
     exact_observational,
+    interventional_family,
     random_admg,
     random_net_for,
     sample_observational,
 )
-from dolearn.tables import Samples, draw_inverse_cdf
+from dolearn.tables import Samples, draw_inverse_cdf, iter_assignments
+from dolearn.verify import (
+    compare_to_oracle,
+    kl_decomposition_sides,
+    tian_q_table,
+    tian_q_value,
+)
 
 from . import reference_kernels as ref
 from . import reference_learner as ref_learn
@@ -299,3 +310,87 @@ def test_table_fit_matches_estimand_table(case):
         return
     got = fit_from_table(obs, g, x).table().aligned_to(want.names)
     assert np.abs(got.probs - want.probs).max() <= 1e-12
+
+
+# -- row products against their hand-written forms -------------------------------
+
+
+def _with_zero_entries(net, rng):
+    """The same net with about a third of every observable CPT entry set to
+    zero (each row keeps its largest entry), so that some conditioning events
+    of the oracle carry no mass."""
+    nodes = []
+    for nd in net.nodes:
+        cpt = nd.cpt
+        if not nd.hidden:
+            keep = rng.random(cpt.shape) >= 0.3
+            keep[np.arange(len(cpt)), cpt.argmax(axis=1)] = True
+            cpt = np.where(keep, cpt, 0.0)
+            cpt = cpt / cpt.sum(axis=1, keepdims=True)
+        nodes.append(CbnNode(nd.name, nd.cardinality, nd.parents, cpt, hidden=nd.hidden))
+    return CausalBayesNet(nodes)
+
+
+@st.composite
+def oracle_cases(draw):
+    """A random mixed graph with binary and ternary variables, realized with
+    binary or ternary hidden nodes and optionally zero CPT entries, plus an
+    intervention, a skip set of mechanisms and a batch size."""
+    g = draw(admgs(max_n=5, max_bidirected=3, cardinalities=(2, 3), min_n=2))
+    x_names = draw(st.lists(st.sampled_from(g.names), max_size=2, unique=True))
+    x = {n: draw(st.integers(0, g.cards[g.index(n)] - 1)) for n in x_names}
+    skip = frozenset(draw(st.lists(st.sampled_from(g.names), max_size=3, unique=True)))
+    seed = draw(st.integers(0, 2**16))
+    hidden_card = draw(st.sampled_from([2, 3]))
+    return g, x, skip, seed, hidden_card, draw(st.booleans()), draw(st.sampled_from([300, 20_000]))
+
+
+def _close(a: float, b: float) -> bool:
+    return abs(a - b) <= 1e-12
+
+
+@settings(max_examples=60, deadline=None)
+@given(oracle_cases())
+def test_row_products_match_reference(case):
+    g, x, skip, seed, hidden_card, sparse, m = case
+    net = random_net_for(g, seed=seed, hidden_cardinality=hidden_card)
+    if sparse:
+        net = _with_zero_entries(net, np.random.default_rng(seed))
+    assert np.array_equal(exact_observational(net).probs, ref.observable_family(net))
+    assert np.array_equal(interventional_family(net, skip).probs, ref.observable_family(net, skip))
+    oracle = exact_interventional(net, x)
+    idx = tuple(x.get(n, slice(None)) for n in net.observables)
+    assert np.array_equal(oracle.probs, ref.observable_family(net, frozenset(x))[idx])
+
+    batch = sample_observational(net, seed + 1, m)
+    try:
+        li = learn_interventional(batch, g, x)
+    except (NotIdentifiable, PositivityViolation):
+        li = None
+    if li is not None:
+        assert np.array_equal(li.table().probs, ref.evaluator_table(li))
+        got = compare_to_oracle(li, net, x).factor_errors
+        want = ref.factor_errors(li, oracle)
+        assert [f.target for f in got] == [name for name, _, _ in want]
+        for f, (_, event, err) in zip(got, want):
+            assert f.worst_event == event
+            assert _close(f.abs_error, err)
+    if sparse:
+        return  # the identities need every conditioning event to carry mass
+
+    obs = exact_observational(net)
+    part = relative_partition(g, g.indices(x))
+    for env in obs.assignments():
+        assert _close(tian_q_value(obs, g, part, env), ref.tian_q_value(obs, g, part, env))
+    q_factors = learn_q(batch, g, part)
+    low = sorted(g.names_of(part.c_low))
+    for fix in iter_assignments(low, [g.cards[g.index(n)] for n in low]):
+        for factors in (None, q_factors):
+            got_q = tian_q_table(obs, g, part, fix, factors)
+            want_q = ref.tian_q_table(obs, g, part, fix, factors)
+            assert got_q.names == want_q.names
+            assert dict(got_q.context) == dict(want_q.context)
+            assert np.abs(got_q.probs - want_q.probs).max(initial=0.0) <= 1e-12
+        sides = kl_decomposition_sides(obs, g, part, q_factors, fix)
+        want_sides = ref.kl_decomposition_sides(obs, g, part, q_factors, fix)
+        assert all(map(_close, sides, want_sides))

@@ -6,6 +6,7 @@ import pytest
 from dolearn import io as dio
 from dolearn.admg import GraphError
 from dolearn.demo import fig3a_graph
+from dolearn.identify import InvalidQuery
 from dolearn.learn import fit_from_table, learn_interventional
 from dolearn.scm import exact_observational, random_net_for, sample_observational
 
@@ -74,6 +75,15 @@ def test_learned_object_roundtrip(setup):
     for env in li.table().assignments():
         assert again.evaluate(env) == pytest.approx(li.evaluate(env), abs=1e-15)
     assert again.metadata["m"] == 20_000
+
+
+@pytest.mark.parametrize("value", [-1, 2])
+def test_learned_object_rejects_out_of_range_intervention(setup, value):
+    g, net = setup
+    obj = dio.li_to_dict(fit_from_table(exact_observational(net), g, {"X": 0}))
+    obj["intervention"] = {"X": value}
+    with pytest.raises(InvalidQuery, match="out of range for 'X'"):
+        dio.li_from_dict(obj)
 
 
 def test_learned_object_roundtrip_exact(setup):

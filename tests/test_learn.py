@@ -12,16 +12,13 @@ from dolearn.learn import (
     assemble,
     evaluate_point,
     fit_from_table,
-    kl_decomposition_sides,
     learn_interventional,
     learn_q,
     learn_r,
     recommended_sample_size,
     relative_partition,
-    tian_q_table,
-    tian_q_value,
 )
-from dolearn.identify import NotIdentifiable
+from dolearn.identify import InvalidQuery, NotIdentifiable
 from dolearn.scm import (
     check_strong_positivity,
     exact_interventional,
@@ -30,7 +27,14 @@ from dolearn.scm import (
     sample_observational,
 )
 from dolearn.tables import PmfTable, Samples, ScopeMismatch
-from dolearn.verify import compare_to_oracle, exact_kl, exact_tv
+from dolearn.verify import (
+    compare_to_oracle,
+    exact_kl,
+    exact_tv,
+    kl_decomposition_sides,
+    tian_q_table,
+    tian_q_value,
+)
 
 
 def part_of(g, x_names):
@@ -270,6 +274,17 @@ class TestAssembleAndEvaluate:
         with pytest.raises(ScopeMismatch):
             evaluate_point(li, {"Z1": 0})
 
+    @pytest.mark.parametrize("bad", [
+        {"Z1": -1, "Z2": 0, "Y": 1},
+        {"Z1": 0, "Z2": 0, "Y": 2},
+        {"Z1": 0, "Z2": np.array([0, 1, 2]), "Y": 0},
+    ])
+    def test_out_of_range_symbols_never_alias(self, fig3a, bad):
+        net = random_net_for(fig3a, seed=5)
+        li = learn_interventional(sample_observational(net, seed=6, m=1_000), fig3a, {"X": 1})
+        with pytest.raises(ScopeMismatch, match="not a symbol in"):
+            evaluate_point(li, bad)
+
     def test_factor_order_validation(self):
         g = Admg.build(["X", "Y"], [("X", "Y")])
         backwards = ConditionalTable("X", 2, ("Y",), (2,),
@@ -290,6 +305,18 @@ class TestAssembleAndEvaluate:
             li = fit_from_table(exact_observational(net), g, x)
             report = compare_to_oracle(li, net, x)
             assert report.tv <= 1e-9
+
+
+class TestInterventionRange:
+    @pytest.mark.parametrize("value", [-1, 2, 5])
+    def test_out_of_range_intervention_is_invalid_query(self, value):
+        # X is alone in its component, so no fragment query ever reads its value
+        g = Admg.build(["X", "Z", "Y"], [("X", "Z"), ("Z", "Y")], [("Z", "Y")])
+        net = random_net_for(g, seed=3)
+        with pytest.raises(InvalidQuery, match="out of range for 'X'"):
+            learn_interventional(sample_observational(net, seed=4, m=500), g, {"X": value})
+        with pytest.raises(InvalidQuery, match="out of range for 'X'"):
+            fit_from_table(exact_observational(net), g, {"X": value})
 
 
 class TestStructuralIdentities:

@@ -51,6 +51,21 @@ class TestPmfTable:
         t = PmfTable((), np.array(1.0))
         assert t.pmf({}) == 1.0
 
+    @pytest.mark.parametrize("bad", [{"A": -1, "B": 0}, {"A": 0, "B": 2},
+                                     {"A": np.array([0, 2]), "B": 0},
+                                     {"A": np.array([0.0, 1.0]), "B": 0}])
+    def test_pmf_rejects_symbols_outside_the_table(self, bad):
+        t = PmfTable(("A", "B"), np.array([[0.1, 0.2], [0.3, 0.4]]))
+        with pytest.raises(ScopeMismatch, match="not a symbol in"):
+            t.pmf(bad)
+
+    def test_pmf_over_broadcasting_arrays(self):
+        t = PmfTable(("A", "B"), np.array([[0.1, 0.2], [0.3, 0.4]]))
+        cols = {"A": np.array([1, 0, 1]), "B": np.array([0, 1, 1])}
+        assert t.pmf(cols).tolist() == [0.3, 0.2, 0.4]
+        grid = t.pmf({"A": np.array([[0], [1]]), "B": np.array([0, 1])})
+        assert np.array_equal(grid, t.probs)
+
 
 class TestHelpers:
     def test_strides_row_major(self):
@@ -88,6 +103,18 @@ class TestSamples:
         acc = EmpiricalAccess(s, (2,))
         assert acc.pmf({"A": 1}) == pytest.approx(0.75)
         assert np.allclose(acc.table().probs, [0.25, 0.75])
+
+    def test_empirical_joint_is_counted_once(self, monkeypatch):
+        s = Samples(("A", "B"), np.array([[0, 1], [1, 1], [1, 0], [1, 1]]))
+        acc = EmpiricalAccess(s, (2, 2))
+        calls = []
+        counts_over = Samples.counts_over
+        monkeypatch.setattr(Samples, "counts_over",
+                            lambda self, *a: calls.append(a) or counts_over(self, *a))
+        assert acc.pmf({"A": 1, "B": 1}) == 0.5
+        assert acc.pmf({"A": 0, "B": 0}) == 0.0
+        assert acc.table() is acc.table()
+        assert len(calls) == 1
 
     def test_empirical_marginal(self):
         s = Samples(("A", "B"), np.array([[0, 1], [1, 1], [1, 0], [1, 1]]))

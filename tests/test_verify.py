@@ -104,6 +104,30 @@ class TestEstimateTv:
         with pytest.raises(ZeroEvaluatorMass):
             estimate_tv(table_sampler(p), est_zero, p.pmf, 0.1, 0.1, seed=4)
 
+    def test_each_evaluator_is_called_once_with_the_batch_columns(self):
+        p, q = bern(0.5), bern(0.25)
+        calls = []
+
+        def counted(table):
+            def pmf(cols):
+                calls.append(cols)
+                return table.pmf(cols)
+            return pmf
+
+        est = estimate_tv(table_sampler(p), counted(p), counted(q), 0.05, 0.05, seed=3)
+        assert len(calls) == 2
+        assert all(c["X"].shape == (est.samples_used,) for c in calls)
+        batch = table_sampler(p)(3, est.samples_used)
+        want = sum(max(0.0, 1.0 - q.pmf(a) / p.pmf(a)) for a in batch.assignments())
+        assert est.value == pytest.approx(want / est.samples_used, abs=1e-12)
+
+    def test_zero_evaluator_mass_names_the_first_zero_row(self):
+        t = PmfTable(("A", "B"), np.full((2, 2), 0.25))
+        draw = lambda seed, m: Samples(("A", "B"), [[0, 0], [1, 0], [0, 1], [1, 0]][:m])
+        zero_at_a1 = lambda cols: np.where(cols["A"] == 1, 0.0, 0.25)
+        with pytest.raises(ZeroEvaluatorMass, match=r"\{'A': 1, 'B': 0\}"):
+            estimate_tv(draw, zero_at_a1, t.pmf, 1.0, 0.5, seed=0)
+
     def test_convergence_over_many_seeds(self):
         rng = np.random.default_rng(11)
         probs_a = rng.dirichlet(np.ones(10))
