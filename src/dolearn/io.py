@@ -119,10 +119,23 @@ class SampleCsvError(ValueError):
 
 
 def samples_to_csv(samples: Samples) -> str:
+    """A header row of names, then one line of integer symbols per draw.
+
+    Each distinct row is rendered once, and the lines are gathered by the
+    batch's row codes (:meth:`Samples.row_codes`). Raises
+    :class:`~dolearn.tables.ScopeMismatch` for a non-integer batch or a
+    negative symbol, which no reader would accept.
+    """
     buf = _io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(samples.names)
-    writer.writerows(samples.values.tolist())
+    csv.writer(buf, lineterminator="\n").writerow(samples.names)
+    code, size = samples.row_codes()
+    at = np.full(size, -1, dtype=np.int64)
+    at[code] = np.arange(samples.m)
+    present = np.flatnonzero(at >= 0)
+    lines = np.empty(size, dtype=object)
+    lines[present] = [",".join(map(str, row)) + "\n"
+                      for row in samples.values[at[present]].tolist()]
+    buf.write("".join(lines[code].tolist()))
     return buf.getvalue()
 
 

@@ -298,6 +298,13 @@ class LearnedInterventional:
         check_intervention(self.graph, self.x)  # a baked-in value must not alias a row
         pos = {n: i for i, n in enumerate(self.order)}
         for n, f in self.factors.items():
+            declared = (f.target_card, *f.cond_cards)
+            cards = tuple(self.graph.cards[self.graph.index(v)] for v in (f.target, *f.cond))
+            if declared != cards:  # a wrong stride would read another row
+                raise ScopeMismatch(
+                    f"factor {n!r} declares cardinalities {declared} for "
+                    f"{(f.target, *f.cond)}, the graph has {cards}"
+                )
             for c in f.cond:
                 if c not in self.x and pos.get(c, len(pos)) >= pos[n]:
                     raise ScopeMismatch(

@@ -130,13 +130,15 @@ class CausalBayesNet:
         return math.prod(nd.cardinality for nd in self.nodes)
 
     @cached_property
-    def _mechanisms(self) -> tuple[dict[str, np.ndarray], tuple[tuple, ...]]:
-        """An open grid over all nodes, and every mechanism as a row-kernel
-        step in declaration order: built once, because the oracle multiplies
-        the same CPTs again for every intervened set."""
+    def _mechanisms(self) -> tuple[tuple[str, np.ndarray], ...]:
+        """Every mechanism's CPT rows gathered over an open grid of all nodes,
+        in declaration order, each shaped to broadcast against the joint:
+        built once per net, because the oracle multiplies the same factors
+        again for every intervened set."""
         shape = tuple(nd.cardinality for nd in self.nodes)
         grid = dict(zip(self.names, np.indices(shape, sparse=True)))
-        return grid, tuple(_step(self, nd, nd.cpt) for nd in self.nodes)
+        return tuple((nd.name, row_product([_step(self, nd, nd.cpt)], grid))
+                     for nd in self.nodes)
 
 
 def _step(net: CausalBayesNet, nd: CbnNode, rows: np.ndarray) -> tuple:
@@ -152,10 +154,10 @@ def _full_joint(net: CausalBayesNet, skip: frozenset[str] = frozenset()) -> np.n
         raise StateSpaceTooLarge(
             f"joint state space {net.joint_states()} exceeds ceiling {STATE_CEILING}"
         )
-    grid, steps = net._mechanisms
-    steps = (s for s in steps if s[0] not in skip)
-    # the ones are passed unnamed, so the first product can release them
-    joint = row_product(steps, grid, np.ones(tuple(nd.cardinality for nd in net.nodes)))
+    joint = np.ones(tuple(nd.cardinality for nd in net.nodes))
+    for name, factor in net._mechanisms:
+        if name not in skip:
+            joint = joint * factor
     hidden_axes = tuple(i for i, nd in enumerate(net.nodes) if nd.hidden)
     return joint.sum(axis=hidden_axes) if hidden_axes else joint
 

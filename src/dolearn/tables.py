@@ -214,14 +214,16 @@ class Samples:
             raise ScopeMismatch(f"negative symbol {int(lows[j])} in column {self.names[j]!r}")
         return tuple(int(t) for t in self.values.max(axis=0))
 
-    @cached_property
-    def distinct(self) -> DistinctRows:
-        """Distinct rows and multiplicities, from one mixed-radix encoding pass.
+    def row_codes(self) -> tuple[np.ndarray, int]:
+        """One int64 code per row, and the size of the code space.
 
-        Each row gets an int64 code over the observed per-column radix; when
-        the next column would overflow int64, the running code is first
-        re-densified to its rank among the codes seen so far. The rows kept
-        are ``values[first_index]`` of each code.
+        Codes lie in ``[0, size)``, are equal exactly for equal rows, and
+        ascend with the rows' mixed-radix order over the observed per-column
+        radix. When the next column would
+        overflow int64, the running code is first re-densified to its rank
+        among the codes seen so far, and once more if the final code space
+        exceeds max(4m, 2**16). Raises :class:`ScopeMismatch` for a non-integer
+        batch or a negative symbol. Not memoized: the codes cost 8 bytes a row.
         """
         m = self.m
         code = np.zeros(m, dtype=np.int64)
@@ -238,6 +240,14 @@ class Samples:
             size *= radix
         if size > max(DENSE_FACTOR * m, 1 << 16):
             code, size = _densify(code)
+        return code, size
+
+    @cached_property
+    def distinct(self) -> DistinctRows:
+        """Distinct rows and multiplicities, from one :meth:`row_codes` pass.
+        The rows kept are ``values[first_index]`` of each code, in code order."""
+        m = self.m
+        code, size = self.row_codes()
         counts = np.bincount(code, minlength=size)
         first = np.full(size, m, dtype=np.int64)
         np.minimum.at(first, code, np.arange(m, dtype=np.int64))

@@ -7,6 +7,9 @@ replaced; the differential tests require the package to match them exactly
 
 from __future__ import annotations
 
+import csv
+import io as _io
+
 import numpy as np
 
 from dolearn.estimand import PositivityViolation
@@ -225,3 +228,14 @@ def factor_errors(li, oracle) -> list[tuple[str, dict[str, int], float]]:
                     worst_event[name] = s
         out.append((name, worst_event, worst))
     return out
+
+
+# -- the sample CSV writer, as it was before it shared the batch's encoding pass
+
+
+def samples_to_csv(samples) -> str:
+    buf = _io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(samples.names)
+    writer.writerows(samples.values.tolist())
+    return buf.getvalue()

@@ -6,7 +6,7 @@ import pytest
 from dolearn import io as dio
 from dolearn.cli import main
 from dolearn.demo import bow_graph, fig3a_graph
-from dolearn.scm import exact_interventional, random_net_for
+from dolearn.scm import exact_interventional, exact_observational, random_net_for
 
 
 @pytest.fixture
@@ -119,6 +119,30 @@ def test_eval_rejects_out_of_range_symbols(workdir, capsys, point):
     (tmp / "point.json").write_text(json.dumps(point))
     code = main(["eval", "--li", str(tmp / "li.json"), "--assign", str(tmp / "point.json")])
     assert code == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert json.loads(captured.err)["error"] == "ScopeMismatch"
+
+
+@pytest.mark.parametrize("command", [
+    ["eval", "--assign", "point.json"],
+    ["sample", "--seed", "1", "--m", "10"],
+    ["verify", "--cbn", "net.json"],
+])
+def test_li_commands_reject_factor_cardinalities_unlike_the_graph(tmp_path, capsys, command):
+    from dolearn.admg import Admg
+    from dolearn.learn import fit_from_table
+
+    g = Admg.build([("X", 3), ("Y", 2), ("Z", 2)], [("X", "Y"), ("Z", "Y")])
+    net = random_net_for(g, seed=3)
+    obj = dio.li_to_dict(fit_from_table(exact_observational(net), g, {}))
+    next(f for f in obj["factors"] if f["target"] == "Y")["cond_cardinalities"] = [2, 3]
+    (tmp_path / "li.json").write_text(dio.dump_json(obj))
+    (tmp_path / "net.json").write_text(dio.dump_json(dio.net_to_dict(net)))
+    (tmp_path / "point.json").write_text(json.dumps({"X": 1, "Z": 1, "Y": 1}))
+    argv = [command[0], "--li", str(tmp_path / "li.json")]
+    argv += [str(tmp_path / a) if a.endswith(".json") else a for a in command[1:]]
+    assert main(argv) == 4
     captured = capsys.readouterr()
     assert captured.out == ""
     assert json.loads(captured.err)["error"] == "ScopeMismatch"

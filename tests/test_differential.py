@@ -1,8 +1,9 @@
 """Package code against reference versions kept in the test tree: the
-vectorized batch kernels against their loop-and-stack forms, the fragment
-learner against its former copy of the identification recursion, and the
-row products (oracle joints, learned evaluator, structural identities, factor
-errors) against their hand-written forms."""
+vectorized batch kernels and the sample CSV writer against their
+loop-and-stack forms, the fragment learner against its former copy of the
+identification recursion, and the row products (oracle joints, learned
+evaluator, structural identities, factor errors) against their hand-written
+forms."""
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from dolearn.admg import Admg
 from dolearn.demo import fig3a_graph, fig4a_graph
 from dolearn.estimand import ZeroConditioningEvent
 from dolearn.generate import sample
+from dolearn.io import samples_to_csv
 from dolearn.identify import (
     CausalQuery,
     HedgeWitness,
@@ -190,15 +192,19 @@ def test_counts_over_matches_per_call_bincount(m, cards):
     assert len(np.unique(rows, axis=0)) == len(rows)
 
 
-def test_wide_batch_keeps_rows_that_differ_only_in_leading_columns():
+def _wide_binary_batch():
     # 75 binary columns: rows 1.. differ only in the first 11, whose mixed-radix
     # weights are multiples of 2**64 unless the code is re-densified
     rng = np.random.default_rng(3)
     values = np.zeros((400, 75), dtype=np.int64)
     values[:, :11] = rng.integers(0, 2, size=(400, 11))
     values[0, 11:] = 1
-    names = tuple(f"V{j}" for j in range(75))
-    s = Samples(names, values)
+    return Samples(tuple(f"V{j}" for j in range(75)), values)
+
+
+def test_wide_batch_keeps_rows_that_differ_only_in_leading_columns():
+    s = _wide_binary_batch()
+    names, values = s.names, s.values
     keep = names[:11]
     assert np.array_equal(s.counts_over(keep, (2,) * 11),
                           ref.counts_over(names, values, keep, (2,) * 11))
@@ -210,6 +216,62 @@ def test_distinct_rows_are_first_occurrences_in_code_order():
     rows, counts = Samples(("A", "B"), values).distinct
     assert rows.tolist() == [[0, 1], [0, 2], [1, 0]]
     assert counts.tolist() == [1.0, 3.0, 2.0]
+
+
+HEADER_NAMES = ["A", "V10", "B,C", 'say "hi"', " pad ", "Σ", "line\nbreak", "semi;colon"]
+
+
+@st.composite
+def csv_batches(draw):
+    """A batch to write: multi-digit cardinalities, sizes from empty to 5e4
+    rows, narrow and wide integer dtypes (int64 optionally with symbols at or
+    above 2**31), row-major, column-major or projected layouts, and header
+    names that the csv module must quote."""
+    kind = draw(st.sampled_from(["uint8", "int32", "int64", "int64-big"]))
+    wide = 5 if kind == "int64-big" else 1
+    names = draw(st.lists(st.sampled_from(HEADER_NAMES), min_size=wide, max_size=6, unique=True))
+    cards = [draw(st.integers(2, 12)) for _ in names]
+    m = draw(st.sampled_from([0, 1, 50, 50_000]))
+    layout = draw(st.sampled_from(["rows", "columns", "projected"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**16)))
+    buf = np.stack([rng.integers(0, c, size=m) for c in cards])
+    if kind == "int64-big":
+        # huge symbols: every column is re-densified while encoding, and at
+        # 5e4 rows the fifth column would overflow the running int64 code
+        big = rng.random(buf.shape) < 0.5
+        buf = np.where(big, rng.integers(2**31, 2**40, size=buf.shape), buf)
+    buf = buf.astype(kind.split("-")[0])
+    if layout == "rows":
+        return Samples(tuple(names), np.ascontiguousarray(buf.T))
+    if layout == "columns":
+        return Samples(tuple(names), buf.T)  # the samplers' layout
+    wide = Samples(tuple(names) + ("extra",), np.concatenate([buf, buf[:1]]).T)
+    return wide.project(tuple(reversed(names)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(csv_batches())
+def test_csv_writer_matches_reference(samples):
+    assert samples_to_csv(samples) == ref.samples_to_csv(samples)
+
+
+def _huge_symbol_batch():
+    rng = np.random.default_rng(8)
+    values = rng.integers(2**31, 2**40, size=(50_000, 6))
+    values[::3] = values[1::3]  # repeated rows among the huge ones
+    return Samples(tuple(HEADER_NAMES[:6]), values)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: sample_observational(_card3_net()[1], 4, 5_000),
+    lambda: sample(LEARNED[3], 5, 5_000),
+    lambda: sample(LEARNED[5], 6, 5_000),
+    _huge_symbol_batch,
+    _wide_binary_batch,
+])
+def test_csv_writer_matches_reference_on_fixed_batches(make):
+    samples = make()
+    assert samples_to_csv(samples) == ref.samples_to_csv(samples)
 
 
 # -- fragment learner against the reference recursion ---------------------------

@@ -4,11 +4,12 @@ import numpy as np
 import pytest
 
 from dolearn import io as dio
-from dolearn.admg import GraphError
+from dolearn.admg import Admg, GraphError
 from dolearn.demo import fig3a_graph
 from dolearn.identify import InvalidQuery
 from dolearn.learn import fit_from_table, learn_interventional
 from dolearn.scm import exact_observational, random_net_for, sample_observational
+from dolearn.tables import Samples, ScopeMismatch
 
 
 @pytest.fixture
@@ -86,6 +87,28 @@ def test_learned_object_rejects_out_of_range_intervention(setup, value):
         dio.li_from_dict(obj)
 
 
+def _collider_li_dict():
+    """A learned object on X(3) -> Y(2) <- Z(2), as a dict, and its Y factor."""
+    g = Admg.build([("X", 3), ("Y", 2), ("Z", 2)], [("X", "Y"), ("Z", "Y")])
+    obj = dio.li_to_dict(fit_from_table(exact_observational(random_net_for(g, 3)), g, {}))
+    factor = next(f for f in obj["factors"] if f["target"] == "Y")
+    assert factor["cond"] == ["X", "Z"] and factor["cond_cardinalities"] == [3, 2]
+    return obj, factor
+
+
+@pytest.mark.parametrize("field, value", [
+    ("cond_cardinalities", [2, 3]),  # same 6 rows, strides that read the wrong one
+    ("target_cardinality", 3),
+])
+def test_learned_object_rejects_factor_cardinalities_unlike_the_graph(field, value):
+    obj, factor = _collider_li_dict()
+    if field == "target_cardinality":  # six rows of three symbols
+        factor["probs"] = [[0.5, 0.25, 0.25]] * 6
+    factor[field] = value
+    with pytest.raises(ScopeMismatch, match="factor 'Y' declares cardinalities"):
+        dio.li_from_dict(obj)
+
+
 def test_learned_object_roundtrip_exact(setup):
     g, net = setup
     li = fit_from_table(exact_observational(net), g, {"X": 0})
@@ -108,6 +131,16 @@ def test_samples_csv_bytes_unchanged(setup):
     s = sample_observational(net, seed=3, m=50)
     rows = "".join(",".join(str(int(v)) for v in row) + "\n" for row in s.values)
     assert dio.samples_to_csv(s) == "X,Z1,Z2,Y\n" + rows
+
+
+@pytest.mark.parametrize("values, message", [
+    (np.array([[0, 1], [1, -1]]), "negative symbol -1 in column 'B'"),
+    (np.array([[0.0, 1.0], [1.0, 0.5]]), "must be integer symbols"),
+    (np.zeros((0, 2)), "must be integer symbols"),
+])
+def test_samples_csv_rejects_batches_no_reader_accepts(values, message):
+    with pytest.raises(ScopeMismatch, match=message):
+        dio.samples_to_csv(Samples(("A", "B"), values))
 
 
 def test_samples_csv_accepts_crlf_and_blank_lines():
