@@ -157,7 +157,12 @@ class Admg:
     # -- graph algorithms ----------------------------------------------------
 
     def topological_order(self) -> tuple[int, ...]:
-        """Kahn's algorithm with a min-heap, so ties go to the smallest index."""
+        """Kahn's algorithm with a min-heap, so ties go to the smallest index;
+        computed once per graph."""
+        return self._topological_order
+
+    @cached_property
+    def _topological_order(self) -> tuple[int, ...]:
         indeg = [0] * self.n
         for _, c in self.directed:
             indeg[c] += 1

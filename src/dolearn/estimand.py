@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Mapping, Protocol, Sequence
+from typing import Callable, Container, Iterable, Mapping, NamedTuple, Protocol, Sequence
 
 import numpy as np
 
@@ -43,12 +43,18 @@ ZeroConditioningEvent = PositivityViolation  # the error's former name
 
 
 class DistAccess(Protocol):
-    """Pmf access over an ordered scope: pointwise, or as a marginal table."""
+    """Pmf access over an ordered scope: pointwise, or as a marginal.
+
+    ``marginal_probs`` is the bare marginal array that compiled plans read;
+    ``marginal_to`` checks the names and wraps that array in a table.
+    """
 
     names: tuple[str, ...]
     cards: tuple[int, ...]
 
     def pmf(self, assignment: Mapping[str, int]) -> float: ...
+
+    def marginal_probs(self, keep: Container[str]) -> np.ndarray: ...
 
     def marginal_to(self, keep: Iterable[str]) -> PmfTable: ...
 
@@ -276,95 +282,164 @@ def evaluate(expr: DistExpr, access: DistAccess, env: Mapping[str, int]) -> floa
     return _value(expr, access, env, _card_map(access))
 
 
-# -- dense materialization -------------------------------------------------
+# -- compiled materialization ------------------------------------------------
 
 
-def _aligned(
-    arr: np.ndarray,
-    names: tuple[str, ...],
-    target: tuple[str, ...],
-) -> np.ndarray:
-    """View ``arr`` broadcastable over the axes of ``target``."""
-    idx = tuple(
-        slice(None) if n in names else None
-        for n in target
-    )
+class Plan(NamedTuple):
+    """An expression compiled against one access layout and one fixing.
+
+    ``run(access)`` returns the bare array over ``names``: the scope plus
+    the unfixed free references, axes in the access's variable order. Every
+    name, axis tuple, permutation and slice is worked out once, by
+    :func:`compile_plan`; a run performs only the array operations.
+    """
+
+    names: tuple[str, ...]
+    run: Callable[[DistAccess], np.ndarray]
+
+
+_ONE = np.ones(())
+_ONE.flags.writeable = False
+
+
+def _view(names: tuple[str, ...], target: tuple[str, ...]) -> tuple:
+    """The transpose and indexer that view an array over ``names``
+    broadcastable over the axes of ``target``; ``None`` for an identity."""
     perm = tuple(names.index(n) for n in target if n in names)
-    return np.transpose(arr, perm)[idx] if arr.ndim else arr[idx]
+    idx = tuple(slice(None) if n in names else None for n in target)
+    return (None if perm == tuple(range(len(perm))) else perm,
+            idx if any(i is None for i in idx) else None)
 
 
-def _node_table(
+def _apply(arr: np.ndarray, view: tuple) -> np.ndarray:
+    perm, idx = view
+    if perm is not None:
+        arr = arr.transpose(perm)
+    return arr if idx is None else arr[idx]
+
+
+def _leaf_names(keep: frozenset[str], access_names: tuple[str, ...]) -> tuple[str, ...]:
+    """Axes of the access's marginal over ``keep``, checked to exist."""
+    unknown = keep - set(access_names)
+    if unknown:
+        raise ScopeMismatch(f"cannot keep unknown variables {sorted(unknown)}")
+    return tuple(n for n in access_names if n in keep)
+
+
+def _compile(
     expr: DistExpr,
-    access: DistAccess,
+    access_names: tuple[str, ...],
     fixed: Mapping[str, int],
     order_key,
-) -> tuple[tuple[str, ...], np.ndarray]:
-    """Dense array over the node's scope plus unfixed free references.
+) -> tuple[tuple[str, ...], Callable[[DistAccess], np.ndarray]]:
+    """Result axes and runner of one node: a dense array over the node's scope
+    plus its unfixed free references, axes in the access's variable order.
 
-    Axis order follows the base distribution's variable order. Free references
-    present in ``fixed`` are sliced out as early as possible. Marginals of the
-    input distribution, alone or as chain factors, come from the access itself,
-    so the full joint is built only when a node needs it whole.
+    Free references present in ``fixed`` are sliced out as early as possible.
+    Marginals of the input distribution, alone or as chain factors, come from
+    the access itself, so the full joint is built only when a node needs it
+    whole.
     """
     if _is_base_chain(expr):
-        t = access.marginal_to(expr.scope)
-        return t.names, t.probs
+        keep = expr.scope
+        return _leaf_names(keep, access_names), lambda access: access.marginal_probs(keep)
     if isinstance(expr, Marginal):
-        names, arr = _node_table(expr.child, access, fixed, order_key)
-        axes = tuple(i for i, n in enumerate(names) if n in expr.drop)
-        kept = tuple(n for n in names if n not in expr.drop)
-        return kept, arr.sum(axis=axes)
+        cnames, crun = _compile(expr.child, access_names, fixed, order_key)
+        axes = tuple(i for i, n in enumerate(cnames) if n in expr.drop)
+        kept = tuple(n for n in cnames if n not in expr.drop)
+        return kept, lambda access: crun(access).sum(axis=axes)
     if isinstance(expr, Product):
-        parts = [_node_table(c, access, fixed, order_key) for c in expr.children]
-        union = sorted({n for names, _ in parts for n in names}, key=order_key)
-        union = tuple(union)
-        out = None
-        for names, arr in parts:
-            a = _aligned(arr, names, union)
-            out = a if out is None else out * a
-        return union, out
+        parts = [_compile(c, access_names, fixed, order_key) for c in expr.children]
+        union = tuple(sorted({n for names, _ in parts for n in names}, key=order_key))
+        steps = tuple((run, _view(names, union)) for names, run in parts)
+
+        def run_product(access: DistAccess) -> np.ndarray:
+            out = None
+            for run, view in steps:
+                a = _apply(run(access), view)
+                out = a if out is None else out * a
+            return out
+
+        return union, run_product
     if isinstance(expr, ChainProduct):
-        # only free references may be fixed here; scope variables stay as axes
-        fixed_free = {n: v for n, v in fixed.items() if n not in expr.scope}
-        family = expr.child.free - set(fixed_free)  # context axes: never summed out
-        base_chain = _is_base_chain(expr.child)
-        if not base_chain:
-            cnames, carr = _node_table(expr.child, access, fixed, order_key)
-        out = np.ones((), dtype=np.float64)
-        out_names: tuple[str, ...] = ()
-        for v, zs in expr.conds:
-            keep = set(zs) | {v} | family
-            if base_chain:
-                num_table = access.marginal_to(keep)
-                num_names, num = num_table.names, num_table.probs
-            else:
-                sum_axes = tuple(i for i, n in enumerate(cnames) if n not in keep)
-                num_names = tuple(n for n in cnames if n in keep)
-                num = carr.sum(axis=sum_axes)
-            slc = tuple(
-                fixed_free[n] if n in fixed_free else slice(None) for n in num_names
-            )
-            num = num[slc]
-            num_names = tuple(n for n in num_names if n not in fixed_free)
-            v_axis = num_names.index(v)
+        return _compile_chain(expr, access_names, fixed, order_key)
+    raise TypeError(f"unknown expression node {type(expr).__name__}")
+
+
+def _compile_chain(
+    expr: ChainProduct,
+    access_names: tuple[str, ...],
+    fixed: Mapping[str, int],
+    order_key,
+) -> tuple[tuple[str, ...], Callable[[DistAccess], np.ndarray]]:
+    """Each chain factor is the ratio of a numerator marginal to its sum over
+    the factor's variable, checked for an empty conditioning event first."""
+    # only free references may be fixed here; scope variables stay as axes
+    fixed_free = {n: v for n, v in fixed.items() if n not in expr.scope}
+    family = expr.child.free - set(fixed_free)  # context axes: never summed out
+    base_chain = _is_base_chain(expr.child)
+    if not base_chain:
+        cnames, crun = _compile(expr.child, access_names, fixed, order_key)
+    steps = []
+    out_names: tuple[str, ...] = ()
+    for v, zs in expr.conds:
+        keep = frozenset(zs) | {v} | family
+        if base_chain:
+            sum_axes = None
+            num_names = _leaf_names(keep, access_names)
+        else:
+            sum_axes = tuple(i for i, n in enumerate(cnames) if n not in keep)
+            num_names = tuple(n for n in cnames if n in keep)
+        slc = tuple(fixed_free[n] if n in fixed_free else slice(None) for n in num_names)
+        if not any(n in fixed_free for n in num_names):
+            slc = None
+        num_names = tuple(n for n in num_names if n not in fixed_free)
+        target = tuple(sorted(set(out_names) | set(num_names), key=order_key))
+        steps.append((
+            keep, sum_axes, slc, v, num_names, num_names.index(v),
+            {n: fixed_free[n] for n in zs if n in fixed_free},
+            _view(out_names, target), _view(num_names, target),
+        ))
+        out_names = target
+    result_names = tuple(
+        sorted((expr.scope | expr.free) - set(fixed_free), key=order_key)
+    )
+    if set(out_names) != set(result_names):  # pragma: no cover - structural
+        raise ScopeMismatch("chain factors do not cover the node scope")
+    final = _view(out_names, result_names)
+
+    def run_chain(access: DistAccess) -> np.ndarray:
+        carr = None if base_chain else crun(access)
+        out = _ONE
+        for keep, sum_axes, slc, v, num_names, v_axis, event_fixed, out_view, num_view in steps:
+            num = access.marginal_probs(keep) if sum_axes is None else carr.sum(axis=sum_axes)
+            if slc is not None:
+                num = num[slc]
             den = num.sum(axis=v_axis, keepdims=True)
-            if np.any(den == 0.0):
+            if not den.all():
                 flat = int(np.argmax((den == 0.0).reshape(-1)))
                 pos = np.unravel_index(flat, den.shape)
                 event = {n: int(p) for n, p in zip(num_names, pos) if n != v}
-                event |= {n: fixed_free[n] for n in zs if n in fixed_free}
-                raise PositivityViolation(v, event)
-            factor = num / den
-            target = tuple(sorted(set(out_names) | set(num_names), key=order_key))
-            out = _aligned(out, out_names, target) * _aligned(factor, num_names, target)
-            out_names = target
-        result_names = tuple(
-            sorted((expr.scope | expr.free) - set(fixed_free), key=order_key)
-        )
-        if set(out_names) != set(result_names):  # pragma: no cover - structural
-            raise ScopeMismatch("chain factors do not cover the node scope")
-        return result_names, _aligned(out, out_names, result_names)
-    raise TypeError(f"unknown expression node {type(expr).__name__}")
+                raise PositivityViolation(v, event | event_fixed)
+            out = _apply(out, out_view) * _apply(num / den, num_view)
+        return _apply(out, final)
+
+    return result_names, run_chain
+
+
+def compile_plan(
+    expr: DistExpr, access_names: Sequence[str], fixed: Mapping[str, int]
+) -> Plan:
+    """Compile the expression for accesses over ``access_names``, with the free
+    references in ``fixed`` sliced at their values and the others left as
+    axes. The plan's result axes follow ``access_names``."""
+    access_names = tuple(access_names)
+    fixed = {n: v for n, v in fixed.items() if n not in expr.scope}
+    order = {n: i for i, n in enumerate(access_names)}
+    names, run = _compile(expr, access_names, fixed, order.get)
+    if expr.free <= set(fixed) and set(names) != expr.scope:  # pragma: no cover
+        raise ScopeMismatch(f"materialized axes {names} do not match scope")
+    return Plan(names, run)
 
 
 def full_table(
@@ -373,6 +448,7 @@ def full_table(
     fixed: Mapping[str, int] | None = None,
     check_total: bool = True,
     allow_free_axes: bool = False,
+    plans: dict | None = None,
 ) -> PmfTable:
     """Materialize the expression over its scope.
 
@@ -381,25 +457,29 @@ def full_table(
     stay as extra axes instead, one distribution slice per configuration. The
     result axes follow the base distribution's variable order; a total
     deviating from 1 by more than 1e-6 is an error unless ``check_total`` is
-    disabled.
+    disabled. The expression is compiled by :func:`compile_plan`; a ``plans``
+    dict, kept by the caller for this one expression, caches each plan under
+    the access's variable names and the fixed values.
     """
     fixed = dict(fixed or {})
     missing = expr.free - set(fixed)
     if missing and not allow_free_axes:
         raise ScopeMismatch(f"fixed values required for {sorted(missing)}")
     fixed = {n: v for n, v in fixed.items() if n not in expr.scope}
-    base_order = {n: i for i, n in enumerate(access.names)}
-    names, arr = _node_table(expr, access, fixed, base_order.get)
+    if plans is None:
+        plan = compile_plan(expr, access.names, fixed)
+    else:
+        key = (access.names, tuple(sorted(fixed.items())))
+        plan = plans.get(key)
+        if plan is None:
+            plan = plans[key] = compile_plan(expr, access.names, fixed)
+    arr = plan.run(access)
     if missing:
-        return PmfTable(names, arr, context=dict(fixed), normalized=False)
-    if set(names) != expr.scope:  # pragma: no cover - structural
-        raise ScopeMismatch(f"materialized axes {names} do not match scope")
+        return PmfTable(plan.names, arr, context=fixed, normalized=False)
     total = float(arr.sum())
     if check_total and abs(total - 1.0) > TABLE_TOTAL_TOL:
         raise ValueError(f"estimand table mass {total!r} deviates from 1")
-    return PmfTable(
-        names, arr, context=dict(fixed), normalized=abs(total - 1.0) <= 1e-9
-    )
+    return PmfTable(plan.names, arr, context=fixed, normalized=abs(total - 1.0) <= 1e-9)
 
 
 # -- rendering ----------------------------------------------------------------

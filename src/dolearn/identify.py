@@ -9,8 +9,9 @@ intervention values: they are bound only when the estimand is evaluated.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Mapping, NamedTuple
+from dataclasses import dataclass, field
+from functools import cached_property
+from typing import Mapping
 
 from .admg import Admg
 from .estimand import (
@@ -41,9 +42,25 @@ class NotIdentifiable(RuntimeError):
         )
 
 
-class TraceStep(NamedTuple):
+@dataclass(frozen=True)
+class TraceStep:
+    """One step of the identification recursion: its name (``step1`` to
+    ``step5c``) and the call it was taken in, as index sets of ``graph``.
+    ``description`` names the call's targets, interventions and vertex set;
+    it is formatted when first read."""
+
     step: str
-    description: str
+    graph: Admg = field(repr=False)
+    targets: frozenset[int] = field(repr=False)
+    intervened: frozenset[int] = field(repr=False)
+    within: frozenset[int] = field(repr=False)
+
+    @cached_property
+    def description(self) -> str:
+        g = self.graph
+        return (f"targets={{{','.join(g.names_of(self.targets))}}} "
+                f"do={{{','.join(g.names_of(self.intervened))}}} "
+                f"over={{{','.join(g.names_of(self.within))}}}")
 
 
 @dataclass(frozen=True)
@@ -101,7 +118,8 @@ class Estimand:
 
     ``intervened`` values parametrize the tree; ``arbitrary`` lists variables
     whose values provably do not matter (they may be bound to anything at
-    evaluation time and default to symbol 0).
+    evaluation time and default to symbol 0). Materializations compile the
+    tree once per access layout and fixing, and keep the plans here.
     """
 
     expr: DistExpr
@@ -110,6 +128,10 @@ class Estimand:
     intervened: frozenset[str]
     arbitrary: frozenset[str]
     trace: tuple[TraceStep, ...]
+    _plans: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+
+    def __getstate__(self) -> dict:
+        return {**self.__dict__, "_plans": {}}  # compiled plans are not picklable
 
     def _env(self, env: Mapping[str, int]) -> dict[str, int]:
         full = {n: 0 for n in self.arbitrary}
@@ -123,13 +145,14 @@ class Estimand:
 
     def table(self, access: DistAccess, x: Mapping[str, int]) -> PmfTable:
         """Materialize the interventional distribution for one intervention."""
-        return full_table(self.expr, access, self._env(x))
+        return full_table(self.expr, access, self._env(x), plans=self._plans)
 
     def family_table(self, access: DistAccess) -> PmfTable:
         """One table covering every intervention value: the free references
         stay as axes and each slice is the corresponding distribution."""
         return full_table(
-            self.expr, access, {n: 0 for n in self.arbitrary}, allow_free_axes=True
+            self.expr, access, {n: 0 for n in self.arbitrary}, allow_free_axes=True,
+            plans=self._plans,
         )
 
     def render(self, style: str = "text") -> str:
@@ -174,12 +197,6 @@ def _chain(
     return ChainProduct(base, tuple(v for v, _ in conds), conds)
 
 
-def _describe(g: Admg, y: frozenset[int], x: frozenset[int], vs: frozenset[int]) -> str:
-    return (f"targets={{{','.join(g.names_of(y))}}} "
-            f"do={{{','.join(g.names_of(x))}}} "
-            f"over={{{','.join(g.names_of(vs))}}}")
-
-
 def _id(
     g: Admg,
     order: tuple[int, ...],
@@ -195,7 +212,7 @@ def _id(
         raise RuntimeError("identification recursion exceeded its depth bound")
 
     def log(step: str) -> None:
-        trace.append(TraceStep(step, _describe(g, y, x, vs)))
+        trace.append(TraceStep(step, g, y, x, vs))
 
     if not x:
         log("step1")

@@ -297,6 +297,12 @@ class LearnedInterventional:
         object.__setattr__(self, "metadata", dict(self.metadata))
         check_intervention(self.graph, self.x)  # a baked-in value must not alias a row
         pos = {n: i for i, n in enumerate(self.order)}
+        for n in self.order:
+            if n not in self.factors:
+                raise ScopeMismatch(f"{n!r} is in the sampling order but has no factor")
+        for n in self.factors:
+            if n not in pos:
+                raise ScopeMismatch(f"factor {n!r} is not in the sampling order")
         for n, f in self.factors.items():
             declared = (f.target_card, *f.cond_cards)
             cards = tuple(self.graph.cards[self.graph.index(v)] for v in (f.target, *f.cond))

@@ -9,6 +9,7 @@ scale.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -317,7 +318,10 @@ def random_net_for(
     """Realize an ADMG as a standard-form causal Bayes net with random CPTs.
 
     One hidden variable per bidirected edge. Flooring at ``gamma`` makes
-    strong positivity certifiable by construction.
+    strong positivity certifiable by construction. The hidden nodes come
+    first, then the observables; each run of consecutive nodes of equal
+    cardinality takes its CPT rows from one Dirichlet draw, which consumes
+    the seed's stream exactly as one draw per node would.
     """
     rng = np.random.default_rng(seed)
     hidden_names = []
@@ -328,19 +332,23 @@ def random_net_for(
             name = "_" + name
         hidden_names.append(name)
         base.add(name)
-    nodes: list[CbnNode] = []
     edge_list = sorted(g.bidirected)
-    for h, _ in zip(hidden_names, edge_list):
-        nodes.append(CbnNode(h, hidden_cardinality, (),
-                             _floored_rows(rng, 1, hidden_cardinality, gamma), hidden=True))
+    # (name, cardinality, parents, hidden) per node, in declaration order
+    specs = [(h, hidden_cardinality, (), True) for h in hidden_names]
     for i, name in enumerate(g.names):
         parents = [g.names[p] for p in sorted(g.parents(i))]
         parents += [hidden_names[k] for k, e in enumerate(edge_list) if i in e]
-        n_rows = 1
-        for p in parents:
-            n_rows *= hidden_cardinality if p in hidden_names else g.cards[g.names.index(p)]
-        nodes.append(CbnNode(name, g.cards[i], tuple(parents),
-                             _floored_rows(rng, n_rows, g.cards[i], gamma)))
+        specs.append((name, g.cards[i], tuple(parents), False))
+    card_of = {name: card for name, card, _, _ in specs}
+    nodes: list[CbnNode] = []
+    for card, run in itertools.groupby(specs, key=lambda spec: spec[1]):
+        run = list(run)
+        n_rows = [math.prod(card_of[p] for p in parents) for _, _, parents, _ in run]
+        rows = _floored_rows(rng, sum(n_rows), card, gamma)
+        start = 0
+        for (name, _, parents, hidden), k in zip(run, n_rows):
+            nodes.append(CbnNode(name, card, parents, rows[start:start + k], hidden=hidden))
+            start += k
     return CausalBayesNet(nodes)
 
 

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
+from typing import Container, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -106,15 +106,20 @@ class PmfTable:
         out = self.probs[symbols_of(assignment, self.names, self.probs.shape)]
         return out if isinstance(out, np.ndarray) else float(out)
 
+    def marginal_probs(self, keep: Container[str]) -> np.ndarray:
+        """The bare marginal array over the variables in ``keep``, axes in
+        table order. Names in ``keep`` that the table lacks are not checked
+        here; :meth:`marginal_to` checks them and wraps this array."""
+        drop_axes = tuple(i for i, n in enumerate(self.names) if n not in keep)
+        return self.probs.sum(axis=drop_axes) if drop_axes else self.probs
+
     def marginal_to(self, keep: Iterable[str]) -> "PmfTable":
         keep = set(keep)
         unknown = keep - self.scope
         if unknown:
             raise ScopeMismatch(f"cannot keep unknown variables {sorted(unknown)}")
-        drop_axes = tuple(i for i, n in enumerate(self.names) if n not in keep)
-        kept = tuple(n for n in self.names if n in keep)
         return PmfTable(
-            kept, self.probs.sum(axis=drop_axes) if drop_axes else self.probs,
+            tuple(n for n in self.names if n in keep), self.marginal_probs(keep),
             context=self.context, normalized=self.normalized,
         )
 
@@ -383,18 +388,24 @@ class EmpiricalAccess:
         """Relative frequencies over every column, counted once per access."""
         return self._joint
 
+    def marginal_probs(self, keep: Container[str]) -> np.ndarray:
+        """Bare relative frequencies over the columns in ``keep``, axes in
+        batch column order. An empty batch gives all zeros, so conditioning on
+        it fails positivity instead of dividing by zero. Names in ``keep``
+        that the batch lacks are not checked here; :meth:`marginal_to` checks
+        them and wraps this array."""
+        names = tuple(n for n in self.names if n in keep)
+        cards = tuple(c for n, c in zip(self.names, self.cards) if n in keep)
+        return self.samples.counts_over(names, cards) / max(self.samples.m, 1)
+
     def marginal_to(self, keep: Iterable[str]) -> PmfTable:
-        """Relative frequencies over ``keep``, axes in batch column order. An
-        empty batch gives an all-zero table, so conditioning on it fails
-        positivity instead of dividing by zero."""
+        """Relative frequencies over ``keep``, axes in batch column order."""
         keep = set(keep)
         unknown = keep - set(self.names)
         if unknown:
             raise ScopeMismatch(f"cannot keep unknown variables {sorted(unknown)}")
-        names = tuple(n for n in self.names if n in keep)
-        cards = tuple(c for n, c in zip(self.names, self.cards) if n in keep)
-        counts = self.samples.counts_over(names, cards)
-        return PmfTable(names, counts / max(self.samples.m, 1), normalized=self.samples.m > 0)
+        return PmfTable(tuple(n for n in self.names if n in keep),
+                        self.marginal_probs(keep), normalized=self.samples.m > 0)
 
     def pmf(self, assignment: Mapping[str, int]) -> float:
         return self.table().pmf(assignment)

@@ -6,6 +6,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Callable, Mapping, NamedTuple
 
 import numpy as np
@@ -159,13 +160,21 @@ def compare_to_oracle(
 # -- exact structural identities of the component factorization ----------------
 
 
+@lru_cache(maxsize=4)
+def _exact_q_steps(obs: PmfTable, g: Admg, part: RelativePartition) -> tuple:
+    """The exact non-intervened-component conditionals of ``obs`` as row-kernel
+    steps, built once per (table, graph, partition); tables are keyed by
+    identity, and the few most recent are kept alive."""
+    exact = _q_from_table(obs, g, part)
+    return tuple(exact[g.names[i]].step for i in sorted(part.c_high))
+
+
 def tian_q_value(
     obs: PmfTable, g: Admg, part: RelativePartition, env: Mapping[str, int]
 ) -> float:
     """Product of exact effective-parent conditionals over the non-intervened
     components, evaluated at a full assignment."""
-    exact = _q_from_table(obs, g, part)
-    return float(row_product([exact[g.names[i]].step for i in sorted(part.c_high)], env))
+    return float(row_product(_exact_q_steps(obs, g, part), env))
 
 
 def tian_q_table(

@@ -12,7 +12,14 @@ import io as _io
 
 import numpy as np
 
-from dolearn.estimand import PositivityViolation
+from dolearn.estimand import (
+    ChainProduct,
+    Marginal,
+    PositivityViolation,
+    Product,
+    _is_base_chain,
+)
+from dolearn.scm import CausalBayesNet, CbnNode
 from dolearn.tables import PmfTable, strides_for
 
 
@@ -239,3 +246,108 @@ def samples_to_csv(samples) -> str:
     writer.writerow(samples.names)
     writer.writerows(samples.values.tolist())
     return buf.getvalue()
+
+
+# -- the estimand interpreter, as it was before estimands were compiled to plans
+
+
+def _aligned(arr: np.ndarray, names: tuple[str, ...], target: tuple[str, ...]) -> np.ndarray:
+    """View ``arr`` broadcastable over the axes of ``target``."""
+    idx = tuple(slice(None) if n in names else None for n in target)
+    perm = tuple(names.index(n) for n in target if n in names)
+    return np.transpose(arr, perm)[idx] if arr.ndim else arr[idx]
+
+
+def _node_table(expr, access, fixed, order_key) -> tuple[tuple[str, ...], np.ndarray]:
+    """Dense array over the node's scope plus unfixed free references,
+    re-walking the tree at every call; marginals come from ``marginal_to``."""
+    if _is_base_chain(expr):
+        t = access.marginal_to(expr.scope)
+        return t.names, t.probs
+    if isinstance(expr, Marginal):
+        names, arr = _node_table(expr.child, access, fixed, order_key)
+        axes = tuple(i for i, n in enumerate(names) if n in expr.drop)
+        kept = tuple(n for n in names if n not in expr.drop)
+        return kept, arr.sum(axis=axes)
+    if isinstance(expr, Product):
+        parts = [_node_table(c, access, fixed, order_key) for c in expr.children]
+        union = tuple(sorted({n for names, _ in parts for n in names}, key=order_key))
+        out = None
+        for names, arr in parts:
+            a = _aligned(arr, names, union)
+            out = a if out is None else out * a
+        return union, out
+    assert isinstance(expr, ChainProduct)
+    fixed_free = {n: v for n, v in fixed.items() if n not in expr.scope}
+    family = expr.child.free - set(fixed_free)
+    base_chain = _is_base_chain(expr.child)
+    if not base_chain:
+        cnames, carr = _node_table(expr.child, access, fixed, order_key)
+    out = np.ones((), dtype=np.float64)
+    out_names: tuple[str, ...] = ()
+    for v, zs in expr.conds:
+        keep = set(zs) | {v} | family
+        if base_chain:
+            num_table = access.marginal_to(keep)
+            num_names, num = num_table.names, num_table.probs
+        else:
+            sum_axes = tuple(i for i, n in enumerate(cnames) if n not in keep)
+            num_names = tuple(n for n in cnames if n in keep)
+            num = carr.sum(axis=sum_axes)
+        slc = tuple(fixed_free[n] if n in fixed_free else slice(None) for n in num_names)
+        num = num[slc]
+        num_names = tuple(n for n in num_names if n not in fixed_free)
+        v_axis = num_names.index(v)
+        den = num.sum(axis=v_axis, keepdims=True)
+        if np.any(den == 0.0):
+            flat = int(np.argmax((den == 0.0).reshape(-1)))
+            pos = np.unravel_index(flat, den.shape)
+            event = {n: int(p) for n, p in zip(num_names, pos) if n != v}
+            event |= {n: fixed_free[n] for n in zs if n in fixed_free}
+            raise PositivityViolation(v, event)
+        factor = num / den
+        target = tuple(sorted(set(out_names) | set(num_names), key=order_key))
+        out = _aligned(out, out_names, target) * _aligned(factor, num_names, target)
+        out_names = target
+    result_names = tuple(sorted((expr.scope | expr.free) - set(fixed_free), key=order_key))
+    return result_names, _aligned(out, out_names, result_names)
+
+
+def node_table(expr, access, fixed) -> tuple[tuple[str, ...], np.ndarray]:
+    """The axes and array ``full_table`` materialized for ``fixed`` (unfixed
+    free references stay as axes), through the interpreter above."""
+    fixed = {n: v for n, v in fixed.items() if n not in expr.scope}
+    base_order = {n: i for i, n in enumerate(access.names)}
+    return _node_table(expr, access, fixed, base_order.get)
+
+
+# -- random nets, as they were before the CPT rows were drawn in runs -----------
+
+
+def random_net_for(g, seed: int, gamma: float = 0.1, hidden_cardinality: int = 2):
+    """One Dirichlet draw, floor and renormalization per node."""
+
+    def floored_rows(n_rows: int, card: int) -> np.ndarray:
+        rows = np.maximum(rng.dirichlet(np.ones(card), size=n_rows), gamma)
+        return rows / rows.sum(axis=1, keepdims=True)
+
+    rng = np.random.default_rng(seed)
+    hidden_names = []
+    base = set(g.names)
+    for k, _ in enumerate(g.bidirected):
+        name = f"U{k}"
+        while name in base:
+            name = "_" + name
+        hidden_names.append(name)
+        base.add(name)
+    edge_list = sorted(g.bidirected)
+    nodes = [CbnNode(h, hidden_cardinality, (), floored_rows(1, hidden_cardinality),
+                     hidden=True) for h in hidden_names]
+    for i, name in enumerate(g.names):
+        parents = [g.names[p] for p in sorted(g.parents(i))]
+        parents += [hidden_names[k] for k, e in enumerate(edge_list) if i in e]
+        n_rows = 1
+        for p in parents:
+            n_rows *= hidden_cardinality if p in hidden_names else g.cards[g.names.index(p)]
+        nodes.append(CbnNode(name, g.cards[i], tuple(parents), floored_rows(n_rows, g.cards[i])))
+    return CausalBayesNet(nodes)

@@ -148,6 +148,27 @@ def test_li_commands_reject_factor_cardinalities_unlike_the_graph(tmp_path, caps
     assert json.loads(captured.err)["error"] == "ScopeMismatch"
 
 
+@pytest.mark.parametrize("drop_from", ["order", "factors"])
+def test_eval_rejects_order_unlike_factors(workdir, capsys, drop_from):
+    from dolearn.learn import fit_from_table
+
+    tmp, g, net = workdir
+    obj = dio.li_to_dict(fit_from_table(exact_observational(net), g, {"X": 0}))
+    if drop_from == "order":  # a factor whose target is not in the order
+        obj["order"].remove("Z2")
+    else:  # an order entry without a factor
+        obj["factors"] = [f for f in obj["factors"] if f["target"] != "Z2"]
+    (tmp / "li.json").write_text(dio.dump_json(obj))
+    (tmp / "point.json").write_text(json.dumps({"Z1": 0, "Z2": 0, "Y": 0}))
+    code = main(["eval", "--li", str(tmp / "li.json"), "--assign", str(tmp / "point.json")])
+    assert code == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err = json.loads(captured.err)
+    assert err["error"] == "ScopeMismatch"
+    assert "'Z2'" in err["message"]
+
+
 def test_learn_self_generate_requires_seed(workdir, capsys):
     tmp, g, net = workdir
     code = main(["learn", "--graph", str(tmp / "graph.json"),

@@ -1,9 +1,10 @@
 """Package code against reference versions kept in the test tree: the
 vectorized batch kernels and the sample CSV writer against their
 loop-and-stack forms, the fragment learner against its former copy of the
-identification recursion, and the row products (oracle joints, learned
+identification recursion, the row products (oracle joints, learned
 evaluator, structural identities, factor errors) against their hand-written
-forms."""
+forms, compiled estimand plans against the tree interpreter they replaced,
+and random nets against one Dirichlet draw per node."""
 
 import numpy as np
 import pytest
@@ -12,7 +13,7 @@ from hypothesis import strategies as st
 
 from dolearn.admg import Admg
 from dolearn.demo import fig3a_graph, fig4a_graph
-from dolearn.estimand import ZeroConditioningEvent
+from dolearn.estimand import ZeroConditioningEvent, full_table
 from dolearn.generate import sample
 from dolearn.io import samples_to_csv
 from dolearn.identify import (
@@ -41,7 +42,7 @@ from dolearn.scm import (
     random_net_for,
     sample_observational,
 )
-from dolearn.tables import Samples, draw_inverse_cdf, iter_assignments
+from dolearn.tables import EmpiricalAccess, Samples, draw_inverse_cdf, iter_assignments
 from dolearn.verify import (
     compare_to_oracle,
     kl_decomposition_sides,
@@ -456,3 +457,83 @@ def test_row_products_match_reference(case):
         sides = kl_decomposition_sides(obs, g, part, q_factors, fix)
         want_sides = ref.kl_decomposition_sides(obs, g, part, q_factors, fix)
         assert all(map(_close, sides, want_sides))
+
+
+# -- compiled estimand plans and run-drawn nets against their former forms -------
+
+
+@st.composite
+def estimand_cases(draw):
+    """A random mixed graph with binary and ternary variables, an intervention
+    on one or two variables, a realization with binary or ternary hidden
+    nodes (optionally with zero CPT entries), and a batch size small enough
+    that some conditioning events are empty."""
+    g = draw(admgs(max_n=6, max_bidirected=4, cardinalities=(2, 3), min_n=3))
+    names = draw(st.lists(st.sampled_from(g.names), min_size=1, max_size=2, unique=True))
+    x = {n: draw(st.integers(0, g.cards[g.index(n)] - 1)) for n in names}
+    seed = draw(st.integers(0, 2**16))
+    return (g, x, seed, draw(st.sampled_from([2, 3])), draw(st.booleans()),
+            draw(st.sampled_from([20, 300, 20_000])))
+
+
+def _check_plans(g, x, net, m, seed):
+    est = identify(CausalQuery(g, x, frozenset(g.names) - set(x)))
+    if isinstance(est, HedgeWitness):
+        return
+    accesses = (exact_observational(net),
+                EmpiricalAccess(sample_observational(net, seed, m), g.cards))
+    plans: dict = {}  # shared by both accesses: the plan depends on names only
+    for access in accesses:
+        # the family table (free references as axes) and one intervention
+        for fixed, free_axes in (({n: 0 for n in est.arbitrary}, True),
+                                 ({**dict.fromkeys(est.arbitrary, 0), **x}, False)):
+            def run(cache):
+                return full_table(est.expr, access, fixed, check_total=False,
+                                  allow_free_axes=free_axes, plans=cache)
+
+            try:
+                want_names, want = ref.node_table(est.expr, access, fixed)
+            except PositivityViolation as exc:
+                for cache in (None, plans, plans):
+                    with pytest.raises(PositivityViolation) as got:
+                        run(cache)
+                    assert (got.value.variable, got.value.event) == (exc.variable, exc.event)
+                continue
+            for cache in (None, plans, plans):  # compiled fresh, then cached and reused
+                got = run(cache)
+                assert got.names == want_names
+                assert got.probs.shape == want.shape
+                assert got.probs.tobytes() == want.tobytes()
+
+
+@settings(max_examples=100, deadline=None)
+@given(estimand_cases())
+def test_compiled_plans_match_reference_interpreter(case):
+    g, x, seed, hidden_card, sparse, m = case
+    net = random_net_for(g, seed=seed, hidden_cardinality=hidden_card)
+    if sparse:
+        net = _with_zero_entries(net, np.random.default_rng(seed))
+    _check_plans(g, x, net, m, seed + 1)
+
+
+@pytest.mark.parametrize("seed", range(60))
+def test_compiled_plans_match_reference_on_tiny_batches(seed):
+    # denser confounding than the drawn graphs: many of these hit an empty
+    # conditioning event whose reported event includes sliced interventions
+    g = random_admg(seed, 5, n_bidirected=3, cardinality=2 + seed % 2)
+    x = {g.names[int(np.random.default_rng(seed).integers(5))]: 0}
+    _check_plans(g, x, random_net_for(g, seed=seed), 20, seed)
+
+
+@settings(max_examples=100, deadline=None)
+@given(admgs(max_n=6, max_bidirected=4, cardinalities=(2, 3)),
+       st.integers(0, 2**32 - 1), st.sampled_from([2, 3]), st.sampled_from([0.0, 0.1, 0.3]))
+def test_random_net_rows_match_per_node_draws(g, seed, hidden_card, gamma):
+    got = random_net_for(g, seed=seed, gamma=gamma, hidden_cardinality=hidden_card)
+    want = ref.random_net_for(g, seed=seed, gamma=gamma, hidden_cardinality=hidden_card)
+    assert got.names == want.names
+    for a, b in zip(got.nodes, want.nodes):
+        assert (a.name, a.cardinality, a.parents, a.hidden) == (b.name, b.cardinality,
+                                                                b.parents, b.hidden)
+        assert a.cpt.shape == b.cpt.shape
+        assert a.cpt.tobytes() == b.cpt.tobytes()

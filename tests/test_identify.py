@@ -1,3 +1,5 @@
+import pickle
+
 import numpy as np
 import pytest
 
@@ -44,6 +46,14 @@ class TestGoldenExamples:
         got = est.table(obs, {"X": 1}).aligned_to(oracle.names)
         assert np.abs(got.probs - oracle.probs).max() < 1e-9
 
+    def test_materialized_estimand_pickles(self, fig3a):
+        est = identify(CausalQuery(fig3a, {"X": 1}, frozenset({"Z1", "Z2", "Y"})))
+        obs = exact_observational(random_net_for(fig3a, seed=23))
+        want = est.table(obs, {"X": 1})  # leaves a compiled plan on the estimand
+        copy = pickle.loads(pickle.dumps(est))
+        assert copy == est
+        assert np.array_equal(copy.table(obs, {"X": 1}).probs, want.probs)
+
     def test_example2_trace_and_oracle(self, fig4a):
         q = CausalQuery(fig4a, {"W": 0, "R": 0, "X": 0}, frozenset({"Y"}))
         est = identify(q)
@@ -55,6 +65,24 @@ class TestGoldenExamples:
             oracle = exact_interventional(net, xv)
             got = est.table(obs, xv).aligned_to(oracle.names)
             assert np.abs(got.probs - oracle.probs).max() < 1e-9
+
+    def test_trace_details(self, fig3a, fig4a):
+        # the step descriptions io JSON, the demo and `dolearn identify` print
+        est = identify(CausalQuery(fig3a, {"X": 0}, frozenset({"Z1", "Z2", "Y"})))
+        assert [(t.step, t.description) for t in est.trace] == [
+            ("step4", "targets={Z1,Z2,Y} do={X} over={X,Z1,Z2,Y}"),
+            ("step5b", "targets={Z1,Y} do={X,Z2} over={X,Z1,Z2,Y}"),
+            ("step2", "targets={Z2} do={X,Z1,Y} over={X,Z1,Z2,Y}"),
+            ("step5c", "targets={Z2} do={X,Z1} over={X,Z1,Z2}"),
+            ("step2", "targets={Z2} do={X} over={X,Z2}"),
+            ("step1", "targets={Z2} do={} over={Z2}"),
+        ]
+        est = identify(CausalQuery(fig4a, {"W": 0, "R": 0, "X": 0}, frozenset({"Y"})))
+        assert [(t.step, t.description) for t in est.trace] == [
+            ("step5c", "targets={Y} do={W,R,X} over={W,R,X,Y}"),
+            ("step2", "targets={Y} do={W,X} over={W,X,Y}"),
+            ("step5b", "targets={Y} do={X} over={X,Y}"),
+        ]
 
     def test_empty_intervention_is_pure_marginal(self, fig3a):
         q = CausalQuery(fig3a, {}, frozenset({"Y"}))
