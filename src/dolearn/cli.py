@@ -166,13 +166,14 @@ def _cmd_learn(args) -> int:
         if args.seed is None:
             raise _fail(EXIT_INPUT, "MissingSeed",
                         "--seed is required when sampling from --cbn")
-        net = _load_net(args.cbn)
-        m = args.m
-        if m is None:
+        if args.m is None:
             m, _detail = recommended_sample_size(
                 g, g.indices(x), config.epsilon, config.delta, config.alpha
             )
-        samples = sample_observational(net, seed=args.seed, m=m)
+            raise _fail(EXIT_INPUT, "MissingSampleSize",
+                        f"--m is required when sampling from --cbn; the recommended "
+                        f"sample size for these targets is {m}", recommended_m=m)
+        samples = sample_observational(_load_net(args.cbn), seed=args.seed, m=args.m)
     else:
         raise _fail(EXIT_INPUT, "MissingInput", "provide --samples or --cbn")
     li = learn_interventional(samples, g, x, config)

@@ -1,23 +1,23 @@
 """Expression trees over observational-distribution terms.
 
-The identification compiler emits these trees; they can be evaluated pointwise
-or materialized as tables against any pmf access (an exact table, a learned
-table, or an empirical frequency estimator). Conditionals are not a node kind:
-they arise only inside :class:`ChainProduct` as ratios of two marginals of the
-child, which keeps the zero-conditioning error, :class:`PositivityViolation`,
-at one site.
+The identification compiler emits these trees. One compiler turns a tree into
+a plan of array operations over the marginals of any distribution access (an
+exact table, a learned table, or an empirical frequency estimator); running
+the plan materializes a table, or evaluates the tree at one point.
+Conditionals are not a node kind: they arise only inside :class:`ChainProduct`
+as ratios of two marginals of the child, which keeps the zero-conditioning
+error, :class:`PositivityViolation`, at one site.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Container, Iterable, Mapping, NamedTuple, Protocol, Sequence
 
 import numpy as np
 
-from .tables import PmfTable, ScopeMismatch, iter_assignments
+from .tables import PmfTable, ScopeMismatch, symbols_of
 
 TABLE_TOTAL_TOL = 1e-6
 
@@ -43,7 +43,7 @@ ZeroConditioningEvent = PositivityViolation  # the error's former name
 
 
 class DistAccess(Protocol):
-    """Pmf access over an ordered scope: pointwise, or as a marginal.
+    """Marginals of a distribution over an ordered scope.
 
     ``marginal_probs`` is the bare marginal array that compiled plans read;
     ``marginal_to`` checks the names and wraps that array in a table.
@@ -51,8 +51,6 @@ class DistAccess(Protocol):
 
     names: tuple[str, ...]
     cards: tuple[int, ...]
-
-    def pmf(self, assignment: Mapping[str, int]) -> float: ...
 
     def marginal_probs(self, keep: Container[str]) -> np.ndarray: ...
 
@@ -216,73 +214,7 @@ def chain_depth(expr: DistExpr) -> int:
     return isinstance(expr, ChainProduct) + chain_depth(expr.child)
 
 
-# -- evaluation ----------------------------------------------------------------
-
-
-def _card_map(access: DistAccess) -> dict[str, int]:
-    return dict(zip(access.names, access.cards))
-
-
-def _marginal_value(
-    expr: DistExpr,
-    keep: frozenset[str],
-    access: DistAccess,
-    env: Mapping[str, int],
-    cards: Mapping[str, int],
-) -> float:
-    summed = sorted(expr.scope - keep)
-    if not summed:
-        return _value(expr, access, env, cards)
-    total = []
-    env2 = dict(env)
-    for combo in iter_assignments(summed, [cards[v] for v in summed]):
-        env2.update(combo)
-        total.append(_value(expr, access, env2, cards))
-    return math.fsum(total)
-
-
-def _value(
-    expr: DistExpr,
-    access: DistAccess,
-    env: Mapping[str, int],
-    cards: Mapping[str, int],
-) -> float:
-    if isinstance(expr, BaseDist):
-        return access.pmf(env)
-    if isinstance(expr, Marginal):
-        return _marginal_value(expr.child, expr.scope, access, env, cards)
-    if isinstance(expr, Product):
-        out = 1.0
-        for c in expr.children:
-            out *= _value(c, access, env, cards)
-        return out
-    if isinstance(expr, ChainProduct):
-        out = 1.0
-        for v, zs in expr.conds:
-            zset = frozenset(zs)
-            den = _marginal_value(expr.child, zset, access, env, cards)
-            if den == 0.0:
-                raise PositivityViolation(v, {z: env[z] for z in zs})
-            num = _marginal_value(expr.child, zset | {v}, access, env, cards)
-            out *= num / den
-        return out
-    raise TypeError(f"unknown expression node {type(expr).__name__}")
-
-
-def evaluate(expr: DistExpr, access: DistAccess, env: Mapping[str, int]) -> float:
-    """Evaluate the expression at one point.
-
-    ``env`` must assign every scope variable and every free reference of the
-    expression; extra keys are ignored.
-    """
-    needed = expr.scope | expr.free
-    missing = needed - set(env)
-    if missing:
-        raise ScopeMismatch(f"environment lacks values for {sorted(missing)}")
-    return _value(expr, access, env, _card_map(access))
-
-
-# -- compiled materialization ------------------------------------------------
+# -- compiled evaluation and materialization ------------------------------------
 
 
 class Plan(NamedTuple):
@@ -326,30 +258,58 @@ def _leaf_names(keep: frozenset[str], access_names: tuple[str, ...]) -> tuple[st
     return tuple(n for n in access_names if n in keep)
 
 
+def _sliced(names: tuple[str, ...], pins: Mapping[str, int]) -> tuple:
+    """The indexer that slices ``pins`` out of an array over ``names``
+    (``None`` if none of them is pinned) and the axes it leaves."""
+    if not any(n in pins for n in names):
+        return None, names
+    return (tuple(pins.get(n, slice(None)) for n in names),
+            tuple(n for n in names if n not in pins))
+
+
+def _symbols(values: Mapping[str, int], access: DistAccess) -> dict[str, int]:
+    """The values of the access's variables among ``values``, each checked to
+    be a symbol of its variable, so that a pin never wraps around an axis;
+    raises :class:`ScopeMismatch` otherwise."""
+    names = [n for n in access.names if n in values]
+    cards = [c for n, c in zip(access.names, access.cards) if n in values]
+    return dict(zip(names, map(int, symbols_of(values, names, cards))))
+
+
 def _compile(
     expr: DistExpr,
     access_names: tuple[str, ...],
-    fixed: Mapping[str, int],
+    pins: Mapping[str, int],
     order_key,
+    point: bool,
 ) -> tuple[tuple[str, ...], Callable[[DistAccess], np.ndarray]]:
     """Result axes and runner of one node: a dense array over the node's scope
-    plus its unfixed free references, axes in the access's variable order.
+    plus its free references, less the names pinned here, axes in the
+    access's variable order.
 
-    Free references present in ``fixed`` are sliced out as early as possible.
-    Marginals of the input distribution, alone or as chain factors, come from
-    the access itself, so the full joint is built only when a node needs it
-    whole.
+    Two binding rules share the compiler. For a table (``point`` false) a pin
+    binds only free references of chain products. For a point a pin binds
+    every name it reaches: a :class:`Marginal` stops pins on its ``drop``, and
+    :func:`_compile_chain` passes its child only the pins the child sees at
+    one value. Marginals of the input distribution, alone or as chain
+    factors, come from the access itself, so the full joint is built only
+    when a node needs it whole.
     """
     if _is_base_chain(expr):
         keep = expr.scope
-        return _leaf_names(keep, access_names), lambda access: access.marginal_probs(keep)
+        slc, names = _sliced(_leaf_names(keep, access_names), pins if point else {})
+        if slc is None:
+            return names, lambda access: access.marginal_probs(keep)
+        return names, lambda access: access.marginal_probs(keep)[slc]
     if isinstance(expr, Marginal):
-        cnames, crun = _compile(expr.child, access_names, fixed, order_key)
+        if point:
+            pins = {n: v for n, v in pins.items() if n not in expr.drop}
+        cnames, crun = _compile(expr.child, access_names, pins, order_key, point)
         axes = tuple(i for i, n in enumerate(cnames) if n in expr.drop)
         kept = tuple(n for n in cnames if n not in expr.drop)
         return kept, lambda access: crun(access).sum(axis=axes)
     if isinstance(expr, Product):
-        parts = [_compile(c, access_names, fixed, order_key) for c in expr.children]
+        parts = [_compile(c, access_names, pins, order_key, point) for c in expr.children]
         union = tuple(sorted({n for names, _ in parts for n in names}, key=order_key))
         steps = tuple((run, _view(names, union)) for names, run in parts)
 
@@ -362,24 +322,38 @@ def _compile(
 
         return union, run_product
     if isinstance(expr, ChainProduct):
-        return _compile_chain(expr, access_names, fixed, order_key)
+        return _compile_chain(expr, access_names, pins, order_key, point)
     raise TypeError(f"unknown expression node {type(expr).__name__}")
 
 
 def _compile_chain(
     expr: ChainProduct,
     access_names: tuple[str, ...],
-    fixed: Mapping[str, int],
+    pins: Mapping[str, int],
     order_key,
+    point: bool,
 ) -> tuple[tuple[str, ...], Callable[[DistAccess], np.ndarray]]:
     """Each chain factor is the ratio of a numerator marginal to its sum over
-    the factor's variable, checked for an empty conditioning event first."""
-    # only free references may be fixed here; scope variables stay as axes
-    fixed_free = {n: v for n, v in fixed.items() if n not in expr.scope}
-    family = expr.child.free - set(fixed_free)  # context axes: never summed out
+    the factor's variable, checked for an empty conditioning event first.
+
+    A pin the child does not take is sliced from each numerator after it is
+    summed, so a factor checks its conditioning events only at the pinned
+    values; a pin on the factor's own variable is sliced after that check.
+    For a table the child takes every pin and the chain slices only its free
+    references. For a point the child takes the pins on names every factor
+    conditions on, and on its own free references: some factor sums out each
+    other name, so the child is needed at all of its values.
+    """
+    if point:
+        shared = frozenset.intersection(*(frozenset(zs) for _, zs in expr.conds))
+        child_pins = {n: v for n, v in pins.items() if n in shared or n in expr.child.free}
+    else:
+        child_pins = pins
+        pins = {n: v for n, v in pins.items() if n not in expr.scope}
+    family = expr.child.free - set(pins)  # context axes: never summed out
     base_chain = _is_base_chain(expr.child)
     if not base_chain:
-        cnames, crun = _compile(expr.child, access_names, fixed, order_key)
+        cnames, crun = _compile(expr.child, access_names, child_pins, order_key, point)
     steps = []
     out_names: tuple[str, ...] = ()
     for v, zs in expr.conds:
@@ -390,20 +364,16 @@ def _compile_chain(
         else:
             sum_axes = tuple(i for i, n in enumerate(cnames) if n not in keep)
             num_names = tuple(n for n in cnames if n in keep)
-        slc = tuple(fixed_free[n] if n in fixed_free else slice(None) for n in num_names)
-        if not any(n in fixed_free for n in num_names):
-            slc = None
-        num_names = tuple(n for n in num_names if n not in fixed_free)
-        target = tuple(sorted(set(out_names) | set(num_names), key=order_key))
+        slc, num_names = _sliced(num_names, {n: x for n, x in pins.items() if n != v})
+        v_slc, factor_names = _sliced(num_names, {v: pins[v]} if v in pins else {})
+        target = tuple(sorted(set(out_names) | set(factor_names), key=order_key))
         steps.append((
-            keep, sum_axes, slc, v, num_names, num_names.index(v),
-            {n: fixed_free[n] for n in zs if n in fixed_free},
-            _view(out_names, target), _view(num_names, target),
+            keep, sum_axes, slc, v, num_names, num_names.index(v), v_slc,
+            {n: pins[n] for n in zs if n in pins},
+            _view(out_names, target), _view(factor_names, target),
         ))
         out_names = target
-    result_names = tuple(
-        sorted((expr.scope | expr.free) - set(fixed_free), key=order_key)
-    )
+    result_names = tuple(sorted((expr.scope | expr.free) - set(pins), key=order_key))
     if set(out_names) != set(result_names):  # pragma: no cover - structural
         raise ScopeMismatch("chain factors do not cover the node scope")
     final = _view(out_names, result_names)
@@ -411,7 +381,8 @@ def _compile_chain(
     def run_chain(access: DistAccess) -> np.ndarray:
         carr = None if base_chain else crun(access)
         out = _ONE
-        for keep, sum_axes, slc, v, num_names, v_axis, event_fixed, out_view, num_view in steps:
+        for (keep, sum_axes, slc, v, num_names, v_axis, v_slc, event_pins,
+             out_view, factor_view) in steps:
             num = access.marginal_probs(keep) if sum_axes is None else carr.sum(axis=sum_axes)
             if slc is not None:
                 num = num[slc]
@@ -420,8 +391,11 @@ def _compile_chain(
                 flat = int(np.argmax((den == 0.0).reshape(-1)))
                 pos = np.unravel_index(flat, den.shape)
                 event = {n: int(p) for n, p in zip(num_names, pos) if n != v}
-                raise PositivityViolation(v, event | event_fixed)
-            out = _apply(out, out_view) * _apply(num / den, num_view)
+                raise PositivityViolation(v, event | event_pins)
+            factor = num / den
+            if v_slc is not None:
+                factor = factor[v_slc]
+            out = _apply(out, out_view) * _apply(factor, factor_view)
         return _apply(out, final)
 
     return result_names, run_chain
@@ -436,10 +410,29 @@ def compile_plan(
     access_names = tuple(access_names)
     fixed = {n: v for n, v in fixed.items() if n not in expr.scope}
     order = {n: i for i, n in enumerate(access_names)}
-    names, run = _compile(expr, access_names, fixed, order.get)
+    names, run = _compile(expr, access_names, fixed, order.get, False)
     if expr.free <= set(fixed) and set(names) != expr.scope:  # pragma: no cover
         raise ScopeMismatch(f"materialized axes {names} do not match scope")
     return Plan(names, run)
+
+
+def evaluate(expr: DistExpr, access: DistAccess, env: Mapping[str, int]) -> float:
+    """Evaluate the expression at one point.
+
+    ``env`` must assign every scope variable and every free reference of the
+    expression a symbol of the access; extra keys are ignored. The tree is
+    compiled with those values pinned and run once. A point checks only the
+    conditioning events its values reach, so it can evaluate where the
+    table for the same intervention meets an empty event.
+    """
+    needed = expr.scope | expr.free
+    missing = needed - set(env)
+    if missing:
+        raise ScopeMismatch(f"environment lacks values for {sorted(missing)}")
+    pins = _symbols({n: env[n] for n in needed}, access)
+    order = {n: i for i, n in enumerate(access.names)}
+    _, run = _compile(expr, access.names, pins, order.get, True)
+    return float(run(access))
 
 
 def full_table(
@@ -453,19 +446,21 @@ def full_table(
     """Materialize the expression over its scope.
 
     ``fixed`` must cover the free references of the expression (for instance
-    the intervention values). With ``allow_free_axes`` the unfixed references
-    stay as extra axes instead, one distribution slice per configuration. The
-    result axes follow the base distribution's variable order; a total
-    deviating from 1 by more than 1e-6 is an error unless ``check_total`` is
-    disabled. The expression is compiled by :func:`compile_plan`; a ``plans``
-    dict, kept by the caller for this one expression, caches each plan under
-    the access's variable names and the fixed values.
+    the intervention values), each a symbol of the access. With
+    ``allow_free_axes`` the unfixed references stay as extra axes instead,
+    one distribution slice per configuration. The result axes follow the base
+    distribution's variable order; a total deviating from 1 by more than 1e-6
+    is an error unless ``check_total`` is disabled. The expression is
+    compiled by :func:`compile_plan`; a ``plans`` dict, kept by the caller
+    for this one expression, caches each plan under the access's variable
+    names and the fixed values.
     """
     fixed = dict(fixed or {})
     missing = expr.free - set(fixed)
     if missing and not allow_free_axes:
         raise ScopeMismatch(f"fixed values required for {sorted(missing)}")
     fixed = {n: v for n, v in fixed.items() if n not in expr.scope}
+    _symbols(fixed, access)
     if plans is None:
         plan = compile_plan(expr, access.names, fixed)
     else:

@@ -57,6 +57,14 @@ class LearnConfig:
     delta: float = 0.1
     alpha: float = 0.05
 
+    def __post_init__(self) -> None:
+        if not 0 < self.epsilon <= 1:
+            raise ValueError(f"epsilon must be in (0, 1], got {self.epsilon}")
+        if not 0 < self.delta < 1:
+            raise ValueError(f"delta must be in (0, 1), got {self.delta}")
+        if not 0 < self.alpha <= 1:
+            raise ValueError(f"alpha must be in (0, 1], got {self.alpha}")
+
 
 @dataclass(frozen=True)
 class RelativePartition:

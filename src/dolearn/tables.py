@@ -324,7 +324,12 @@ def ancestral_sample(
     cumulative table); every conditioning variable is drawn by an earlier step
     or held at its ``fixed`` value. Variables in ``keep`` are written straight
     into the rows of an (n_keep, m) buffer whose transpose is the batch.
+    A negative ``m`` or ``seed`` is a :class:`ValueError` naming it.
     """
+    if m < 0:
+        raise ValueError(f"sample size m must be non-negative, got {m}")
+    if seed < 0:
+        raise ValueError(f"seed must be non-negative, got {seed}")
     fixed = fixed or {}
     rng = np.random.default_rng(seed)
     slot = {n: i for i, n in enumerate(keep)}

@@ -9,10 +9,12 @@ from __future__ import annotations
 
 import csv
 import io as _io
+import math
 
 import numpy as np
 
 from dolearn.estimand import (
+    BaseDist,
     ChainProduct,
     Marginal,
     PositivityViolation,
@@ -20,7 +22,7 @@ from dolearn.estimand import (
     _is_base_chain,
 )
 from dolearn.scm import CausalBayesNet, CbnNode
-from dolearn.tables import PmfTable, strides_for
+from dolearn.tables import PmfTable, ScopeMismatch, iter_assignments, strides_for
 
 
 def draw_compare_and_cap(cum_rows: np.ndarray, u: np.ndarray) -> np.ndarray:
@@ -319,6 +321,70 @@ def node_table(expr, access, fixed) -> tuple[tuple[str, ...], np.ndarray]:
     fixed = {n: v for n, v in fixed.items() if n not in expr.scope}
     base_order = {n: i for i, n in enumerate(access.names)}
     return _node_table(expr, access, fixed, base_order.get)
+
+
+# -- the pointwise estimand interpreter, as it was before point evaluation ran
+#    the compiled plan ------------------------------------------------------
+
+
+def _card_map(access) -> dict[str, int]:
+    return dict(zip(access.names, access.cards))
+
+
+def _marginal_value(
+    expr,
+    keep: frozenset[str],
+    access,
+    env,
+    cards,
+) -> float:
+    summed = sorted(expr.scope - keep)
+    if not summed:
+        return _value(expr, access, env, cards)
+    total = []
+    env2 = dict(env)
+    for combo in iter_assignments(summed, [cards[v] for v in summed]):
+        env2.update(combo)
+        total.append(_value(expr, access, env2, cards))
+    return math.fsum(total)
+
+
+def _value(
+    expr,
+    access,
+    env,
+    cards,
+) -> float:
+    if isinstance(expr, BaseDist):
+        return access.pmf(env)
+    if isinstance(expr, Marginal):
+        return _marginal_value(expr.child, expr.scope, access, env, cards)
+    if isinstance(expr, Product):
+        out = 1.0
+        for c in expr.children:
+            out *= _value(c, access, env, cards)
+        return out
+    if isinstance(expr, ChainProduct):
+        out = 1.0
+        for v, zs in expr.conds:
+            zset = frozenset(zs)
+            den = _marginal_value(expr.child, zset, access, env, cards)
+            if den == 0.0:
+                raise PositivityViolation(v, {z: env[z] for z in zs})
+            num = _marginal_value(expr.child, zset | {v}, access, env, cards)
+            out *= num / den
+        return out
+    raise TypeError(f"unknown expression node {type(expr).__name__}")
+
+
+def evaluate(expr, access, env) -> float:
+    """The expression at one point, by walking the tree and summing bound
+    variables one assignment at a time through ``access.pmf``."""
+    needed = expr.scope | expr.free
+    missing = needed - set(env)
+    if missing:
+        raise ScopeMismatch(f"environment lacks values for {sorted(missing)}")
+    return _value(expr, access, env, _card_map(access))
 
 
 # -- random nets, as they were before the CPT rows were drawn in runs -----------

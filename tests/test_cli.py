@@ -179,6 +179,58 @@ def test_learn_self_generate_requires_seed(workdir, capsys):
     assert err["error"] == "MissingSeed"
 
 
+def test_learn_self_generate_requires_sample_size(workdir, capsys):
+    # the recommended size on fig3a is trillions of rows: it is reported, not drawn
+    from dolearn.learn import recommended_sample_size
+
+    tmp, g, net = workdir
+    code = main(["learn", "--graph", str(tmp / "graph.json"),
+                 "--query", str(tmp / "query.json"),
+                 "--cbn", str(tmp / "net.json"), "--seed", "1"])
+    assert code == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err = json.loads(captured.err)
+    recommended, _ = recommended_sample_size(g, g.indices({"X"}), 0.1, 0.1, 0.05)
+    assert err["error"] == "MissingSampleSize"
+    assert err["recommended_m"] == recommended > 10**12
+    assert str(recommended) in err["message"] and "--m" in err["message"]
+
+
+@pytest.mark.parametrize("epsilon", ["-1", "0", "2"])
+def test_learn_rejects_out_of_range_epsilon(workdir, capsys, epsilon):
+    tmp, g, net = workdir
+    code = main(["learn", "--graph", str(tmp / "graph.json"),
+                 "--query", str(tmp / "query.json"),
+                 "--cbn", str(tmp / "net.json"), "--seed", "1", "--m", "1000",
+                 "--epsilon", epsilon, "--out", str(tmp / "li.json")])
+    assert code == 4
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "ValueError"
+    assert "epsilon" in err["message"]
+    assert not (tmp / "li.json").exists()
+
+
+@pytest.mark.parametrize("command", ["simulate", "sample"])
+@pytest.mark.parametrize("flag, value", [("--m", "-3"), ("--seed", "-1")])
+def test_negative_sample_size_or_seed_fails_by_name(workdir, capsys, command, flag, value):
+    from dolearn.learn import fit_from_table
+
+    tmp, g, net = workdir
+    li = fit_from_table(exact_observational(net), g, {"X": 0})
+    (tmp / "li.json").write_text(dio.dump_json(dio.li_to_dict(li)))
+    source = ["--cbn", str(tmp / "net.json")] if command == "simulate" else [
+        "--li", str(tmp / "li.json")]
+    argv = [command, *source, "--seed", "3", "--m", "10"]
+    argv[argv.index(flag) + 1] = value
+    assert main(argv) == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err = json.loads(captured.err)
+    assert err["error"] == "ValueError"
+    assert err["message"].startswith(("sample size m" if flag == "--m" else "seed") + " must")
+
+
 def test_learn_positivity_exit_code(workdir, capsys):
     tmp, g, net = workdir
     code = main(["learn", "--graph", str(tmp / "graph.json"),

@@ -6,6 +6,8 @@ evaluator, structural identities, factor errors) against their hand-written
 forms, compiled estimand plans against the tree interpreter they replaced,
 and random nets against one Dirichlet draw per node."""
 
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -13,7 +15,7 @@ from hypothesis import strategies as st
 
 from dolearn.admg import Admg
 from dolearn.demo import fig3a_graph, fig4a_graph
-from dolearn.estimand import ZeroConditioningEvent, full_table
+from dolearn.estimand import ZeroConditioningEvent, chain_depth, evaluate, full_table
 from dolearn.generate import sample
 from dolearn.io import samples_to_csv
 from dolearn.identify import (
@@ -504,6 +506,23 @@ def _check_plans(g, x, net, m, seed):
                 assert got.names == want_names
                 assert got.probs.shape == want.shape
                 assert got.probs.tobytes() == want.tobytes()
+        _check_points(est, access, x)
+
+
+def _check_points(est, access, x):
+    """Point evaluation at every target assignment of the intervention: the
+    reference's value to 1e-12, or a positivity error wherever it raises."""
+    targets = sorted(est.targets, key=est.graph.names.index)
+    cards = [est.graph.cards[est.graph.index(n)] for n in targets]
+    for point in iter_assignments(targets, cards):
+        env = {**dict.fromkeys(est.arbitrary, 0), **x, **point}
+        try:
+            want = ref.evaluate(est.expr, access, env)
+        except PositivityViolation:
+            with pytest.raises(PositivityViolation):
+                evaluate(est.expr, access, env)
+            continue
+        assert abs(evaluate(est.expr, access, env) - want) <= 1e-12
 
 
 @settings(max_examples=100, deadline=None)
@@ -523,6 +542,38 @@ def test_compiled_plans_match_reference_on_tiny_batches(seed):
     g = random_admg(seed, 5, n_bidirected=3, cardinality=2 + seed % 2)
     x = {g.names[int(np.random.default_rng(seed).integers(5))]: 0}
     _check_plans(g, x, random_net_for(g, seed=seed), 20, seed)
+
+
+# the binary graphs random_admg(seed, 5, n_bidirected=3, max_component=5) with
+# target sets whose estimand nests a chain product inside another's child,
+# found by a search over seeds 0-999; the drawn graphs above almost never do,
+# and there the point and table binding rules differ most
+NESTED_CHAIN_SEEDS = (82, 88, 222, 321, 343, 372, 385, 417, 482, 530, 595, 668, 699,
+                      872, 887, 942)
+
+
+@pytest.mark.parametrize("seed", NESTED_CHAIN_SEEDS)
+def test_points_match_reference_on_nested_chains(seed):
+    g = random_admg(seed, 5, n_bidirected=3, max_component=5)
+    net = random_net_for(g, seed=seed)
+    rng = np.random.default_rng(seed)
+    nested = 0
+    for r in range(1, g.n):
+        for targets in itertools.combinations(g.names, r):
+            x = {n: int(rng.integers(g.cards[g.index(n)])) for n in g.names if n not in targets}
+            est = identify(CausalQuery(g, x, frozenset(targets)))
+            if isinstance(est, HedgeWitness) or chain_depth(est.expr) < 2:
+                continue
+            nested += 1
+            _check_plans(g, x, net, 30, seed + nested)
+    assert nested
+
+
+@pytest.mark.parametrize("seed", range(24))
+def test_points_match_reference_on_fig4a_tiny_batches(seed):
+    g = fig4a_graph()
+    x = dict(zip(("W", "R", "X"), map(int, np.random.default_rng(seed).integers(2, size=3))))
+    _check_plans(g, x, random_net_for(g, seed=seed), 10 + 5 * (seed % 4), seed)
 
 
 @settings(max_examples=100, deadline=None)

@@ -25,7 +25,7 @@ from dolearn.scm import (
     random_net_for,
     sample_observational,
 )
-from dolearn.tables import EmpiricalAccess, PmfTable, ScopeMismatch
+from dolearn.tables import EmpiricalAccess, PmfTable, Samples, ScopeMismatch
 
 
 def fair_coin():
@@ -65,6 +65,22 @@ class TestEvaluate:
     def test_missing_env_is_scope_mismatch(self):
         with pytest.raises(ScopeMismatch):
             evaluate(BaseDist(("X",)), fair_coin(), {})
+
+    def test_point_checks_only_the_events_it_reaches(self, fig4a):
+        # a batch with no rows at (W=1, R=0, X=0): the table for do(X=1)
+        # checks Y's conditioning events at every X and fails, while a point
+        # at X=1 reaches only X=1 events and evaluates
+        batch = sample_observational(random_net_for(fig4a, seed=11), 3, 2000)
+        v = batch.values
+        empty = (v[:, 0] == 1) & (v[:, 1] == 0) & (v[:, 2] == 0)
+        access = EmpiricalAccess(Samples(batch.names, v[~empty]), fig4a.cards)
+        x = {"W": 0, "R": 0, "X": 1}
+        est = identify(CausalQuery(fig4a, x, frozenset({"Y"})))
+        with pytest.raises(PositivityViolation) as exc:
+            est.table(access, x)
+        assert (exc.value.variable, exc.value.event) == ("Y", {"W": 1, "X": 0, "R": 0})
+        got = [est.evaluate(access, {**x, "Y": y}) for y in (0, 1)]
+        assert got == pytest.approx([0.16930466705133673, 0.8306953329486633], abs=1e-12)
 
     def test_marginal_linearity(self):
         t = PmfTable(("A", "B"), np.array([[0.1, 0.2], [0.3, 0.4]]))
@@ -122,6 +138,22 @@ class TestFullTable:
         assert exc.value.event == {"A": 1}
         with pytest.raises(ZeroConditioningEvent):
             evaluate(expr, t, {"A": 1, "B": 0})
+
+    @pytest.mark.parametrize("value", [-1, 2])
+    def test_fixed_values_outside_the_range_fail_by_name(self, fig3a, value):
+        # -1 would read the X=1 table and 2 would fail inside numpy
+        obs = exact_observational(random_net_for(fig3a, seed=7))
+        est = identify(CausalQuery(fig3a, {"X": 0}, frozenset({"Z1", "Z2", "Y"})))
+        for _ in range(2):  # with an empty plan cache, then with a warm one
+            with pytest.raises(ScopeMismatch, match="'X'"):
+                est.table(obs, {"X": value})
+            est.table(obs, {"X": 0})
+        with pytest.raises(ScopeMismatch, match="'X'"):
+            full_table(est.expr, obs, {"X": value})
+        with pytest.raises(ScopeMismatch, match="'X'"):
+            est.evaluate(obs, {"X": value, "Z1": 0, "Z2": 0, "Y": 0})
+        with pytest.raises(ScopeMismatch, match="'Y'"):
+            est.evaluate(obs, {"X": 0, "Z1": 0, "Z2": 0, "Y": value})
 
     def test_one_positivity_error_for_estimands_and_learner(self):
         from dolearn import learn

@@ -498,6 +498,19 @@ class TestBudget:
         tight, _ = recommended_sample_size(fig3a, xset, 0.05, 0.1, 0.1)
         assert 0 < loose < tight
 
+    @pytest.mark.parametrize("targets", [
+        {"epsilon": 0.0}, {"epsilon": -1.0}, {"epsilon": 1.5},
+        {"delta": 0.0}, {"delta": 1.0}, {"alpha": 0.0}, {"alpha": 1.01},
+        {"epsilon": float("nan")},
+    ])
+    def test_config_rejects_out_of_range_targets(self, targets):
+        name = next(iter(targets))
+        with pytest.raises(ValueError, match=name):
+            LearnConfig(**targets)
+
+    def test_config_accepts_range_ends(self):
+        assert LearnConfig(epsilon=1.0, delta=0.5, alpha=1.0).alpha == 1.0
+
     def test_budget_details(self, fig3a):
         m, detail = recommended_sample_size(fig3a, fig3a.indices({"X"}), 0.1, 0.1, 0.1)
         assert m >= max(detail["m_q"], detail["m_r"]) - 1
