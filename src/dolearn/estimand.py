@@ -290,8 +290,8 @@ def _compile(
     Two binding rules share the compiler. For a table (``point`` false) a pin
     binds only free references of chain products. For a point a pin binds
     every name it reaches: a :class:`Marginal` stops pins on its ``drop``, and
-    :func:`_compile_chain` passes its child only the pins the child sees at
-    one value. Marginals of the input distribution, alone or as chain
+    :func:`_compile_chain` passes its child, per factor, only the pins that
+    factor conditions on. Marginals of the input distribution, alone or as chain
     factors, come from the access itself, so the full joint is built only
     when a node needs it whole.
     """
@@ -340,35 +340,38 @@ def _compile_chain(
     summed, so a factor checks its conditioning events only at the pinned
     values; a pin on the factor's own variable is sliced after that check.
     For a table the child takes every pin and the chain slices only its free
-    references. For a point the child takes the pins on names every factor
-    conditions on, and on its own free references: some factor sums out each
-    other name, so the child is needed at all of its values.
+    references. For a point each factor runs the child pinned only on its own
+    conditioning set and the child's free references, as the tree interpreter
+    did; factors with the same pinned names share one run of the child.
     """
-    if point:
-        shared = frozenset.intersection(*(frozenset(zs) for _, zs in expr.conds))
-        child_pins = {n: v for n, v in pins.items() if n in shared or n in expr.child.free}
-    else:
-        child_pins = pins
+    base_chain = _is_base_chain(expr.child)
+    factor_pins = [pins if not point else
+                   {n: x for n, x in pins.items() if n in zs or n in expr.child.free}
+                   for _, zs in expr.conds]
+    if not point:
         pins = {n: v for n, v in pins.items() if n not in expr.scope}
     family = expr.child.free - set(pins)  # context axes: never summed out
-    base_chain = _is_base_chain(expr.child)
-    if not base_chain:
-        cnames, crun = _compile(expr.child, access_names, child_pins, order_key, point)
-    steps = []
+    children: dict[tuple, int] = {}  # child pins -> index into child_plans
+    child_plans, steps = [], []
     out_names: tuple[str, ...] = ()
-    for v, zs in expr.conds:
+    for (v, zs), child_pins in zip(expr.conds, factor_pins):
         keep = frozenset(zs) | {v} | family
         if base_chain:
-            sum_axes = None
+            child = sum_axes = None
             num_names = _leaf_names(keep, access_names)
         else:
+            child = children.setdefault(tuple(sorted(child_pins.items())), len(children))
+            if child == len(child_plans):
+                child_plans.append(
+                    _compile(expr.child, access_names, child_pins, order_key, point))
+            cnames = child_plans[child][0]
             sum_axes = tuple(i for i, n in enumerate(cnames) if n not in keep)
             num_names = tuple(n for n in cnames if n in keep)
         slc, num_names = _sliced(num_names, {n: x for n, x in pins.items() if n != v})
         v_slc, factor_names = _sliced(num_names, {v: pins[v]} if v in pins else {})
         target = tuple(sorted(set(out_names) | set(factor_names), key=order_key))
         steps.append((
-            keep, sum_axes, slc, v, num_names, num_names.index(v), v_slc,
+            keep, child, sum_axes, slc, v, num_names, num_names.index(v), v_slc,
             {n: pins[n] for n in zs if n in pins},
             _view(out_names, target), _view(factor_names, target),
         ))
@@ -379,11 +382,12 @@ def _compile_chain(
     final = _view(out_names, result_names)
 
     def run_chain(access: DistAccess) -> np.ndarray:
-        carr = None if base_chain else crun(access)
+        carrs = [run(access) for _, run in child_plans]
         out = _ONE
-        for (keep, sum_axes, slc, v, num_names, v_axis, v_slc, event_pins,
+        for (keep, child, sum_axes, slc, v, num_names, v_axis, v_slc, event_pins,
              out_view, factor_view) in steps:
-            num = access.marginal_probs(keep) if sum_axes is None else carr.sum(axis=sum_axes)
+            num = (access.marginal_probs(keep) if child is None
+                   else carrs[child].sum(axis=sum_axes))
             if slc is not None:
                 num = num[slc]
             den = num.sum(axis=v_axis, keepdims=True)

@@ -15,7 +15,14 @@ from hypothesis import strategies as st
 
 from dolearn.admg import Admg
 from dolearn.demo import fig3a_graph, fig4a_graph
-from dolearn.estimand import ZeroConditioningEvent, chain_depth, evaluate, full_table
+from dolearn.estimand import (
+    BaseDist,
+    ChainProduct,
+    ZeroConditioningEvent,
+    chain_depth,
+    evaluate,
+    full_table,
+)
 from dolearn.generate import sample
 from dolearn.io import samples_to_csv
 from dolearn.identify import (
@@ -44,7 +51,13 @@ from dolearn.scm import (
     random_net_for,
     sample_observational,
 )
-from dolearn.tables import EmpiricalAccess, Samples, draw_inverse_cdf, iter_assignments
+from dolearn.tables import (
+    EmpiricalAccess,
+    PmfTable,
+    Samples,
+    draw_inverse_cdf,
+    iter_assignments,
+)
 from dolearn.verify import (
     compare_to_oracle,
     kl_decomposition_sides,
@@ -574,6 +587,24 @@ def test_points_match_reference_on_fig4a_tiny_batches(seed):
     g = fig4a_graph()
     x = dict(zip(("W", "R", "X"), map(int, np.random.default_rng(seed).integers(2, size=3))))
     _check_plans(g, x, random_net_for(g, seed=seed), 10 + 5 * (seed % 4), seed)
+
+
+def test_points_match_reference_where_conditioning_sets_are_not_nested():
+    # identify's chains condition on nested sets; a hand-built chain need not.
+    # Factor C reads the child at A=0, factor D at B=0, so neither reaches the
+    # empty event (A=1, B=1) that the child's own factors condition on
+    abcd = ("A", "B", "C", "D")
+    probs = np.random.default_rng(5).dirichlet(np.ones(16)).reshape((2,) * 4)
+    probs[1, 1] = 0.0
+    obs = PmfTable(abcd, probs / probs.sum())
+    inner = ChainProduct(BaseDist(abcd), abcd, (("A", ()), ("B", ()), ("C", ("A", "B")),
+                                                ("D", ("A", "B", "C"))))
+    outer = ChainProduct(inner, ("C", "D"), (("C", ("A",)), ("D", ("B",))))
+    for c, d in itertools.product(range(2), repeat=2):
+        env = {"A": 0, "B": 0, "C": c, "D": d}
+        assert abs(evaluate(outer, obs, env) - ref.evaluate(outer, obs, env)) <= 1e-12
+    with pytest.raises(PositivityViolation):
+        evaluate(outer, obs, {"A": 1, "B": 1, "C": 0, "D": 0})
 
 
 @settings(max_examples=100, deadline=None)
