@@ -9,6 +9,7 @@ scale.
 
 from __future__ import annotations
 
+import heapq
 import itertools
 import math
 from dataclasses import dataclass
@@ -83,11 +84,11 @@ class CausalBayesNet:
             for p in nd.parents:
                 if p not in self._pos:
                     raise GraphError(f"{nd.name}: unknown parent {p!r}")
-            expected_rows = int(np.prod([self.node(p).cardinality for p in nd.parents]))
+            expected_rows = math.prod(self.node(p).cardinality for p in nd.parents)
             if nd.cpt.shape[0] != expected_rows:
                 raise GraphError(f"{nd.name}: cpt has {nd.cpt.shape[0]} rows, "
                                  f"expected {expected_rows}")
-        self.topological_order()  # raises CycleDetected on cycles
+        self._order = self._sort_topologically()  # raises CycleDetected on cycles
 
     def node(self, name: str) -> CbnNode:
         return self.nodes[self._pos[name]]
@@ -108,21 +109,24 @@ class CausalBayesNet:
         return self.node(name).cardinality
 
     def topological_order(self) -> tuple[str, ...]:
-        indeg = {nd.name: len(nd.parents) for nd in self.nodes}
-        children: dict[str, list[str]] = {nd.name: [] for nd in self.nodes}
-        for nd in self.nodes:
+        """Parents before children; among ready nodes, declaration order first."""
+        return self._order
+
+    def _sort_topologically(self) -> tuple[str, ...]:
+        indeg = [len(nd.parents) for nd in self.nodes]
+        children: list[list[int]] = [[] for _ in self.nodes]
+        for i, nd in enumerate(self.nodes):
             for p in nd.parents:
-                children[p].append(nd.name)
-        ready = sorted([n for n, d in indeg.items() if d == 0], key=self._pos.get)
+                children[self._pos[p]].append(i)
+        ready = [i for i, d in enumerate(indeg) if d == 0]  # a heap of positions
         out: list[str] = []
         while ready:
-            u = ready.pop(0)
-            out.append(u)
-            for c in children[u]:
+            i = heapq.heappop(ready)
+            out.append(self.nodes[i].name)
+            for c in children[i]:
                 indeg[c] -= 1
                 if indeg[c] == 0:
-                    ready.append(c)
-            ready.sort(key=self._pos.get)
+                    heapq.heappush(ready, c)
         if len(out) != len(self.nodes):
             raise CycleDetected("causal Bayes net graph contains a cycle")
         return tuple(out)

@@ -300,15 +300,21 @@ def draw_inverse_cdf(
     """Invert one uniform per draw through the cumulative row it selects.
 
     ``cum`` has one cumulative-probability row per conditioning configuration.
-    ``out[i]`` becomes the number of thresholds of row ``rows[i]`` that
-    ``u[i]`` exceeds, capped at ``card - 1`` so that rounding in the last
-    cumulative entry cannot yield an out-of-range symbol.
+    ``out[i]`` becomes the number of the ``card - 1`` smallest thresholds of
+    row ``rows[i]`` that ``u[i]`` exceeds. On every row, sorted or not, that
+    is the count of all ``card`` thresholds exceeded capped at ``card - 1``,
+    so rounding in the last cumulative entry cannot yield an out-of-range
+    symbol, and the draws for a seed are those of the compare-and-cap form.
+    A binary variable costs one gather and one compare; card 1 writes zeros.
     """
     card = cum.shape[1]
-    np.greater(u, np.take(cum[:, 0], rows), out=out)
-    for k in range(1, card):
-        out += u > np.take(cum[:, k], rows)
-    np.minimum(out, card - 1, out=out)
+    if card == 1:
+        out.fill(0)
+        return
+    thresholds = np.sort(cum, axis=1)[:, : card - 1].T.copy()  # one contiguous row per rank
+    np.greater(u, np.take(thresholds[0], rows), out=out)
+    for tau in thresholds[1:]:
+        out += u > np.take(tau, rows)
 
 
 def ancestral_sample(
@@ -324,6 +330,9 @@ def ancestral_sample(
     cumulative table); every conditioning variable is drawn by an earlier step
     or held at its ``fixed`` value. Variables in ``keep`` are written straight
     into the rows of an (n_keep, m) buffer whose transpose is the batch.
+    The row index of each draw is built in one buffer kept for the whole
+    call, from the drawn conditioning variables only; the ``fixed`` ones add
+    up to one row offset into the table.
     A negative ``m`` or ``seed`` is a :class:`ValueError` naming it.
     """
     if m < 0:
@@ -336,13 +345,20 @@ def ancestral_sample(
     buf = np.empty((len(keep), m), dtype=np.int64)
     cols: dict[str, np.ndarray] = {}
     u = np.empty(m, dtype=np.float64)
+    index = np.empty(m, dtype=np.int64)
     for name, cond, strides, cum in steps:
+        offset = 0
         rows: np.ndarray | int = 0
         for c, s in zip(cond, strides):
-            rows = rows + (fixed[c] * s if c in fixed else cols[c] * s)
+            if c in fixed:
+                offset += fixed[c] * s
+            elif rows is index:  # a later drawn parent adds into the buffer
+                index += cols[c] * s
+            else:
+                rows = np.multiply(cols[c], s, out=index)
         out = buf[slot[name]] if name in slot else np.empty(m, dtype=np.int64)
         rng.random(out=u)
-        draw_inverse_cdf(cum, rows, u, out)
+        draw_inverse_cdf(cum[offset:], rows, u, out)
         cols[name] = out
     return Samples(tuple(keep), buf.T, rng_algorithm=RNG_ALGORITHM)
 

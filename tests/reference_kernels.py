@@ -32,11 +32,33 @@ def draw_compare_and_cap(cum_rows: np.ndarray, u: np.ndarray) -> np.ndarray:
     return np.minimum(vals, card - 1).astype(np.int64)
 
 
+def net_topological_order(net) -> tuple[str, ...]:
+    """Kahn's sort with the ready list re-sorted by declaration position after
+    every step, recomputed from the nodes on each call."""
+    pos = {nd.name: i for i, nd in enumerate(net.nodes)}
+    indeg = {nd.name: len(nd.parents) for nd in net.nodes}
+    children: dict[str, list[str]] = {nd.name: [] for nd in net.nodes}
+    for nd in net.nodes:
+        for p in nd.parents:
+            children[p].append(nd.name)
+    ready = sorted([n for n, d in indeg.items() if d == 0], key=pos.get)
+    out: list[str] = []
+    while ready:
+        u = ready.pop(0)
+        out.append(u)
+        for c in children[u]:
+            indeg[c] -= 1
+            if indeg[c] == 0:
+                ready.append(c)
+        ready.sort(key=pos.get)
+    return tuple(out)
+
+
 def sample_observational(net, seed: int, m: int) -> np.ndarray:
     """(m, n_observed) draws: per-node row gather, compare-and-cap, stack."""
     rng = np.random.default_rng(seed)
     cols: dict[str, np.ndarray] = {}
-    for name in net.topological_order():
+    for name in net_topological_order(net):
         nd = net.node(name)
         rows = np.zeros(m, dtype=np.int64)
         strides = strides_for([net.cardinality(p) for p in nd.parents])

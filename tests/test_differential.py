@@ -4,13 +4,14 @@ loop-and-stack forms, the fragment learner against its former copy of the
 identification recursion, the row products (oracle joints, learned
 evaluator, structural identities, factor errors) against their hand-written
 forms, compiled estimand plans against the tree interpreter they replaced,
-and random nets against one Dirichlet draw per node."""
+and random nets against one Dirichlet draw per node and their sampling
+order against a re-sorted Kahn sort."""
 
 import itertools
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from dolearn.admg import Admg
@@ -103,6 +104,39 @@ def test_draw_kernel_caps_a_short_last_threshold():
     assert np.array_equal(out, ref.draw_compare_and_cap(cum[[0, 0, 0]], u))
 
 
+@st.composite
+def cumulative_rows(draw):
+    """Arbitrary cumulative tables: cards 1-5, unsorted and duplicated
+    entries, entries just above 1, and uniforms on and next to every entry."""
+    card = draw(st.integers(1, 5))
+    n_rows = draw(st.integers(1, 4))
+    special = [0.0, 0.25, 0.5, 1.0 - 1e-13, 1.0, float(np.nextafter(1.0, 2.0)), 1.0 + 1e-12]
+    entry = st.one_of(st.sampled_from(special), st.floats(0.0, 1.0))
+    cum = np.array(draw(st.lists(entry, min_size=card * n_rows, max_size=card * n_rows)))
+    cum = cum.reshape(n_rows, card)
+    rows, u = [], []
+    for r in range(n_rows):
+        for t in cum[r]:
+            for v in (t, np.nextafter(t, -np.inf), np.nextafter(t, np.inf)):
+                rows.append(r)
+                u.append(v)
+    extra = draw(st.lists(st.tuples(st.integers(0, n_rows - 1), st.floats(0.0, 1.0)), max_size=8))
+    rows += [r for r, _ in extra]
+    u += [v for _, v in extra]
+    return cum, np.array(rows, dtype=np.int64), np.array(u, dtype=np.float64)
+
+
+@settings(max_examples=300, deadline=None)
+@given(cumulative_rows())
+def test_draw_kernel_counts_the_smallest_thresholds_as_compare_and_cap(case):
+    cum, rows, u = case
+    out = np.full(len(u), -1, dtype=np.int64)
+    draw_inverse_cdf(cum, rows, u, out)
+    assert np.array_equal(out, ref.draw_compare_and_cap(cum[rows], u))
+    draw_inverse_cdf(cum, 0, u, out)
+    assert np.array_equal(out, ref.draw_compare_and_cap(cum[np.zeros(len(u), dtype=int)], u))
+
+
 def _card3_net():
     g = random_admg(5, 6, n_bidirected=2, cardinality=3)
     return g, random_net_for(g, seed=5)
@@ -163,6 +197,51 @@ def test_generate_sample_matches_reference(li):
     assert draws.names == li.order
     assert draws.rng_algorithm == "numpy-pcg64"
     assert np.array_equal(draws.values, ref.generate_sample(li, 9, 4_000))
+
+
+def _check_generate(li, seed, m):
+    draws = sample(li, seed=seed, m=m)
+    assert np.array_equal(draws.values, ref.generate_sample(li, seed, m))
+    assert draws.values.dtype == np.int64
+    again = sample(li, seed=seed, m=m)
+    assert np.array_equal(again.values, draws.values)
+    cols = [draws.values[:, j] for j in range(len(li.order))]
+    for a, b in itertools.combinations(cols, 2):
+        assert not np.shares_memory(a, b)
+
+
+def test_generate_offsets_rows_by_a_fixed_parent_between_drawn_ones():
+    # V3 conditions on (V0, V1, V2) with V1 intervened: the fixed parent sits
+    # between two drawn ones, and V1 and V3 are ternary
+    g = Admg.build([("V0", 2), ("V1", 3), ("V2", 2), ("V3", 3)],
+                   [("V0", "V3"), ("V1", "V3"), ("V2", "V3")])
+    net = random_net_for(g, seed=4)
+    for x in ({"V1": 0}, {"V1": 2}, {"V1": 1, "V2": 1}):
+        li = fit_from_table(exact_observational(net), g, x)
+        assert li.factors["V3"].cond == ("V0", "V1", "V2")
+        _check_generate(li, seed=5, m=3_000)
+        li = learn_interventional(sample_observational(net, 6, 5_000), g, x)
+        _check_generate(li, seed=7, m=3_000)
+
+
+@st.composite
+def intervened_cases(draw):
+    """A random mixed graph with binary and ternary variables and one or two
+    intervened variables at random values, leaving at least one target."""
+    g = draw(admgs(max_n=5, max_bidirected=3, cardinalities=(2, 3), min_n=2))
+    x_names = draw(st.lists(st.sampled_from(g.names), min_size=1, max_size=min(2, g.n - 1),
+                            unique=True))
+    x = {n: draw(st.integers(0, g.cards[g.index(n)] - 1)) for n in x_names}
+    return g, x, draw(st.integers(0, 2**16))
+
+
+@settings(max_examples=60, deadline=None)
+@given(intervened_cases())
+def test_generate_with_intervened_parents_matches_reference(case):
+    g, x, seed = case
+    assume(is_identifiable(CausalQuery(g, x, frozenset(g.names) - set(x))))
+    li = fit_from_table(exact_observational(random_net_for(g, seed=seed)), g, x)
+    _check_generate(li, seed=seed, m=2_000)
 
 
 @pytest.mark.parametrize("li", LEARNED)
@@ -619,3 +698,12 @@ def test_random_net_rows_match_per_node_draws(g, seed, hidden_card, gamma):
                                                                 b.parents, b.hidden)
         assert a.cpt.shape == b.cpt.shape
         assert a.cpt.tobytes() == b.cpt.tobytes()
+
+
+@settings(max_examples=100, deadline=None)
+@given(admgs(max_n=6, max_bidirected=4), st.randoms(use_true_random=False))
+def test_net_topological_order_matches_reference(g, rnd):
+    nodes = list(random_net_for(g, seed=0).nodes)
+    rnd.shuffle(nodes)  # declaration order no longer topological
+    net = CausalBayesNet(nodes)
+    assert net.topological_order() == ref.net_topological_order(net)
