@@ -12,9 +12,13 @@ plus failed and attempted ops and the machine record. Workloads named in
     python3 scripts/bench_pairs.py --parent HEAD~1 --pairs 10 --out BENCH_8.json \\
         --workloads learn-large,fragments,oracle-sweep,cli-files --trace learn-large
 
-A workload runs at seed 0 unless written ``W@S``; its entry is then keyed
-``W@S``. Nothing under ``bench/`` is written except the runs' own records in
-``bench/out/``.
+A workload, in either list, runs at seed 0 unless written ``W@S``; its entry is
+then keyed ``W@S``. Every name is checked against ``BENCHMARK.json`` before the
+first run, and the output file is rewritten after each workload, so a failed
+run keeps the workloads before it. Runs take ``bench/run.py``'s own run length.
+The record's ``what`` line names the two sides; edit it by hand to say what the
+change does. Nothing under ``bench/`` is written except the runs' own records
+in ``bench/out/``.
 """
 
 from __future__ import annotations
@@ -47,11 +51,10 @@ def extract(ref: str, dest: Path) -> None:
         tar.extractall(dest, filter="data")
 
 
-def run_bench(checkout: Path, workload: str, seed: int, seconds: float,
-              trace: bool) -> tuple[dict, dict]:
+def run_bench(checkout: Path, workload: str, seed: int, trace: bool) -> tuple[dict, dict]:
     """One benchmark run: its machine record and its final JSON line."""
     cmd = [sys.executable, "bench/run.py", "--workload", workload, "--seed", str(seed),
-           "--seconds", str(seconds), "--trace", str(int(trace))]
+           "--trace", str(int(trace))]
     proc = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True,
                           timeout=RUN_TIMEOUT_S)
     if proc.returncode != 0:
@@ -67,8 +70,8 @@ def summary(runs: list[float]) -> dict:
     return {"median": float(median), "q1": float(q1), "q3": float(q3), "runs": runs}
 
 
-def pair_workload(checkouts: dict[str, Path], workload: str, seed: int, seconds: float,
-                  pairs: int, better: dict[str, str]) -> tuple[dict, dict]:
+def pair_workload(checkouts: dict[str, Path], workload: str, seed: int, pairs: int,
+                  better: dict[str, str]) -> tuple[dict, dict]:
     values: dict[str, dict[str, list[float]]] = {"parent": {}, "change": {}}
     failed = {"parent": 0, "change": 0}
     attempted = {"parent": 0, "change": 0}
@@ -76,7 +79,7 @@ def pair_workload(checkouts: dict[str, Path], workload: str, seed: int, seconds:
     for i in range(pairs):
         order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
         for side in order:
-            env, last = run_bench(checkouts[side], workload, seed, seconds, trace=False)
+            env, last = run_bench(checkouts[side], workload, seed, trace=False)
             failed[side] += last["failed"]
             attempted[side] += last["attempted"]
             for name, entry in last["metrics"].items():
@@ -96,48 +99,63 @@ def pair_workload(checkouts: dict[str, Path], workload: str, seed: int, seconds:
     return out, env
 
 
+def parse_workloads(items: str, known: set[str]) -> list[tuple[str, str, int]]:
+    """``(key, workload, seed)`` for each comma-separated ``W`` or ``W@S``."""
+    parsed = []
+    for item in filter(None, items.split(",")):
+        workload, _, seed = item.partition("@")
+        if workload not in known:
+            raise SystemExit(f"unknown workload {workload!r}; BENCHMARK.json declares "
+                             f"{', '.join(sorted(known))}")
+        parsed.append((item, workload, int(seed or 0)))
+    return parsed
+
+
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--parent", required=True, help="git ref of the parent commit")
     ap.add_argument("--workloads", required=True, help="comma-separated, each W or W@SEED")
     ap.add_argument("--pairs", type=int, default=10)
-    ap.add_argument("--seconds", type=float, default=20.0)
-    ap.add_argument("--trace", default="", help="comma-separated workloads to trace once")
-    ap.add_argument("--what", default="", help="one line on what the change does")
+    ap.add_argument("--trace", default="", help="comma-separated W or W@SEED to trace once")
     ap.add_argument("--out", required=True, type=Path)
     args = ap.parse_args()
 
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
     better = {m["name"]: m["better"] for m in spec["end_to_end"]}
+    known = {w["name"] for w in spec["workloads"]}
+    workloads = parse_workloads(args.workloads, known)
+    traces = parse_workloads(args.trace, known)
     parent_commit = git("rev-parse", args.parent).decode().strip()
     record: dict = {
-        "what": args.what or f"parent {parent_commit[:7]} against the working tree",
-        "command": f"python3 bench/run.py --workload W (seed 0 unless W@S, "
-                   f"{args.seconds:g} s per run, untraced)",
+        "what": f"parent {parent_commit[:7]} against the working tree",
+        "command": "python3 bench/run.py --workload W --seed S --trace 0 (S is 0 unless "
+                   "the entry is keyed W@S; bench/run.py's default run length)",
         "protocol": "pairs of parent and change runs, each in its own checkout, alternating "
                     "which side runs first; a pair is won by the side with the better value",
         "machine": {},
         "parent_commit": parent_commit,
         "workloads": {},
     }
+
+    def write() -> None:
+        args.out.write_text(json.dumps(record, indent=1) + "\n")
+
     with tempfile.TemporaryDirectory(prefix="bench-parent-") as tmp:
         checkouts = {"parent": Path(tmp), "change": ROOT}
         extract(parent_commit, checkouts["parent"])
-        for item in args.workloads.split(","):
-            workload, _, seed = item.partition("@")
-            entry, env = pair_workload(checkouts, workload, int(seed or 0), args.seconds,
-                                       args.pairs, better)
-            record["workloads"][item] = entry
+        for key, workload, seed in workloads:
+            entry, env = pair_workload(checkouts, workload, seed, args.pairs, better)
+            record["workloads"][key] = entry
             record["machine"] = {k: env.get(k) for k in MACHINE_KEYS}
-        for workload in filter(None, args.trace.split(",")):
-            traced = {"command": f"python3 bench/run.py --workload {workload} --trace 1 "
-                                 f"(seed 0, {args.seconds:g} s), one run per side; "
-                                 "values per traced pass"}
+            write()
+        for key, workload, seed in traces:
+            traced = {"command": f"python3 bench/run.py --workload {workload} --seed {seed} "
+                                 "--trace 1, one run per side; values per traced pass"}
             for side in ("parent", "change"):
-                _, last = run_bench(checkouts[side], workload, 0, args.seconds, trace=True)
+                _, last = run_bench(checkouts[side], workload, seed, trace=True)
                 traced[side] = {k: v["value"] for k, v in sorted(last["metrics"].items())}
-            record[f"traced_{workload.replace('-', '_')}"] = traced
-    args.out.write_text(json.dumps(record, indent=1) + "\n")
+            record[f"traced_{key.replace('-', '_').replace('@', '_seed')}"] = traced
+            write()
     return 0
 
 
