@@ -47,47 +47,47 @@ class _CliError(Exception):
         super().__init__(message)
 
 
-def _fail(code: int, error: str, message: str, **details) -> "_CliError":
-    return _CliError(code, error, message, **details)
-
-
 def _read_json(path: str):
     try:
         with open(path) as fh:
             return json.load(fh)
     except FileNotFoundError:
-        raise _fail(EXIT_INPUT, "FileNotFound", f"no such file: {path}")
+        raise _CliError(EXIT_INPUT, "FileNotFound", f"no such file: {path}")
     except json.JSONDecodeError as exc:
-        raise _fail(EXIT_INPUT, "BadJson", f"{path}: {exc}")
+        raise _CliError(EXIT_INPUT, "BadJson", f"{path}: {exc}")
 
 
 def _read_text(path: str) -> str:
     try:
         return Path(path).read_text()
     except FileNotFoundError:
-        raise _fail(EXIT_INPUT, "FileNotFound", f"no such file: {path}")
+        raise _CliError(EXIT_INPUT, "FileNotFound", f"no such file: {path}")
 
 
-def _emit(args, obj) -> None:
-    text = dio.dump_json(obj)
+def _write(args, text: str) -> None:
+    """Write a command's output to ``--out``, or to stdout without one."""
     if getattr(args, "out", None):
         Path(args.out).write_text(text)
     else:
         sys.stdout.write(text)
 
 
+def _emit(args, obj) -> None:
+    _write(args, dio.dump_json(obj))
+
+
 def _load_graph(path: str):
     try:
         return dio.admg_from_dict(_read_json(path))
     except GraphError as exc:
-        raise _fail(EXIT_INPUT, "GraphError", str(exc))
+        raise _CliError(EXIT_INPUT, "GraphError", str(exc))
 
 
 def _load_net(path: str):
     try:
         return dio.net_from_dict(_read_json(path))
     except (GraphError, KeyError, ValueError) as exc:
-        raise _fail(EXIT_INPUT, "NetError", f"{path}: {exc}")
+        raise _CliError(EXIT_INPUT, "NetError", f"{path}: {exc}")
 
 
 def _load_query(path: str):
@@ -95,7 +95,7 @@ def _load_query(path: str):
     try:
         return dio.query_from_dict(obj)
     except (KeyError, TypeError, ValueError) as exc:
-        raise _fail(EXIT_INPUT, "QueryError", f"{path}: {exc}")
+        raise _CliError(EXIT_INPUT, "QueryError", f"{path}: {exc}")
 
 
 # -- subcommands -----------------------------------------------------------------
@@ -109,7 +109,7 @@ def _cmd_identify(args) -> int:
     try:
         q = CausalQuery(g, x, targets)
     except InvalidQuery as exc:
-        raise _fail(EXIT_INPUT, "InvalidQuery", str(exc))
+        raise _CliError(EXIT_INPUT, "InvalidQuery", str(exc))
     result = identify(q)
     if isinstance(result, HedgeWitness):
         _emit(args, dio.hedge_to_dict(result))
@@ -136,11 +136,7 @@ def _cmd_oracle(args) -> int:
 def _cmd_simulate(args) -> int:
     net = _load_net(args.cbn)
     samples = sample_observational(net, seed=args.seed, m=args.m)
-    text = dio.samples_to_csv(samples)
-    if args.out:
-        Path(args.out).write_text(text)
-    else:
-        sys.stdout.write(text)
+    _write(args, dio.samples_to_csv(samples))
     print(dio.dump_json({"m": samples.m, "seed": args.seed,
                          "rng_algorithm": samples.rng_algorithm}),
           file=sys.stderr, end="")
@@ -161,21 +157,21 @@ def _cmd_learn(args) -> int:
         try:
             samples = dio.samples_from_csv(_read_text(args.samples))
         except dio.SampleCsvError as exc:
-            raise _fail(EXIT_INPUT, "SampleCsvError", f"{args.samples}: {exc}")
+            raise _CliError(EXIT_INPUT, "SampleCsvError", f"{args.samples}: {exc}")
     elif args.cbn:
         if args.seed is None:
-            raise _fail(EXIT_INPUT, "MissingSeed",
-                        "--seed is required when sampling from --cbn")
+            raise _CliError(EXIT_INPUT, "MissingSeed",
+                            "--seed is required when sampling from --cbn")
         if args.m is None:
             m, _detail = recommended_sample_size(
                 g, g.indices(x), config.epsilon, config.delta, config.alpha
             )
-            raise _fail(EXIT_INPUT, "MissingSampleSize",
-                        f"--m is required when sampling from --cbn; the recommended "
-                        f"sample size for these targets is {m}", recommended_m=m)
+            raise _CliError(EXIT_INPUT, "MissingSampleSize",
+                            f"--m is required when sampling from --cbn; the recommended "
+                            f"sample size for these targets is {m}", recommended_m=m)
         samples = sample_observational(_load_net(args.cbn), seed=args.seed, m=args.m)
     else:
-        raise _fail(EXIT_INPUT, "MissingInput", "provide --samples or --cbn")
+        raise _CliError(EXIT_INPUT, "MissingInput", "provide --samples or --cbn")
     li = learn_interventional(samples, g, x, config)
     _emit(args, dio.li_to_dict(li))
     return EXIT_OK
@@ -193,11 +189,7 @@ def _cmd_eval(args) -> int:
 def _cmd_sample(args) -> int:
     li = dio.li_from_dict(_read_json(args.li))
     samples = generate_sample(li, seed=args.seed, m=args.m)
-    text = dio.samples_to_csv(samples)
-    if args.out:
-        Path(args.out).write_text(text)
-    else:
-        sys.stdout.write(text)
+    _write(args, dio.samples_to_csv(samples))
     return EXIT_OK
 
 

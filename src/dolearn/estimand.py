@@ -443,7 +443,6 @@ def full_table(
     expr: DistExpr,
     access: DistAccess,
     fixed: Mapping[str, int] | None = None,
-    check_total: bool = True,
     allow_free_axes: bool = False,
     plans: dict | None = None,
 ) -> PmfTable:
@@ -454,10 +453,9 @@ def full_table(
     ``allow_free_axes`` the unfixed references stay as extra axes instead,
     one distribution slice per configuration. The result axes follow the base
     distribution's variable order; a total deviating from 1 by more than 1e-6
-    is an error unless ``check_total`` is disabled. The expression is
-    compiled by :func:`compile_plan`; a ``plans`` dict, kept by the caller
-    for this one expression, caches each plan under the access's variable
-    names and the fixed values.
+    is an error. The expression is compiled by :func:`compile_plan`; a
+    ``plans`` dict, kept by the caller for this one expression, caches each
+    plan under the access's variable names and the fixed values.
     """
     fixed = dict(fixed or {})
     missing = expr.free - set(fixed)
@@ -476,7 +474,7 @@ def full_table(
     if missing:
         return PmfTable(plan.names, arr, context=fixed, normalized=False)
     total = float(arr.sum())
-    if check_total and abs(total - 1.0) > TABLE_TOTAL_TOL:
+    if abs(total - 1.0) > TABLE_TOTAL_TOL:
         raise ValueError(f"estimand table mass {total!r} deviates from 1")
     return PmfTable(plan.names, arr, context=fixed, normalized=abs(total - 1.0) <= 1e-9)
 

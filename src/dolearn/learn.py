@@ -129,7 +129,10 @@ class ConditionalTable:
             raise ScopeMismatch(
                 f"{self.target}: {probs.shape[0]} rows, expected {expected}"
             )
-        if np.abs(probs.sum(axis=1) - 1.0).max(initial=0.0) > ROW_TOL:
+        # written so that NaN fails both checks
+        if not probs.min(initial=0.0) >= -ROW_TOL:
+            raise ValueError(f"{self.target}: negative or NaN conditional entry")
+        if not np.abs(probs.sum(axis=1) - 1.0).max(initial=0.0) <= ROW_TOL:
             raise ValueError(f"{self.target}: conditional rows must sum to 1")
 
     @cached_property

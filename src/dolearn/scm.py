@@ -58,11 +58,13 @@ class CbnNode:
         if cpt.shape[1] != self.cardinality:
             raise GraphError(f"{self.name}: cpt has {cpt.shape[1]} columns, "
                              f"expected {self.cardinality}")
-        if cpt.min() < -CPT_ROW_TOL:
-            raise GraphError(f"{self.name}: negative cpt entry")
-        bad = np.abs(cpt.sum(axis=1) - 1.0) > CPT_ROW_TOL
-        if bad.any():
-            raise GraphError(f"{self.name}: cpt row {int(np.argmax(bad))} does not sum to 1")
+        # written so that NaN fails both checks
+        if not cpt.min() >= -CPT_ROW_TOL:
+            raise GraphError(f"{self.name}: negative or NaN cpt entry")
+        off = np.abs(cpt.sum(axis=1) - 1.0)
+        if not off.max() <= CPT_ROW_TOL:
+            row = int(np.argmax(~(off <= CPT_ROW_TOL)))
+            raise GraphError(f"{self.name}: cpt row {row} does not sum to 1")
 
 
 class CausalBayesNet:
@@ -313,6 +315,21 @@ def _floored_rows(rng: np.random.Generator, n_rows: int, card: int, gamma: float
     return rows / rows.sum(axis=1, keepdims=True)
 
 
+def hidden_names(g: Admg) -> list[str]:
+    """One hidden node name per bidirected edge, in sorted edge order:
+    ``U{k}``, prefixed with ``_`` until no observable or earlier hidden node
+    has it."""
+    names: list[str] = []
+    taken = set(g.names)
+    for k in range(len(g.bidirected)):
+        name = f"U{k}"
+        while name in taken:
+            name = "_" + name
+        names.append(name)
+        taken.add(name)
+    return names
+
+
 def random_net_for(
     g: Admg,
     seed: int,
@@ -328,20 +345,13 @@ def random_net_for(
     the seed's stream exactly as one draw per node would.
     """
     rng = np.random.default_rng(seed)
-    hidden_names = []
-    base = set(g.names)
-    for k, _ in enumerate(g.bidirected):
-        name = f"U{k}"
-        while name in base:
-            name = "_" + name
-        hidden_names.append(name)
-        base.add(name)
+    hidden = hidden_names(g)
     edge_list = sorted(g.bidirected)
     # (name, cardinality, parents, hidden) per node, in declaration order
-    specs = [(h, hidden_cardinality, (), True) for h in hidden_names]
+    specs = [(h, hidden_cardinality, (), True) for h in hidden]
     for i, name in enumerate(g.names):
         parents = [g.names[p] for p in sorted(g.parents(i))]
-        parents += [hidden_names[k] for k, e in enumerate(edge_list) if i in e]
+        parents += [hidden[k] for k, e in enumerate(edge_list) if i in e]
         specs.append((name, g.cards[i], tuple(parents), False))
     card_of = {name: card for name, card, _, _ in specs}
     nodes: list[CbnNode] = []

@@ -4,22 +4,33 @@ When identification fails, two ground-truth models must exist that agree on
 every observational probability yet disagree interventionally. This module
 finds such a pair by searching parity mechanisms: every hidden variable is a
 fair bit and every observable XORs a chosen subset of its structural inputs,
-optionally negated. Observational and interventional distributions of such
-models are uniform over affine subspaces of bit vectors, so distribution
-equality is decided exactly with integer linear algebra, with no floating
-point in the search loop.
+optionally negated. Each hidden assignment is equally likely, so a model's
+distribution over some observables is the multiset of their values under
+all 2^r assignments of its r hidden bits. That multiset, sorted, is the key:
+exact integer counts, no floating point in the search loop. A key costs 2^r
+steps per model; the oracle check of each candidate pair already enumerates
+2^(n+r) joint states.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from typing import Iterator, Mapping
+from typing import Iterable, Iterator, Mapping
 
 import numpy as np
 
 from .admg import Admg
-from .scm import CausalBayesNet, CbnNode, exact_interventional, exact_observational
+from .scm import (
+    CausalBayesNet,
+    CbnNode,
+    exact_interventional,
+    exact_observational,
+    hidden_names,
+)
 from .verify import exact_tv
+
+MAX_MODELS = 250_000
 
 
 @dataclass(frozen=True)
@@ -34,31 +45,6 @@ class IndistinguishablePair:
     interventional_tv: float
 
 
-def _reduce(basis: Iterator[int], vec: int) -> int:
-    """Reduce a bit vector modulo an echelon basis (descending leaders)."""
-    for b in sorted(basis, reverse=True):
-        vec = min(vec, vec ^ b)
-    return vec
-
-
-def _echelon(vectors: Iterator[int]) -> tuple[int, ...]:
-    """Unique reduced echelon basis of the span, so equal subspaces always
-    produce equal keys."""
-    basis: list[int] = []
-    for v in vectors:
-        v = _reduce(basis, v)
-        if v:
-            basis.append(v)
-            basis.sort(reverse=True)
-    # clear each leader from every other vector (Gauss-Jordan over GF(2))
-    for b in sorted(basis, reverse=True):
-        lead = 1 << (b.bit_length() - 1)
-        for j, w in enumerate(basis):
-            if w != b and w & lead:
-                basis[j] = w ^ b
-    return tuple(sorted(basis))
-
-
 class _ParitySearch:
     def __init__(self, g: Admg, x: Mapping[str, int]):
         if any(c != 2 for c in g.cards):
@@ -66,103 +52,79 @@ class _ParitySearch:
         self.g = g
         self.x = {g.index(n): int(v) for n, v in x.items()}
         self.order = g.topological_order()
-        self.edges = sorted(g.bidirected)
-        self.r = len(self.edges)
-        # per node: list of input labels, ("v", parent) before ("u", edge_id)
-        self.inputs: list[list[tuple[str, int]]] = []
-        for i in range(g.n):
-            ins: list[tuple[str, int]] = [("v", p) for p in sorted(g.parents(i))]
-            ins += [("u", k) for k, e in enumerate(self.edges) if i in e]
-            self.inputs.append(ins)
+        edges = sorted(g.bidirected)
+        self.r = len(edges)
+        # per node: its inputs, parents before hidden bits; input j < g.n is
+        # observable j and input g.n + k is hidden bit k
+        self.inputs = [
+            sorted(g.parents(i)) + [g.n + k for k, e in enumerate(edges) if i in e]
+            for i in range(g.n)
+        ]
         self.target = sorted(set(range(g.n)) - set(self.x))
+        # a variable's bitmask holds its value under every hidden assignment:
+        # bit a is the value when hidden bit k is bit k of a
+        self.full = (1 << 2**self.r) - 1
+        self.hidden = [
+            sum(1 << a for a in range(2**self.r) if a >> k & 1) for k in range(self.r)
+        ]
 
-    def model_count(self) -> int:
-        total = 1
-        for ins in self.inputs:
-            total *= 2 ** (len(ins) + 1)
-        return total
-
-    def _rows(self, model: tuple[int, ...], intervened: bool) -> tuple[list[int], list[int]]:
-        """Affine form of every observable over the hidden bits."""
-        rows = [0] * self.g.n
-        consts = [0] * self.g.n
+    def _bitmasks(self, model: tuple[int, ...], clamp: Mapping[int, int]) -> list[int]:
+        """Every observable's bitmask, then the hidden bits'; a clamped
+        variable is constant."""
+        masks = [0] * self.g.n + self.hidden
         for i in self.order:
-            if intervened and i in self.x:
-                rows[i] = 0
-                consts[i] = self.x[i]
+            if i in clamp:
+                masks[i] = self.full * clamp[i]
                 continue
-            mask = model[i]
-            row, const = 0, (mask >> len(self.inputs[i])) & 1
-            for bit, (kind, ref) in enumerate(self.inputs[i]):
-                if not (mask >> bit) & 1:
-                    continue
-                if kind == "u":
-                    row ^= 1 << ref
-                else:
-                    row ^= rows[ref]
-                    const ^= consts[ref]
-            rows[i] = row
-            consts[i] = const
-        return rows, consts
+            ins, mask = self.inputs[i], model[i]
+            value = self.full * (mask >> len(ins) & 1)
+            for bit, j in enumerate(ins):
+                if mask >> bit & 1:
+                    value ^= masks[j]
+            masks[i] = value
+        return masks
 
-    def _key(self, rows: list[int], consts: list[int], coords: list[int]) -> tuple:
-        """Canonical form of the affine image over the chosen coordinates."""
-        cols = []
-        for j in range(self.r):
-            col = 0
-            for pos, i in enumerate(coords):
-                col |= ((rows[i] >> j) & 1) << pos
-            cols.append(col)
-        basis = _echelon(iter(cols))
-        offset = 0
+    def _key(self, masks: list[int], coords: Iterable[int]) -> tuple[int, ...]:
+        """The coordinates' codes under every hidden assignment, sorted."""
+        codes = [0] * 2**self.r
         for pos, i in enumerate(coords):
-            offset |= consts[i] << pos
-        return basis, _reduce(basis, offset)
+            mask, bit = masks[i], 1 << pos
+            for a in range(len(codes)):
+                if mask >> a & 1:
+                    codes[a] |= bit
+        return tuple(sorted(codes))
 
     def keys(self, model: tuple[int, ...]) -> tuple[tuple, tuple]:
-        rows, consts = self._rows(model, intervened=False)
-        obs_key = self._key(rows, consts, list(range(self.g.n)))
-        rows_i, consts_i = self._rows(model, intervened=True)
-        int_key = self._key(rows_i, consts_i, self.target)
+        obs_key = self._key(self._bitmasks(model, {}), range(self.g.n))
+        int_key = self._key(self._bitmasks(model, self.x), self.target)
         return obs_key, int_key
 
     def build_net(self, model: tuple[int, ...]) -> CausalBayesNet:
         g = self.g
-        hidden = [f"U{k}" for k in range(self.r)]
-        taken = set(g.names)
-        for k, h in enumerate(hidden):
-            while h in taken:
-                h = "_" + h
-            hidden[k] = h
-            taken.add(h)
-        nodes = [
-            CbnNode(h, 2, (), np.array([[0.5, 0.5]]), hidden=True) for h in hidden
-        ]
+        hidden = hidden_names(g)
+        names = g.names + tuple(hidden)
+        nodes = [CbnNode(h, 2, (), np.array([[0.5, 0.5]]), hidden=True) for h in hidden]
         for i, name in enumerate(g.names):
-            ins = self.inputs[i]
-            parents = tuple(
-                g.names[ref] if kind == "v" else hidden[ref] for kind, ref in ins
-            )
-            mask = model[i]
+            ins, mask = self.inputs[i], model[i]
             const = (mask >> len(ins)) & 1
             n_rows = 2 ** len(ins)
             cpt = np.zeros((n_rows, 2))
             for row_idx in range(n_rows):
                 val = const
                 for bit in range(len(ins)):
-                    # row index is row-major in ``parents``: first parent varies slowest
+                    # row index is row-major in the parents: first parent varies slowest
                     coord = (row_idx >> (len(ins) - 1 - bit)) & 1
                     if (mask >> bit) & 1:
                         val ^= coord
                 cpt[row_idx, val] = 1.0
-            nodes.append(CbnNode(name, 2, parents, cpt))
+            nodes.append(CbnNode(name, 2, tuple(names[j] for j in ins), cpt))
         return CausalBayesNet(nodes)
 
 
 def _iter_models(search: _ParitySearch, seed: int, cap: int) -> Iterator[tuple[int, ...]]:
     rng = np.random.default_rng(seed)
     sizes = [2 ** (len(ins) + 1) for ins in search.inputs]
-    total = search.model_count()
+    total = math.prod(sizes)
     if total <= cap:
         perm = rng.permutation(total)
         for code in perm:
@@ -186,7 +148,6 @@ def indistinguishable_pair(
     g: Admg,
     x: Mapping[str, int],
     seed: int = 0,
-    max_models: int = 250_000,
 ) -> IndistinguishablePair | None:
     """Search for two models that witness non-identifiability of the query.
 
@@ -194,13 +155,12 @@ def indistinguishable_pair(
     observational distribution; the first group containing two interventionally
     distinct members yields the pair, which is then re-verified against the
     brute-force oracle. Returns ``None`` if the search space is exhausted or
-    the cap is hit without a find.
+    ``MAX_MODELS`` models are drawn without a find.
     """
     search = _ParitySearch(g, x)
     by_obs: dict[tuple, tuple[tuple, tuple[int, ...]]] = {}
-    for model in _iter_models(search, seed, max_models):
+    for model in _iter_models(search, seed, MAX_MODELS):
         obs_key, int_key = search.keys(model)
-        obs_key = (obs_key[0], obs_key[1])
         prev = by_obs.get(obs_key)
         if prev is None:
             by_obs[obs_key] = (int_key, model)
@@ -210,9 +170,7 @@ def indistinguishable_pair(
         net_a = search.build_net(prev[1])
         net_b = search.build_net(model)
         obs_tv = exact_tv(exact_observational(net_a), exact_observational(net_b))
-        int_a = exact_interventional(net_a, x)
-        int_b = exact_interventional(net_b, x)
-        int_tv = exact_tv(int_a, int_b)
+        int_tv = exact_tv(exact_interventional(net_a, x), exact_interventional(net_b, x))
         if obs_tv <= 1e-9 and int_tv >= 1e-3:
             return IndistinguishablePair(net_a, net_b, dict(x), obs_tv, int_tv)
     return None

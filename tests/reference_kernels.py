@@ -21,8 +21,10 @@ from dolearn.estimand import (
     Product,
     _is_base_chain,
 )
-from dolearn.scm import CausalBayesNet, CbnNode
+from dolearn.scm import CausalBayesNet, CbnNode, exact_interventional, exact_observational
 from dolearn.tables import PmfTable, ScopeMismatch, iter_assignments, strides_for
+from dolearn.verify import exact_tv
+from dolearn.witness import IndistinguishablePair, _iter_models
 
 
 def draw_compare_and_cap(cum_rows: np.ndarray, u: np.ndarray) -> np.ndarray:
@@ -439,3 +441,159 @@ def random_net_for(g, seed: int, gamma: float = 0.1, hidden_cardinality: int = 2
             n_rows *= hidden_cardinality if p in hidden_names else g.cards[g.names.index(p)]
         nodes.append(CbnNode(name, g.cards[i], tuple(parents), floored_rows(n_rows, g.cards[i])))
     return CausalBayesNet(nodes)
+
+
+# -- witness search, as it was with GF(2) canonical forms ----------------------
+
+
+def _reduce(basis, vec: int) -> int:
+    """Reduce a bit vector modulo an echelon basis (descending leaders)."""
+    for b in sorted(basis, reverse=True):
+        vec = min(vec, vec ^ b)
+    return vec
+
+
+def _echelon(vectors) -> tuple[int, ...]:
+    """Unique reduced echelon basis of the span, so equal subspaces always
+    produce equal keys."""
+    basis: list[int] = []
+    for v in vectors:
+        v = _reduce(basis, v)
+        if v:
+            basis.append(v)
+            basis.sort(reverse=True)
+    # clear each leader from every other vector (Gauss-Jordan over GF(2))
+    for b in sorted(basis, reverse=True):
+        lead = 1 << (b.bit_length() - 1)
+        for j, w in enumerate(basis):
+            if w != b and w & lead:
+                basis[j] = w ^ b
+    return tuple(sorted(basis))
+
+
+class ParitySearch:
+    """Parity models keyed by the canonical affine subspace of their
+    observables over the hidden bits."""
+
+    def __init__(self, g, x):
+        if any(c != 2 for c in g.cards):
+            raise ValueError("witness search supports binary variables only")
+        self.g = g
+        self.x = {g.index(n): int(v) for n, v in x.items()}
+        self.order = g.topological_order()
+        self.edges = sorted(g.bidirected)
+        self.r = len(self.edges)
+        # per node: list of input labels, ("v", parent) before ("u", edge_id)
+        self.inputs: list[list[tuple[str, int]]] = []
+        for i in range(g.n):
+            ins: list[tuple[str, int]] = [("v", p) for p in sorted(g.parents(i))]
+            ins += [("u", k) for k, e in enumerate(self.edges) if i in e]
+            self.inputs.append(ins)
+        self.target = sorted(set(range(g.n)) - set(self.x))
+
+    def model_count(self) -> int:
+        total = 1
+        for ins in self.inputs:
+            total *= 2 ** (len(ins) + 1)
+        return total
+
+    def _rows(self, model: tuple[int, ...], intervened: bool) -> tuple[list[int], list[int]]:
+        """Affine form of every observable over the hidden bits."""
+        rows = [0] * self.g.n
+        consts = [0] * self.g.n
+        for i in self.order:
+            if intervened and i in self.x:
+                rows[i] = 0
+                consts[i] = self.x[i]
+                continue
+            mask = model[i]
+            row, const = 0, (mask >> len(self.inputs[i])) & 1
+            for bit, (kind, ref) in enumerate(self.inputs[i]):
+                if not (mask >> bit) & 1:
+                    continue
+                if kind == "u":
+                    row ^= 1 << ref
+                else:
+                    row ^= rows[ref]
+                    const ^= consts[ref]
+            rows[i] = row
+            consts[i] = const
+        return rows, consts
+
+    def _key(self, rows: list[int], consts: list[int], coords: list[int]) -> tuple:
+        """Canonical form of the affine image over the chosen coordinates."""
+        cols = []
+        for j in range(self.r):
+            col = 0
+            for pos, i in enumerate(coords):
+                col |= ((rows[i] >> j) & 1) << pos
+            cols.append(col)
+        basis = _echelon(iter(cols))
+        offset = 0
+        for pos, i in enumerate(coords):
+            offset |= consts[i] << pos
+        return basis, _reduce(basis, offset)
+
+    def keys(self, model: tuple[int, ...]) -> tuple[tuple, tuple]:
+        rows, consts = self._rows(model, intervened=False)
+        obs_key = self._key(rows, consts, list(range(self.g.n)))
+        rows_i, consts_i = self._rows(model, intervened=True)
+        int_key = self._key(rows_i, consts_i, self.target)
+        return obs_key, int_key
+
+    def build_net(self, model: tuple[int, ...]) -> CausalBayesNet:
+        g = self.g
+        hidden = [f"U{k}" for k in range(self.r)]
+        taken = set(g.names)
+        for k, h in enumerate(hidden):
+            while h in taken:
+                h = "_" + h
+            hidden[k] = h
+            taken.add(h)
+        nodes = [
+            CbnNode(h, 2, (), np.array([[0.5, 0.5]]), hidden=True) for h in hidden
+        ]
+        for i, name in enumerate(g.names):
+            ins = self.inputs[i]
+            parents = tuple(
+                g.names[ref] if kind == "v" else hidden[ref] for kind, ref in ins
+            )
+            mask = model[i]
+            const = (mask >> len(ins)) & 1
+            n_rows = 2 ** len(ins)
+            cpt = np.zeros((n_rows, 2))
+            for row_idx in range(n_rows):
+                val = const
+                for bit in range(len(ins)):
+                    # row index is row-major in ``parents``: first parent varies slowest
+                    coord = (row_idx >> (len(ins) - 1 - bit)) & 1
+                    if (mask >> bit) & 1:
+                        val ^= coord
+                cpt[row_idx, val] = 1.0
+            nodes.append(CbnNode(name, 2, parents, cpt))
+        return CausalBayesNet(nodes)
+
+
+def indistinguishable_pair(g, x, seed: int = 0, max_models: int = 250_000):
+    """The pair search over :class:`ParitySearch` keys, in the package's
+    model order."""
+    search = ParitySearch(g, x)
+    by_obs: dict[tuple, tuple[tuple, tuple[int, ...]]] = {}
+    for model in _iter_models(search, seed, max_models):
+        obs_key, int_key = search.keys(model)
+        obs_key = (obs_key[0], obs_key[1])
+        prev = by_obs.get(obs_key)
+        if prev is None:
+            by_obs[obs_key] = (int_key, model)
+            continue
+        if prev[0] == int_key:
+            continue
+        net_a = search.build_net(prev[1])
+        net_b = search.build_net(model)
+        obs_tv = exact_tv(exact_observational(net_a), exact_observational(net_b))
+        int_a = exact_interventional(net_a, x)
+        int_b = exact_interventional(net_b, x)
+        int_tv = exact_tv(int_a, int_b)
+        if obs_tv <= 1e-9 and int_tv >= 1e-3:
+            return IndistinguishablePair(net_a, net_b, dict(x), obs_tv, int_tv)
+    return None

@@ -169,6 +169,40 @@ def test_eval_rejects_order_unlike_factors(workdir, capsys, drop_from):
     assert "'Z2'" in err["message"]
 
 
+@pytest.mark.parametrize("row", [[1.5, -0.5], [float("nan")] * 2])
+def test_eval_rejects_negative_or_nan_probabilities(workdir, capsys, row):
+    from dolearn.learn import fit_from_table
+
+    tmp, g, net = workdir
+    obj = dio.li_to_dict(fit_from_table(exact_observational(net), g, {"X": 0}))
+    factor = next(f for f in obj["factors"] if f["target"] == "Z1")
+    factor["probs"] = [row] * len(factor["probs"])
+    (tmp / "li.json").write_text(json.dumps(obj))  # writes NaN as JSON's NaN
+    (tmp / "point.json").write_text(json.dumps({"Z1": 0, "Z2": 0, "Y": 0}))
+    code = main(["eval", "--li", str(tmp / "li.json"), "--assign", str(tmp / "point.json")])
+    assert code == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err = json.loads(captured.err)
+    assert err["error"] == "ValueError"
+    assert err["message"].startswith("Z1: negative or NaN")
+
+
+def test_simulate_rejects_nan_cpt(workdir, capsys):
+    tmp, g, net = workdir
+    obj = dio.net_to_dict(net)
+    node = next(nd for nd in obj["nodes"] if nd["name"] == "Y")
+    node["cpt"] = np.full(np.shape(node["cpt"]), np.nan).tolist()
+    (tmp / "nan.json").write_text(json.dumps(obj))
+    code = main(["simulate", "--cbn", str(tmp / "nan.json"), "--seed", "1", "--m", "10"])
+    assert code == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err = json.loads(captured.err)
+    assert err["error"] == "NetError"
+    assert "Y: negative or NaN cpt entry" in err["message"]
+
+
 def test_learn_self_generate_requires_seed(workdir, capsys):
     tmp, g, net = workdir
     code = main(["learn", "--graph", str(tmp / "graph.json"),

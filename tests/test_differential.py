@@ -4,8 +4,9 @@ loop-and-stack forms, the fragment learner against its former copy of the
 identification recursion, the row products (oracle joints, learned
 evaluator, structural identities, factor errors) against their hand-written
 forms, compiled estimand plans against the tree interpreter they replaced,
-and random nets against one Dirichlet draw per node and their sampling
-order against a re-sorted Kahn sort."""
+random nets against one Dirichlet draw per node and their sampling order
+against a re-sorted Kahn sort, and the witness search's distribution keys
+against the GF(2) canonical forms they replaced."""
 
 import itertools
 
@@ -65,6 +66,7 @@ from dolearn.verify import (
     tian_q_table,
     tian_q_value,
 )
+from dolearn.witness import _iter_models, _ParitySearch, indistinguishable_pair
 
 from . import reference_kernels as ref
 from . import reference_learner as ref_learn
@@ -582,8 +584,8 @@ def _check_plans(g, x, net, m, seed):
         for fixed, free_axes in (({n: 0 for n in est.arbitrary}, True),
                                  ({**dict.fromkeys(est.arbitrary, 0), **x}, False)):
             def run(cache):
-                return full_table(est.expr, access, fixed, check_total=False,
-                                  allow_free_axes=free_axes, plans=cache)
+                return full_table(est.expr, access, fixed, allow_free_axes=free_axes,
+                                  plans=cache)
 
             try:
                 want_names, want = ref.node_table(est.expr, access, fixed)
@@ -707,3 +709,101 @@ def test_net_topological_order_matches_reference(g, rnd):
     rnd.shuffle(nodes)  # declaration order no longer topological
     net = CausalBayesNet(nodes)
     assert net.topological_order() == ref.net_topological_order(net)
+
+
+# -- witness search: distribution keys against GF(2) canonical forms ----------
+
+
+def _flip_hidden(search, model, k):
+    """The model with hidden bit ``k`` negated: every observable that reads
+    the bit flips its constant, so neither distribution changes."""
+    out = list(model)
+    for i, ins in enumerate(search.inputs):
+        if ("u", k) in ins and model[i] >> ins.index(("u", k)) & 1:
+            out[i] ^= 1 << len(ins)
+    return tuple(out)
+
+
+@st.composite
+def parity_cases(draw):
+    g = draw(admgs(max_n=6, max_bidirected=4, min_n=2))
+    names = draw(st.lists(st.sampled_from(g.names), min_size=1, max_size=2, unique=True))
+    return g, {n: draw(st.integers(0, 1)) for n in names}, draw(st.integers(0, 2**32 - 1))
+
+
+@settings(max_examples=100, deadline=None)
+@given(parity_cases())
+def test_witness_keys_group_models_as_canonical_forms_do(case):
+    # every model of a small space, or a seeded sample of a large one plus
+    # hidden-bit negations of its first models, which share both keys
+    g, x, seed = case
+    old, new = ref.ParitySearch(g, x), _ParitySearch(g, x)
+    models = list(_iter_models(old, seed, 512))
+    if old.model_count() > 512:
+        models += [_flip_hidden(old, m, k) for m in models[:64] for k in range(old.r)]
+    for side in (0, 1):  # observational key, then interventional key
+        by_old: dict[tuple, list[int]] = {}
+        by_new: dict[tuple, list[int]] = {}
+        for k, model in enumerate(models):
+            by_old.setdefault(old.keys(model)[side], []).append(k)
+            by_new.setdefault(new.keys(model)[side], []).append(k)
+        assert sorted(by_old.values()) == sorted(by_new.values())
+
+
+def _assert_same_pair(got, want):
+    if want is None:
+        assert got is None
+        return
+    assert (got.x, got.observational_tv, got.interventional_tv) == (
+        want.x, want.observational_tv, want.interventional_tv)
+    for a, b in ((got.net_a, want.net_a), (got.net_b, want.net_b)):
+        assert a.names == b.names
+        for p, q in zip(a.nodes, b.nodes):
+            assert (p.name, p.parents, p.hidden) == (q.name, q.parents, q.hidden)
+            assert p.cpt.tobytes() == q.cpt.tobytes()
+
+
+def test_witness_pairs_match_reference_on_criterion_4_hedges():
+    names = ("A", "B", "C", "D")
+    ordered = [(i, j) for i in range(4) for j in range(4) if i != j]
+    unordered = list(itertools.combinations(range(4), 2))
+    bid_sets = [frozenset(c) for k in range(3) for c in itertools.combinations(unordered, k)]
+    dags = []
+    for mask in range(1 << len(ordered)):
+        edges = frozenset(p for k, p in enumerate(ordered) if mask >> k & 1)
+        try:
+            Admg(names, (2,) * 4, edges, frozenset())
+        except Exception:
+            continue
+        dags.append(edges)
+    assert (len(dags), len(bid_sets)) == (543, 22)
+    hedges = 0
+    for d in np.random.default_rng(4).choice(len(dags), size=16, replace=False):
+        for b, bid in enumerate(bid_sets):
+            g = Admg(names, (2,) * 4, dags[d], bid)
+            for xi, name in enumerate(names):
+                x = {name: int(d + b + xi) % 2}
+                if is_identifiable(CausalQuery(g, x, frozenset(names) - {name})):
+                    continue
+                hedges += 1
+                seed = int(d) * 100 + b
+                _assert_same_pair(indistinguishable_pair(g, x, seed=seed),
+                                  ref.indistinguishable_pair(g, x, seed=seed))
+    assert hedges > 100
+
+
+def test_witness_pairs_match_reference_with_three_hidden_bits():
+    hedges = 0
+    for seed in range(24):
+        g = random_admg(seed, 5, n_bidirected=3, max_component=5)
+        assert len(g.bidirected) == 3
+        rng = np.random.default_rng(seed)
+        for names in itertools.chain(itertools.combinations(g.names, 1),
+                                     itertools.combinations(g.names, 2)):
+            x = {n: int(rng.integers(2)) for n in names}
+            if is_identifiable(CausalQuery(g, x, frozenset(g.names) - set(x))):
+                continue
+            hedges += 1
+            _assert_same_pair(indistinguishable_pair(g, x, seed=seed),
+                              ref.indistinguishable_pair(g, x, seed=seed))
+    assert hedges > 50

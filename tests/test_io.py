@@ -109,6 +109,25 @@ def test_learned_object_rejects_factor_cardinalities_unlike_the_graph(field, val
         dio.li_from_dict(obj)
 
 
+@pytest.mark.parametrize("row", [[1.5, -0.5], [float("nan")] * 2])
+def test_learned_object_rejects_negative_or_nan_probabilities(setup, row):
+    g, net = setup
+    obj = dio.li_to_dict(fit_from_table(exact_observational(net), g, {"X": 0}))
+    factor = next(f for f in obj["factors"] if f["target"] == "Z1")
+    factor["probs"] = [row] * len(factor["probs"])
+    with pytest.raises(ValueError, match="Z1: negative or NaN conditional entry"):
+        dio.li_from_dict(json.loads(json.dumps(obj)))
+
+
+def test_net_rejects_nan_cpt(setup):
+    _, net = setup
+    obj = dio.net_to_dict(net)
+    node = next(nd for nd in obj["nodes"] if nd["name"] == "Y")
+    node["cpt"] = np.full(np.shape(node["cpt"]), np.nan).tolist()
+    with pytest.raises(GraphError, match="Y: negative or NaN cpt entry"):
+        dio.net_from_dict(json.loads(json.dumps(obj)))
+
+
 def test_learned_object_roundtrip_exact(setup):
     g, net = setup
     li = fit_from_table(exact_observational(net), g, {"X": 0})
