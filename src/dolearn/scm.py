@@ -93,7 +93,10 @@ class CausalBayesNet:
         self._order = self._sort_topologically()  # raises CycleDetected on cycles
 
     def node(self, name: str) -> CbnNode:
-        return self.nodes[self._pos[name]]
+        try:
+            return self.nodes[self._pos[name]]
+        except KeyError:
+            raise GraphError(f"unknown variable {name!r}") from None
 
     @property
     def names(self) -> tuple[str, ...]:
@@ -183,6 +186,8 @@ def exact_interventional(net: CausalBayesNet, x: Mapping[str, int]) -> PmfTable:
     """
     for name, val in x.items():
         nd = net.node(name)
+        if isinstance(val, (bool, np.bool_)) or not isinstance(val, (int, np.integer)):
+            raise GraphError(f"value {val!r} for {name!r} is not an integer symbol")
         if not nd.hidden and not 0 <= val < nd.cardinality:
             raise GraphError(f"value {val} out of range for {name!r}")
     t = interventional_family(net, x).sliced(x)

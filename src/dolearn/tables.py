@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Container, Iterable, Iterator, Mapping, NamedTuple, Sequence
@@ -12,6 +13,7 @@ TOTAL_TOL = 1e-9
 RNG_ALGORITHM = "numpy-pcg64"
 CODE_LIMIT = 2**62  # largest mixed-radix code space encoded without re-densifying
 DENSE_FACTOR = 4  # code spaces up to this many times m (or 2**16) are bincounted directly
+BLOCK_ROWS = 2**14  # rows drawn per block: a block's working arrays stay in cache
 
 
 class ScopeMismatch(ValueError):
@@ -255,7 +257,9 @@ class Samples:
         code, size = self.row_codes()
         counts = np.bincount(code, minlength=size)
         first = np.full(size, m, dtype=np.int64)
-        np.minimum.at(first, code, np.arange(m, dtype=np.int64))
+        for lo in range(0, m, BLOCK_ROWS):
+            hi = min(lo + BLOCK_ROWS, m)
+            np.minimum.at(first, code[lo:hi], np.arange(lo, hi, dtype=np.int64))
         present = np.flatnonzero(counts)
         rows = self.values[first[present]].astype(np.int64)
         weights = counts[present].astype(np.float64)
@@ -328,39 +332,66 @@ def ancestral_sample(
 
     Each step is (variable, conditioning variables, their row-major strides,
     cumulative table); every conditioning variable is drawn by an earlier step
-    or held at its ``fixed`` value. Variables in ``keep`` are written straight
-    into the rows of an (n_keep, m) buffer whose transpose is the batch.
-    The row index of each draw is built in one buffer kept for the whole
-    call, from the drawn conditioning variables only; the ``fixed`` ones add
-    up to one row offset into the table.
-    A negative ``m`` or ``seed`` is a :class:`ValueError` naming it.
+    or held at its ``fixed`` value, which adds a row offset into the table.
+    Variables in ``keep`` are written straight into the rows of an
+    (n_keep, m) int64 buffer whose transpose is the batch.
+
+    The stream is the ``numpy-pcg64`` contract: the uniform of step ``j`` for
+    row ``r`` is draw ``j * m + r`` of ``default_rng(seed)``. Rows are drawn in
+    blocks of :data:`BLOCK_ROWS`, every step in turn within a block, each
+    block's uniforms reached by advancing the generator; so the working set
+    is the batch plus a few block-sized arrays (uniforms, row index, gathers
+    and one column per step outside ``keep``), whatever ``m`` is.
+    ``m`` and ``seed`` must be non-negative integers (``bool`` is not one);
+    anything else is a :class:`ValueError` naming the argument.
     """
-    if m < 0:
-        raise ValueError(f"sample size m must be non-negative, got {m}")
-    if seed < 0:
-        raise ValueError(f"seed must be non-negative, got {seed}")
+    m = _count(m, "sample size m")
+    seed = _count(seed, "seed")
     fixed = fixed or {}
-    rng = np.random.default_rng(seed)
     slot = {n: i for i, n in enumerate(keep)}
-    buf = np.empty((len(keep), m), dtype=np.int64)
-    cols: dict[str, np.ndarray] = {}
-    u = np.empty(m, dtype=np.float64)
-    index = np.empty(m, dtype=np.int64)
+    plan = []  # (variable, drawn parents with strides, table rows from the fixed offset)
     for name, cond, strides, cum in steps:
-        offset = 0
-        rows: np.ndarray | int = 0
-        for c, s in zip(cond, strides):
-            if c in fixed:
-                offset += fixed[c] * s
-            elif rows is index:  # a later drawn parent adds into the buffer
-                index += cols[c] * s
-            else:
-                rows = np.multiply(cols[c], s, out=index)
-        out = buf[slot[name]] if name in slot else np.empty(m, dtype=np.int64)
-        rng.random(out=u)
-        draw_inverse_cdf(cum[offset:], rows, u, out)
-        cols[name] = out
+        offset = sum(fixed[c] * s for c, s in zip(cond, strides) if c in fixed)
+        drawn = [(c, s) for c, s in zip(cond, strides) if c not in fixed]
+        plan.append((name, drawn, cum[offset:]))
+    dropped = {n: i for i, n in enumerate(n for n, _, _ in plan if n not in slot)}
+    buf = np.empty((len(keep), m), dtype=np.int64)
+    width = min(m, BLOCK_ROWS)
+    scratch = np.empty((len(dropped), width), dtype=np.int64)
+    u_buf = np.empty(width, dtype=np.float64)
+    index_buf = np.empty(width, dtype=np.int64)
+    rng = np.random.default_rng(seed)
+    at = 0  # draws of the stream consumed so far
+    for lo in range(0, m, BLOCK_ROWS):
+        hi = min(lo + BLOCK_ROWS, m)
+        u, index = u_buf[: hi - lo], index_buf[: hi - lo]
+        cols = {n: buf[i, lo:hi] for n, i in slot.items()}
+        cols.update({n: scratch[i, : hi - lo] for n, i in dropped.items()})
+        for j, (name, drawn, cum) in enumerate(plan):
+            rows: np.ndarray | int = 0
+            for c, s in drawn:
+                if rows is index:  # a later drawn parent adds into the buffer
+                    index += cols[c] * s
+                else:
+                    rows = np.multiply(cols[c], s, out=index)
+            start = j * m + lo  # the stream position of this step's first draw here
+            if start != at:
+                rng.bit_generator.advance(start - at)  # negative at a block start
+            rng.random(out=u)
+            at = start + len(u)
+            draw_inverse_cdf(cum, rows, u, cols[name])
     return Samples(tuple(keep), buf.T, rng_algorithm=RNG_ALGORITHM)
+
+
+def _count(value: int, what: str) -> int:
+    """``value`` as a non-negative Python int; a :class:`ValueError` naming
+    ``what`` for a negative, non-integer or ``bool`` value."""
+    if isinstance(value, (bool, np.bool_)) or not hasattr(type(value), "__index__"):
+        raise ValueError(f"{what} must be an integer, got {value!r}")
+    value = operator.index(value)
+    if value < 0:
+        raise ValueError(f"{what} must be non-negative, got {value}")
+    return value
 
 
 def row_product(

@@ -9,6 +9,7 @@ against a re-sorted Kahn sort, and the witness search's distribution keys
 against the GF(2) canonical forms they replaced."""
 
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -54,6 +55,7 @@ from dolearn.scm import (
     sample_observational,
 )
 from dolearn.tables import (
+    BLOCK_ROWS,
     EmpiricalAccess,
     PmfTable,
     Samples,
@@ -246,6 +248,74 @@ def test_generate_with_intervened_parents_matches_reference(case):
     _check_generate(li, seed=seed, m=2_000)
 
 
+# batch sizes around the sampler's row blocks: empty, one row, one short of a
+# block, exactly one, one over, and three blocks plus a partial fourth
+BLOCK_SIZES = (0, 1, BLOCK_ROWS - 1, BLOCK_ROWS, BLOCK_ROWS + 1, 3 * BLOCK_ROWS + 17)
+
+
+def _hidden_card3_net():
+    """Seven ternary observables and three hidden nodes of cardinality 3."""
+    g = random_admg(0, 7, n_bidirected=3, cardinality=3)
+    assert len(g.bidirected) == 3
+    return g, random_net_for(g, seed=2, hidden_cardinality=3)
+
+
+def _fixed_parent_between_drawn_ones():
+    g = Admg.build([("V0", 2), ("V1", 3), ("V2", 2), ("V3", 3)],
+                   [("V0", "V3"), ("V1", "V3"), ("V2", "V3")])
+    li = fit_from_table(exact_observational(random_net_for(g, seed=4)), g, {"V1": 2})
+    assert li.factors["V3"].cond == ("V0", "V1", "V2")
+    return li
+
+
+@pytest.mark.parametrize("m", BLOCK_SIZES)
+@pytest.mark.parametrize("make", [
+    lambda: _hidden_card3_net()[1],
+    lambda: random_net_for(fig4a_graph(), seed=3),
+], ids=["card3-hidden3", "fig4a"])
+def test_sample_observational_matches_reference_across_blocks(make, m):
+    net = make()
+    batch = sample_observational(net, seed=m + 1, m=m)
+    assert np.array_equal(batch.values, ref.sample_observational(net, m + 1, m))
+    assert batch.values.dtype == np.int64
+
+
+@pytest.mark.parametrize("m", BLOCK_SIZES)
+@pytest.mark.parametrize("make", [
+    lambda: fit_from_table(exact_observational(_hidden_card3_net()[1]), _hidden_card3_net()[0],
+                           {}),
+    _fixed_parent_between_drawn_ones,
+], ids=["card3-hidden3", "fixed-parent-between-drawn"])
+def test_generate_sample_matches_reference_across_blocks(make, m):
+    _check_generate(make(), seed=m + 3, m=m)
+
+
+@pytest.mark.parametrize("draw", ["simulate", "generate"])
+def test_sampler_scratch_is_a_few_blocks_whatever_the_batch_size(draw):
+    # nine binary observables and two hidden nodes: eleven steps per row
+    g = random_admg(0, 9, n_bidirected=2)
+    net = random_net_for(g, seed=1)
+    assert len(net.nodes) == 11
+    li = fit_from_table(exact_observational(net), g, {})
+    run = {"simulate": lambda m: sample_observational(net, 5, m),
+           "generate": lambda m: sample(li, 5, m)}[draw]
+    block_bytes = BLOCK_ROWS * 8
+    extra = []
+    for m in (8 * BLOCK_ROWS, 16 * BLOCK_ROWS):
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            batch = run(m)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        extra.append(peak - base - batch.values.nbytes)
+        del batch
+    assert max(extra) <= 15 * block_bytes, [e / block_bytes for e in extra]
+    # an m-length scratch array would add eight block columns between the sizes
+    assert extra[1] <= extra[0] + block_bytes, [e / block_bytes for e in extra]
+
+
 @pytest.mark.parametrize("li", LEARNED)
 def test_table_equals_evaluate_point_everywhere(li):
     table = li.table()
@@ -274,6 +344,7 @@ def _random_batch(rng, m, cards):
     (2_000, (3, 2, 5, 2, 3, 4)),
     (1_000, (2,) * 75),  # too wide for one int64 code: re-densified while encoding
     (200, (300, 300, 7)),  # more symbols than rows in two columns
+    (3 * BLOCK_ROWS + 17, (3, 2, 5)),  # first occurrences found block by block
 ])
 def test_counts_over_matches_per_call_bincount(m, cards):
     rng = np.random.default_rng(m + len(cards))

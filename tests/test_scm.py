@@ -10,6 +10,7 @@ from dolearn.scm import (
     check_strong_positivity,
     exact_interventional,
     exact_observational,
+    interventional_family,
     latent_project,
     random_admg,
     random_net_for,
@@ -123,6 +124,28 @@ class TestExactInterventional:
         net = random_net_for(random_admg(11, 5), seed=2)
         a = exact_observational(net)
         b = exact_interventional(net, {})
+        assert a.names == b.names
+        assert np.array_equal(a.probs, b.probs)
+
+    def test_unknown_variable_is_named(self):
+        net = bow_net([[1, 0], [0, 1], [0, 1], [1, 0]])
+        with pytest.raises(GraphError, match="unknown variable 'Q'"):
+            net.node("Q")
+        with pytest.raises(GraphError, match="unknown variable 'Q'"):
+            exact_interventional(net, {"Q": 0})
+        with pytest.raises(GraphError, match="unknown variable 'Q'"):
+            interventional_family(net, {"Q"})
+
+    @pytest.mark.parametrize("val", [1.5, True, np.True_, "1", None])
+    def test_non_integer_value_is_rejected(self, val):
+        net = random_net_for(random_admg(11, 4), seed=2)
+        with pytest.raises(GraphError, match="for 'V0' is not an integer symbol"):
+            exact_interventional(net, {"V0": val})
+
+    def test_numpy_integer_value_is_accepted(self):
+        net = random_net_for(random_admg(11, 4), seed=2)
+        a = exact_interventional(net, {"V0": np.int64(1)})
+        b = exact_interventional(net, {"V0": 1})
         assert a.names == b.names
         assert np.array_equal(a.probs, b.probs)
 

@@ -8,9 +8,12 @@ from dolearn.tables import (
     PmfTable,
     Samples,
     ScopeMismatch,
+    ancestral_sample,
     iter_assignments,
     strides_for,
 )
+
+COIN_STEPS = [("A", (), (), np.array([[0.5, 1.0]]))]
 
 
 class TestPmfTable:
@@ -90,6 +93,20 @@ class TestSamples:
         s = sample_observational(random_net_for(fig3a_graph(), seed=7), seed=1, m=100)
         assert s.values.flags.f_contiguous
         assert s.column("Y").flags.c_contiguous
+
+    @pytest.mark.parametrize("arg, value", [
+        ("m", -1), ("m", 10.0), ("m", True), ("m", np.True_), ("m", "10"),
+        ("seed", -1), ("seed", 1.5), ("seed", True), ("seed", None),
+    ])
+    def test_sampler_rejects_sizes_and_seeds_that_are_not_counts(self, arg, value):
+        what = {"m": "sample size m", "seed": "seed"}[arg]
+        with pytest.raises(ValueError, match=f"^{what} must be"):
+            ancestral_sample(COIN_STEPS, ("A",), **{"seed": 0, "m": 10, arg: value})
+
+    def test_sampler_takes_numpy_integers_as_python_ones(self):
+        a = ancestral_sample(COIN_STEPS, ("A",), seed=np.int64(3), m=np.uint16(50))
+        b = ancestral_sample(COIN_STEPS, ("A",), seed=3, m=50)
+        assert np.array_equal(a.values, b.values)
 
     def test_project_and_assignments(self):
         s = Samples(("A", "B"), np.array([[0, 1], [1, 0]]))
