@@ -1,6 +1,7 @@
 """Package code against reference versions kept in the test tree: the
 vectorized batch kernels and the sample CSV writer against their
-loop-and-stack forms, the fragment learner against its former copy of the
+loop-and-stack forms (the samplers also at batch sizes around their row
+blocks, with their scratch memory held to a few blocks), the fragment learner against its former copy of the
 identification recursion, the row products (oracle joints, learned
 evaluator, structural identities, factor errors) against their hand-written
 forms, compiled estimand plans against the tree interpreter they replaced,
@@ -260,6 +261,11 @@ def _hidden_card3_net():
     return g, random_net_for(g, seed=2, hidden_cardinality=3)
 
 
+def _hidden_card3_learned():
+    g, net = _hidden_card3_net()
+    return fit_from_table(exact_observational(net), g, {})
+
+
 def _fixed_parent_between_drawn_ones():
     g = Admg.build([("V0", 2), ("V1", 3), ("V2", 2), ("V3", 3)],
                    [("V0", "V3"), ("V1", "V3"), ("V2", "V3")])
@@ -282,8 +288,7 @@ def test_sample_observational_matches_reference_across_blocks(make, m):
 
 @pytest.mark.parametrize("m", BLOCK_SIZES)
 @pytest.mark.parametrize("make", [
-    lambda: fit_from_table(exact_observational(_hidden_card3_net()[1]), _hidden_card3_net()[0],
-                           {}),
+    _hidden_card3_learned,
     _fixed_parent_between_drawn_ones,
 ], ids=["card3-hidden3", "fixed-parent-between-drawn"])
 def test_generate_sample_matches_reference_across_blocks(make, m):
