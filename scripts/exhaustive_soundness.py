@@ -1,88 +1,37 @@
 #!/usr/bin/env python3
-"""Sweep every small mixed graph: check each identifiable query against the
-brute-force oracle and, optionally, find witness pairs for the hedges."""
+"""Sweep every binary mixed graph on four variables with at most two
+bidirected edges: check each identifiable single-variable intervention
+against the brute-force oracle and, optionally, find witness pairs for the
+first hedges. Fails when a check exceeds the soundness bound, a hedge has no
+witness pair, or a case drops out of the sweep."""
 
 import argparse
-import itertools
 import time
 
-import numpy as np
-
-from dolearn.admg import Admg
-from dolearn.identify import CausalQuery, Estimand, identify
-from dolearn.scm import exact_observational, interventional_family, random_net_for
+from dolearn.verify import SOUNDNESS_BOUND, soundness_sweep
 from dolearn.witness import indistinguishable_pair
-
-
-def all_dags(names):
-    pairs = [(i, j) for i in range(len(names)) for j in range(len(names)) if i != j]
-    for mask in range(1 << len(pairs)):
-        edges = frozenset(p for k, p in enumerate(pairs) if mask >> k & 1)
-        try:
-            Admg(names, (2,) * len(names), edges, frozenset())
-        except Exception:
-            continue
-        yield edges
 
 
 def main() -> None:
     ap = argparse.ArgumentParser(description=__doc__)
-    ap.add_argument("--n", type=int, default=4)
-    ap.add_argument("--max-bidirected", type=int, default=2)
-    ap.add_argument("--realizations", type=int, default=20)
-    ap.add_argument("--tolerance", type=float, default=1e-7)
+    ap.add_argument("--realizations", type=int, default=20,
+                    help="random nets checked per graph")
     ap.add_argument("--witness-hedges", type=int, default=0,
                     help="also search witness pairs for this many hedges")
     args = ap.parse_args()
 
-    names = tuple(chr(ord("A") + i) for i in range(args.n))
-    unordered = [(i, j) for i in range(args.n) for j in range(i + 1, args.n)]
-    bid_sets = [frozenset(c) for k in range(args.max_bidirected + 1)
-                for c in itertools.combinations(unordered, k)]
-
     t0 = time.time()
-    n_graphs = n_id = n_hedge = n_checks = witnessed = 0
-    worst = 0.0
-    for edges in all_dags(names):
-        for bid in bid_sets:
-            n_graphs += 1
-            g = Admg(names, (2,) * args.n, edges, bid)
-            estimands = {}
-            for xi in range(args.n):
-                q = CausalQuery(g, {names[xi]: 0},
-                                frozenset(set(names) - {names[xi]}))
-                res = identify(q)
-                if isinstance(res, Estimand):
-                    estimands[names[xi]] = res
-                    n_id += 1
-                else:
-                    n_hedge += 1
-                    if witnessed < args.witness_hedges:
-                        pair = indistinguishable_pair(g, {names[xi]: 0},
-                                                      seed=n_graphs)
-                        assert pair is not None, (edges, bid, names[xi])
-                        witnessed += 1
-            if not estimands:
-                continue
-            for t in range(args.realizations):
-                net = random_net_for(g, seed=100_000 * n_graphs + t)
-                obs = exact_observational(net)
-                for xname, est in estimands.items():
-                    fam = est.family_table(obs)
-                    idx = tuple(slice(None) if n in fam.names else None
-                                for n in obs.names)
-                    perm = tuple(fam.names.index(n) for n in obs.names
-                                 if n in fam.names)
-                    got = np.broadcast_to(np.transpose(fam.probs, perm)[idx],
-                                          obs.cards)
-                    oracle = interventional_family(net, {xname})
-                    diff = float(np.abs(got - oracle.probs).max())
-                    worst = max(worst, diff)
-                    n_checks += 1
-                    assert diff < args.tolerance, (edges, bid, xname, t, diff)
-    print(f"graphs={n_graphs} identifiable={n_id} hedges={n_hedge} "
-          f"checks={n_checks} witnessed={witnessed} worst={worst:.2e} "
+    res = soundness_sweep(args.realizations)
+    assert res.worst < SOUNDNESS_BOUND, (res.worst, res.worst_at)
+    witnessed = 0
+    for number, g, name in res.hedges[: args.witness_hedges]:
+        assert indistinguishable_pair(g, {name: 0}, seed=number) is not None, (number, name)
+        witnessed += 1
+    print(f"graphs={res.graphs} identifiable={res.identifiable} hedges={len(res.hedges)} "
+          f"checks={res.checks} witnessed={witnessed} worst={res.worst:.2e} "
           f"elapsed={time.time() - t0:.0f}s")
+    assert (res.graphs, res.identifiable, len(res.hedges)) == (11_946, 33_888, 13_896)
+    assert res.checks == 33_888 * args.realizations
 
 
 if __name__ == "__main__":

@@ -180,7 +180,7 @@ def _cmd_learn(args) -> int:
 def _cmd_eval(args) -> int:
     li = dio.li_from_dict(_read_json(args.li))
     assign = _read_json(args.assign)
-    y = {k: int(v) for k, v in assign.items()}
+    y = {k: dio.json_integer(v, f"value of {k!r}", ScopeMismatch) for k, v in assign.items()}
     p = evaluate_point(li, y)
     _emit(args, {"assignment": y, "probability": p})
     return EXIT_OK

@@ -25,7 +25,7 @@ from .estimand import (
     marginal,
     render,
 )
-from .tables import PmfTable
+from .tables import PmfTable, as_integer
 
 
 class InvalidQuery(ValueError):
@@ -92,7 +92,10 @@ def check_intervention(g: Admg, x: Mapping[str, int]) -> None:
     of its variable."""
     for n, v in x.items():
         card = g.cards[g.index(n)]
-        if not (0 <= int(v) < card):
+        value = as_integer(v)
+        if value is None:
+            raise InvalidQuery(f"value {v!r} for {n!r} is not an integer symbol")
+        if not 0 <= value < card:
             raise InvalidQuery(f"value {v} out of range for {n!r} (cardinality {card})")
 
 

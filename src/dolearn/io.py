@@ -15,10 +15,10 @@ import numpy as np
 
 from .admg import Admg, GraphError
 from .estimand import to_json_dict
-from .identify import Estimand, HedgeWitness
+from .identify import Estimand, HedgeWitness, InvalidQuery
 from .learn import ConditionalTable, LearnedInterventional
 from .scm import CausalBayesNet, CbnNode
-from .tables import PmfTable, Samples
+from .tables import PmfTable, Samples, as_integer
 
 
 def _render(obj: Any, indent: int = 0) -> str:
@@ -49,6 +49,15 @@ def dump_json(obj: Any) -> str:
     return _render(obj) + "\n"
 
 
+def json_integer(value: Any, what: str, error: type[ValueError]) -> int:
+    """A JSON integer as an int; a float (even ``1.0``), a boolean or a string
+    raises ``error`` naming ``what`` instead of being truncated."""
+    out = as_integer(value)
+    if out is None:
+        raise error(f"{what} must be an integer, got {value!r}")
+    return out
+
+
 # -- graphs --------------------------------------------------------------------
 
 
@@ -62,7 +71,9 @@ def admg_to_dict(g: Admg) -> dict:
 
 def admg_from_dict(obj: Mapping) -> Admg:
     try:
-        variables = [(v["name"], int(v.get("cardinality", 2))) for v in obj["vars"]]
+        variables = [(v["name"], json_integer(v.get("cardinality", 2),
+                                              f"cardinality of {v['name']!r}", GraphError))
+                     for v in obj["vars"]]
         directed = [tuple(e) for e in obj.get("directed", [])]
         bidirected = [tuple(e) for e in obj.get("bidirected", [])]
     except (KeyError, TypeError) as exc:
@@ -91,7 +102,7 @@ def net_from_dict(obj: Mapping) -> CausalBayesNet:
     nodes = []
     for nd in obj["nodes"]:
         cpt = np.asarray(nd["cpt"], dtype=np.float64)
-        card = int(nd["cardinality"])
+        card = json_integer(nd["cardinality"], f"cardinality of {nd['name']!r}", GraphError)
         nodes.append(CbnNode(
             name=nd["name"],
             cardinality=card,
@@ -106,7 +117,8 @@ def net_from_dict(obj: Mapping) -> CausalBayesNet:
 
 
 def query_from_dict(obj: Mapping) -> tuple[dict[str, int], frozenset[str]]:
-    x = {e["var"]: int(e["value"]) for e in obj.get("intervene", [])}
+    x = {e["var"]: json_integer(e["value"], f"value of {e['var']!r}", InvalidQuery)
+         for e in obj.get("intervene", [])}
     targets = frozenset(obj.get("targets", []))
     return x, targets
 
@@ -186,15 +198,20 @@ def _factor_to_dict(f: ConditionalTable) -> dict:
 
 def _factor_from_dict(obj: Mapping) -> ConditionalTable:
     counts = obj.get("counts")
+    target = obj["target"]
+    what = f"factor of {target!r}:"
     return ConditionalTable(
-        target=obj["target"],
-        target_card=int(obj["target_cardinality"]),
+        target=target,
+        target_card=json_integer(obj["target_cardinality"], f"{what} target cardinality",
+                                 GraphError),
         cond=tuple(obj["cond"]),
-        cond_cards=tuple(int(c) for c in obj["cond_cardinalities"]),
+        cond_cards=tuple(json_integer(c, f"{what} conditioning cardinality", GraphError)
+                         for c in obj["cond_cardinalities"]),
         probs=np.asarray(obj["probs"], dtype=np.float64),
         counts=np.asarray(counts, dtype=np.float64) if counts is not None else None,
         kind=obj.get("kind", "add1"),
-        fixed_context={k: int(v) for k, v in obj.get("fixed_context", {}).items()},
+        fixed_context={k: json_integer(v, f"{what} fixed value of {k!r}", InvalidQuery)
+                       for k, v in obj.get("fixed_context", {}).items()},
     )
 
 
@@ -212,7 +229,8 @@ def li_from_dict(obj: Mapping) -> LearnedInterventional:
     factors = {f["target"]: _factor_from_dict(f) for f in obj["factors"]}
     return LearnedInterventional(
         graph=admg_from_dict(obj["graph"]),
-        x={k: int(v) for k, v in obj["intervention"].items()},
+        x={k: json_integer(v, f"intervention value of {k!r}", InvalidQuery)
+           for k, v in obj["intervention"].items()},
         order=tuple(obj["order"]),
         factors=factors,
         metadata=dict(obj.get("metadata", {})),

@@ -19,7 +19,7 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from .admg import Admg, CycleDetected, GraphError
-from .tables import PmfTable, Samples, ancestral_sample, row_product, strides_for
+from .tables import PmfTable, Samples, ancestral_sample, as_integer, row_product, strides_for
 
 STATE_CEILING = 2**24
 CPT_ROW_TOL = 1e-12
@@ -186,7 +186,7 @@ def exact_interventional(net: CausalBayesNet, x: Mapping[str, int]) -> PmfTable:
     """
     for name, val in x.items():
         nd = net.node(name)
-        if isinstance(val, (bool, np.bool_)) or not isinstance(val, (int, np.integer)):
+        if as_integer(val) is None:
             raise GraphError(f"value {val!r} for {name!r} is not an integer symbol")
         if not nd.hidden and not 0 <= val < nd.cardinality:
             raise GraphError(f"value {val} out of range for {name!r}")

@@ -298,24 +298,30 @@ class Samples:
         return np.bincount(codes, weights=weights, minlength=size).reshape(cards)
 
 
+def cdf_thresholds(cum: np.ndarray) -> np.ndarray:
+    """The draw kernel's form of a cumulative table: row ``k`` holds every
+    table row's ``k + 1``-th smallest threshold, for ``k < card - 1``.
+    Formed once per table and passed to :func:`draw_inverse_cdf`."""
+    return np.sort(cum, axis=1)[:, : cum.shape[1] - 1].T.copy()  # one contiguous row per rank
+
+
 def draw_inverse_cdf(
-    cum: np.ndarray, rows: np.ndarray | int, u: np.ndarray, out: np.ndarray
+    thresholds: np.ndarray, rows: np.ndarray | int, u: np.ndarray, out: np.ndarray
 ) -> None:
     """Invert one uniform per draw through the cumulative row it selects.
 
-    ``cum`` has one cumulative-probability row per conditioning configuration.
-    ``out[i]`` becomes the number of the ``card - 1`` smallest thresholds of
-    row ``rows[i]`` that ``u[i]`` exceeds. On every row, sorted or not, that
-    is the count of all ``card`` thresholds exceeded capped at ``card - 1``,
-    so rounding in the last cumulative entry cannot yield an out-of-range
+    ``thresholds`` is :func:`cdf_thresholds` of a table with one
+    cumulative-probability row per conditioning configuration. ``out[i]``
+    becomes the number of the ``card - 1`` smallest thresholds of row
+    ``rows[i]`` that ``u[i]`` exceeds. On every row, sorted or not, that is
+    the count of all ``card`` thresholds exceeded capped at ``card - 1``, so
+    rounding in the last cumulative entry cannot yield an out-of-range
     symbol, and the draws for a seed are those of the compare-and-cap form.
     A binary variable costs one gather and one compare; card 1 writes zeros.
     """
-    card = cum.shape[1]
-    if card == 1:
+    if len(thresholds) == 0:
         out.fill(0)
         return
-    thresholds = np.sort(cum, axis=1)[:, : card - 1].T.copy()  # one contiguous row per rank
     np.greater(u, np.take(thresholds[0], rows), out=out)
     for tau in thresholds[1:]:
         out += u > np.take(tau, rows)
@@ -349,11 +355,11 @@ def ancestral_sample(
     seed = _count(seed, "seed")
     fixed = fixed or {}
     slot = {n: i for i, n in enumerate(keep)}
-    plan = []  # (variable, drawn parents with strides, table rows from the fixed offset)
+    plan = []  # (variable, drawn parents with strides, thresholds from the fixed offset)
     for name, cond, strides, cum in steps:
         offset = sum(fixed[c] * s for c, s in zip(cond, strides) if c in fixed)
         drawn = [(c, s) for c, s in zip(cond, strides) if c not in fixed]
-        plan.append((name, drawn, cum[offset:]))
+        plan.append((name, drawn, cdf_thresholds(cum[offset:])))
     dropped = {n: i for i, n in enumerate(n for n, _, _ in plan if n not in slot)}
     buf = np.empty((len(keep), m), dtype=np.int64)
     width = min(m, BLOCK_ROWS)
@@ -367,7 +373,7 @@ def ancestral_sample(
         u, index = u_buf[: hi - lo], index_buf[: hi - lo]
         cols = {n: buf[i, lo:hi] for n, i in slot.items()}
         cols.update({n: scratch[i, : hi - lo] for n, i in dropped.items()})
-        for j, (name, drawn, cum) in enumerate(plan):
+        for j, (name, drawn, thresholds) in enumerate(plan):
             rows: np.ndarray | int = 0
             for c, s in drawn:
                 if rows is index:  # a later drawn parent adds into the buffer
@@ -379,19 +385,32 @@ def ancestral_sample(
                 rng.bit_generator.advance(start - at)  # negative at a block start
             rng.random(out=u)
             at = start + len(u)
-            draw_inverse_cdf(cum, rows, u, cols[name])
+            draw_inverse_cdf(thresholds, rows, u, cols[name])
     return Samples(tuple(keep), buf.T, rng_algorithm=RNG_ALGORITHM)
+
+
+def as_integer(value: object) -> int | None:
+    """``value`` as a Python int if it is an integer (Python, numpy, or
+    anything with ``__index__``) other than a ``bool``; ``None`` otherwise.
+    The one rule for scalar integer inputs: intervention values, sample
+    sizes, seeds, and the integers of JSON files."""
+    if isinstance(value, (bool, np.bool_)):
+        return None
+    try:
+        return operator.index(value)
+    except TypeError:
+        return None
 
 
 def _count(value: int, what: str) -> int:
     """``value`` as a non-negative Python int; a :class:`ValueError` naming
     ``what`` for a negative, non-integer or ``bool`` value."""
-    if isinstance(value, (bool, np.bool_)) or not hasattr(type(value), "__index__"):
+    count = as_integer(value)
+    if count is None:
         raise ValueError(f"{what} must be an integer, got {value!r}")
-    value = operator.index(value)
-    if value < 0:
-        raise ValueError(f"{what} must be non-negative, got {value}")
-    return value
+    if count < 0:
+        raise ValueError(f"{what} must be non-negative, got {count}")
+    return count
 
 
 def row_product(

@@ -366,3 +366,83 @@ def test_learn_rejects_bad_sample_csv(workdir, capsys, corrupt, error):
     assert code == 4
     err = json.loads(capsys.readouterr().err)
     assert err["error"] == error
+
+
+NON_INTEGERS = [1.5, 1.0, True, "1"]
+
+
+def _input_error(capsys, argv):
+    """Run the CLI and return the JSON error of an exit-4 failure."""
+    assert main(argv) == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    return json.loads(captured.err)
+
+
+@pytest.mark.parametrize("value", NON_INTEGERS)
+def test_learn_rejects_non_integer_query_value(workdir, capsys, value):
+    tmp, g, net = workdir
+    (tmp / "q.json").write_text(json.dumps({"intervene": [{"var": "X", "value": value}]}))
+    err = _input_error(capsys, ["learn", "--graph", str(tmp / "graph.json"),
+                                "--query", str(tmp / "q.json"),
+                                "--cbn", str(tmp / "net.json"), "--seed", "1", "--m", "2000"])
+    assert err["error"] == "QueryError"
+    assert "value of 'X' must be an integer" in err["message"]
+
+
+@pytest.mark.parametrize("value", [2.7, 2.0, True, "2"])
+def test_identify_rejects_non_integer_graph_cardinality(workdir, capsys, value):
+    tmp, g, net = workdir
+    obj = dio.admg_to_dict(g)
+    obj["vars"][0]["cardinality"] = value
+    (tmp / "g.json").write_text(json.dumps(obj))
+    err = _input_error(capsys, ["identify", "--graph", str(tmp / "g.json"),
+                                "--query", str(tmp / "query.json")])
+    assert err["error"] == "GraphError"
+    assert f"cardinality of {obj['vars'][0]['name']!r} must be an integer" in err["message"]
+
+
+@pytest.fixture
+def li_file(workdir):
+    from dolearn.learn import fit_from_table
+
+    tmp, g, net = workdir
+    obj = dio.li_to_dict(fit_from_table(exact_observational(net), g, {"X": 0}))
+    (tmp / "point.json").write_text(json.dumps({"Z1": 0, "Z2": 0, "Y": 0}))
+    return tmp, obj
+
+
+@pytest.mark.parametrize("value", [0.9, 0.0, False, "0"])
+def test_eval_rejects_non_integer_assignment(li_file, capsys, value):
+    tmp, obj = li_file
+    (tmp / "li.json").write_text(json.dumps(obj))
+    (tmp / "point.json").write_text(json.dumps({"Z1": value, "Z2": 0, "Y": 0}))
+    err = _input_error(capsys, ["eval", "--li", str(tmp / "li.json"),
+                                "--assign", str(tmp / "point.json")])
+    assert err["error"] == "ScopeMismatch"
+    assert "value of 'Z1' must be an integer" in err["message"]
+
+
+@pytest.mark.parametrize("value", NON_INTEGERS)
+def test_eval_rejects_non_integer_learned_intervention(li_file, capsys, value):
+    tmp, obj = li_file
+    obj["intervention"] = {"X": value}
+    (tmp / "li.json").write_text(json.dumps(obj))
+    err = _input_error(capsys, ["eval", "--li", str(tmp / "li.json"),
+                                "--assign", str(tmp / "point.json")])
+    assert err["error"] == "InvalidQuery"
+    assert "intervention value of 'X' must be an integer" in err["message"]
+
+
+@pytest.mark.parametrize("field", ["target_cardinality", "cond_cardinalities"])
+@pytest.mark.parametrize("value", [2.7, 2.0, True, "2"])
+def test_eval_rejects_non_integer_factor_cardinality(li_file, capsys, field, value):
+    tmp, obj = li_file
+    factor = next(f for f in obj["factors"] if f["target"] == "Y")
+    assert factor["cond_cardinalities"]
+    factor[field] = value if field == "target_cardinality" else [value] * len(factor[field])
+    (tmp / "li.json").write_text(json.dumps(obj))
+    err = _input_error(capsys, ["eval", "--li", str(tmp / "li.json"),
+                                "--assign", str(tmp / "point.json")])
+    assert err["error"] == "GraphError"
+    assert "factor of 'Y'" in err["message"] and "must be an integer" in err["message"]

@@ -60,12 +60,14 @@ from dolearn.tables import (
     EmpiricalAccess,
     PmfTable,
     Samples,
+    cdf_thresholds,
     draw_inverse_cdf,
     iter_assignments,
 )
 from dolearn.verify import (
     compare_to_oracle,
     kl_decomposition_sides,
+    sweep_graphs,
     tian_q_table,
     tian_q_value,
 )
@@ -94,9 +96,9 @@ def test_draw_kernel_matches_compare_and_cap(card):
     edges = cum[rows[:300], rng.integers(0, card, size=300)]
     u[:300] = np.clip(edges + rng.choice([-1e-16, 0.0, 1e-16], size=300), 0.0, np.nextafter(1, 0))
     out = np.empty(m, dtype=np.int64)
-    draw_inverse_cdf(cum, rows, u, out)
+    draw_inverse_cdf(cdf_thresholds(cum), rows, u, out)
     assert np.array_equal(out, ref.draw_compare_and_cap(cum[rows], u))
-    draw_inverse_cdf(cum, 0, u, out)  # a parentless variable indexes one row
+    draw_inverse_cdf(cdf_thresholds(cum), 0, u, out)  # a parentless variable indexes one row
     assert np.array_equal(out, ref.draw_compare_and_cap(cum[np.zeros(m, dtype=int)], u))
 
 
@@ -104,7 +106,7 @@ def test_draw_kernel_caps_a_short_last_threshold():
     cum = np.array([[0.5, 1.0, 1.0 - 1e-13]])  # last entry below an earlier one
     u = np.array([0.25, 0.75, 1.0 - 5e-14])
     out = np.empty(3, dtype=np.int64)
-    draw_inverse_cdf(cum, 0, u, out)
+    draw_inverse_cdf(cdf_thresholds(cum), 0, u, out)
     assert list(out) == [0, 1, 2]
     assert np.array_equal(out, ref.draw_compare_and_cap(cum[[0, 0, 0]], u))
 
@@ -136,9 +138,9 @@ def cumulative_rows(draw):
 def test_draw_kernel_counts_the_smallest_thresholds_as_compare_and_cap(case):
     cum, rows, u = case
     out = np.full(len(u), -1, dtype=np.int64)
-    draw_inverse_cdf(cum, rows, u, out)
+    draw_inverse_cdf(cdf_thresholds(cum), rows, u, out)
     assert np.array_equal(out, ref.draw_compare_and_cap(cum[rows], u))
-    draw_inverse_cdf(cum, 0, u, out)
+    draw_inverse_cdf(cdf_thresholds(cum), 0, u, out)
     assert np.array_equal(out, ref.draw_compare_and_cap(cum[np.zeros(len(u), dtype=int)], u))
 
 
@@ -840,26 +842,15 @@ def _assert_same_pair(got, want):
 
 
 def test_witness_pairs_match_reference_on_criterion_4_hedges():
-    names = ("A", "B", "C", "D")
-    ordered = [(i, j) for i in range(4) for j in range(4) if i != j]
-    unordered = list(itertools.combinations(range(4), 2))
-    bid_sets = [frozenset(c) for k in range(3) for c in itertools.combinations(unordered, k)]
-    dags = []
-    for mask in range(1 << len(ordered)):
-        edges = frozenset(p for k, p in enumerate(ordered) if mask >> k & 1)
-        try:
-            Admg(names, (2,) * 4, edges, frozenset())
-        except Exception:
-            continue
-        dags.append(edges)
-    assert (len(dags), len(bid_sets)) == (543, 22)
+    graphs = [g for _, g in sweep_graphs()]  # 543 DAGs, 22 bidirected sets each
+    assert len(graphs) == 543 * 22
     hedges = 0
-    for d in np.random.default_rng(4).choice(len(dags), size=16, replace=False):
-        for b, bid in enumerate(bid_sets):
-            g = Admg(names, (2,) * 4, dags[d], bid)
-            for xi, name in enumerate(names):
+    for d in np.random.default_rng(4).choice(543, size=16, replace=False):
+        for b in range(22):
+            g = graphs[22 * d + b]
+            for xi, name in enumerate(g.names):
                 x = {name: int(d + b + xi) % 2}
-                if is_identifiable(CausalQuery(g, x, frozenset(names) - {name})):
+                if is_identifiable(CausalQuery(g, x, frozenset(g.names) - {name})):
                     continue
                 hedges += 1
                 seed = int(d) * 100 + b

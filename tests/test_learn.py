@@ -18,7 +18,7 @@ from dolearn.learn import (
     recommended_sample_size,
     relative_partition,
 )
-from dolearn.identify import InvalidQuery, NotIdentifiable
+from dolearn.identify import CausalQuery, InvalidQuery, NotIdentifiable
 from dolearn.scm import (
     check_strong_positivity,
     exact_interventional,
@@ -317,6 +317,24 @@ class TestInterventionRange:
             learn_interventional(sample_observational(net, seed=4, m=500), g, {"X": value})
         with pytest.raises(InvalidQuery, match="out of range for 'X'"):
             fit_from_table(exact_observational(net), g, {"X": value})
+
+    @pytest.mark.parametrize("value", [1.5, 1.0, True, np.float64(1)])
+    def test_non_integer_intervention_is_invalid_query(self, fig3a, value):
+        net = random_net_for(fig3a, seed=3)
+        rest = frozenset(fig3a.names) - {"X"}
+        with pytest.raises(InvalidQuery, match="'X' is not an integer symbol"):
+            CausalQuery(fig3a, {"X": value}, rest)
+        with pytest.raises(InvalidQuery, match="'X' is not an integer symbol"):
+            learn_interventional(sample_observational(net, seed=4, m=500), fig3a, {"X": value})
+        li = fit_from_table(exact_observational(net), fig3a, {"X": 1})
+        with pytest.raises(InvalidQuery, match="'X' is not an integer symbol"):
+            LearnedInterventional(li.graph, {"X": value}, li.order, li.factors)
+
+    def test_numpy_integer_intervention_is_a_symbol(self, fig3a):
+        net = random_net_for(fig3a, seed=3)
+        a = fit_from_table(exact_observational(net), fig3a, {"X": np.int64(1)})
+        b = fit_from_table(exact_observational(net), fig3a, {"X": 1})
+        assert np.array_equal(a.table().probs, b.table().probs)
 
 
 class TestStructuralIdentities:

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from dolearn.identify import CausalQuery, identify
 from dolearn.learn import fit_from_table
 from dolearn.scm import exact_observational, random_admg, random_net_for, sample_observational
 from dolearn.tables import PmfTable, Samples, ScopeMismatch
@@ -14,6 +15,8 @@ from dolearn.verify import (
     estimate_tv,
     exact_kl,
     exact_tv,
+    family_error,
+    sweep_graphs,
 )
 
 
@@ -176,3 +179,28 @@ class TestCompareToOracle:
         assert report.m == 100_000
         worst = report.worst_factor()
         assert worst is not None and worst.abs_error < 0.05
+
+
+class TestSoundnessSweep:
+    def test_graph_numbers_name_fixed_edge_sets(self):
+        # realization seeds are 100_000 * number + t, so a number must keep
+        # naming the same graph
+        def edges(g, kind):
+            return {(g.names[a], g.names[b]) for a, b in getattr(g, kind)}
+
+        graphs = dict(sweep_graphs())
+        assert sorted(graphs) == list(range(1, 11_947))
+        assert edges(graphs[1], "directed") == edges(graphs[1], "bidirected") == set()
+        assert edges(graphs[23], "directed") == {("A", "B")}
+        assert edges(graphs[23], "bidirected") == set()
+        assert edges(graphs[11_946], "directed") == {
+            ("B", "A"), ("C", "A"), ("C", "B"), ("D", "A"), ("D", "B"), ("D", "C")}
+        assert edges(graphs[11_946], "bidirected") == {("B", "D"), ("C", "D")}
+
+    def test_family_error_is_zero_on_the_truth_and_not_on_another_net(self):
+        g = dict(sweep_graphs())[11_946]
+        est = identify(CausalQuery(g, {"B": 0}, frozenset({"A", "C", "D"})))
+        net = random_net_for(g, seed=1)
+        assert family_error(est, net, exact_observational(net)) < 1e-12
+        other = exact_observational(random_net_for(g, seed=2))
+        assert family_error(est, net, other) > 1e-3
