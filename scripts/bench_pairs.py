@@ -5,7 +5,8 @@ The parent's committed files are extracted (``git archive``) into a temporary
 directory. ``python3 bench/run.py --workload W`` then runs in both checkouts,
 ``--pairs`` pairs per workload, the parent first in odd pairs and the change
 first in even ones. The output file holds, per workload and end-to-end metric,
-each side's median, quartiles and runs, the pairs the change won and the ties,
+each side's median, quartiles and runs, the pairs the change won, the ties and
+a verdict against the metric's ``BENCHMARK.json`` bound (see :func:`verdict`),
 plus failed and attempted ops and the machine record. Workloads named in
 ``--trace`` also get one traced run per side, with every per-layer value.
 
@@ -70,8 +71,39 @@ def summary(runs: list[float]) -> dict:
     return {"median": float(median), "q1": float(q1), "q3": float(q3), "runs": runs}
 
 
+def verdict(parent: list[float], change: list[float], better: str, bound: float) -> str:
+    """How the change's runs compare with the parent's on one metric.
+
+    ``parent`` and ``change`` are paired runs, and ``bound`` is the relative
+    bound of the metric. In order of precedence:
+
+    - ``improved``: the change won at least 9 in 10 of the pairs (a tie counts
+      for neither side), and its median is better than the parent's by more
+      than the parent's interquartile range;
+    - ``worse``: the change's median is worse than the parent's by more than
+      ``bound`` times the parent's median;
+    - ``unresolved``: the parent's interquartile range is larger than
+      ``bound`` times its median, unless every change run beat every parent run;
+    - ``within bound`` otherwise.
+    """
+    sign = 1.0 if better == "lower" else -1.0
+    p = sign * np.asarray(parent, dtype=float)  # lower is better from here on
+    c = sign * np.asarray(change, dtype=float)
+    q1, p_median, q3 = np.percentile(p, [25, 50, 75])
+    iqr = q3 - q1
+    gain = p_median - float(np.median(c))
+    scale = bound * abs(p_median)
+    if 10 * int((c < p).sum()) >= 9 * len(p) and gain > iqr:
+        return "improved"
+    if -gain > scale:
+        return "worse"
+    if iqr > scale and not c.max() < p.min():
+        return "unresolved"
+    return "within bound"
+
+
 def pair_workload(checkouts: dict[str, Path], workload: str, seed: int, pairs: int,
-                  better: dict[str, str]) -> tuple[dict, dict]:
+                  metrics: dict[str, dict]) -> tuple[dict, dict]:
     values: dict[str, dict[str, list[float]]] = {"parent": {}, "change": {}}
     failed = {"parent": 0, "change": 0}
     attempted = {"parent": 0, "change": 0}
@@ -88,14 +120,15 @@ def pair_workload(checkouts: dict[str, Path], workload: str, seed: int, pairs: i
                   + " ".join(f"{k}={v['value']:.6g}" for k, v in last["metrics"].items()),
                   file=sys.stderr, flush=True)
     out: dict = {"pairs": pairs, "failed_ops": failed, "attempted_ops": attempted}
-    for name, sign in better.items():
+    for name, spec in metrics.items():
         parent, change = values["parent"][name], values["change"][name]
-        if sign == "higher":
+        if spec["better"] == "higher":
             wins = sum(c > p for p, c in zip(parent, change))
         else:
             wins = sum(c < p for p, c in zip(parent, change))
         out[name] = {"parent": summary(parent), "change": summary(change),
-                     "change_wins": wins, "ties": sum(c == p for p, c in zip(parent, change))}
+                     "change_wins": wins, "ties": sum(c == p for p, c in zip(parent, change)),
+                     "verdict": verdict(parent, change, spec["better"], spec["bound"])}
     return out, env
 
 
@@ -121,7 +154,7 @@ def main() -> int:
     args = ap.parse_args()
 
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
-    better = {m["name"]: m["better"] for m in spec["end_to_end"]}
+    metrics = {m["name"]: m for m in spec["end_to_end"]}
     known = {w["name"] for w in spec["workloads"]}
     workloads = parse_workloads(args.workloads, known)
     traces = parse_workloads(args.trace, known)
@@ -144,7 +177,7 @@ def main() -> int:
         checkouts = {"parent": Path(tmp), "change": ROOT}
         extract(parent_commit, checkouts["parent"])
         for key, workload, seed in workloads:
-            entry, env = pair_workload(checkouts, workload, seed, args.pairs, better)
+            entry, env = pair_workload(checkouts, workload, seed, args.pairs, metrics)
             record["workloads"][key] = entry
             record["machine"] = {k: env.get(k) for k in MACHINE_KEYS}
             write()

@@ -179,7 +179,7 @@ def _cmd_learn(args) -> int:
 
 def _cmd_eval(args) -> int:
     li = dio.li_from_dict(_read_json(args.li))
-    assign = _read_json(args.assign)
+    assign = dio.json_object(_read_json(args.assign), "assignment", ScopeMismatch)
     y = {k: dio.json_integer(v, f"value of {k!r}", ScopeMismatch) for k, v in assign.items()}
     p = evaluate_point(li, y)
     _emit(args, {"assignment": y, "probability": p})

@@ -18,7 +18,7 @@ from .estimand import to_json_dict
 from .identify import Estimand, HedgeWitness, InvalidQuery
 from .learn import ConditionalTable, LearnedInterventional
 from .scm import CausalBayesNet, CbnNode
-from .tables import PmfTable, Samples, as_integer
+from .tables import PmfTable, Samples, ScopeMismatch, as_integer
 
 
 def _render(obj: Any, indent: int = 0) -> str:
@@ -58,6 +58,14 @@ def json_integer(value: Any, what: str, error: type[ValueError]) -> int:
     return out
 
 
+def json_object(value: Any, what: str, error: type[ValueError]) -> Mapping:
+    """A JSON object as a mapping; an array, a number, a string or null
+    raises ``error`` naming ``what``."""
+    if not isinstance(value, Mapping):
+        raise error(f"{what} must be a JSON object, got {type(value).__name__}")
+    return value
+
+
 # -- graphs --------------------------------------------------------------------
 
 
@@ -70,6 +78,7 @@ def admg_to_dict(g: Admg) -> dict:
 
 
 def admg_from_dict(obj: Mapping) -> Admg:
+    json_object(obj, "graph", GraphError)
     try:
         variables = [(v["name"], json_integer(v.get("cardinality", 2),
                                               f"cardinality of {v['name']!r}", GraphError))
@@ -99,6 +108,7 @@ def net_to_dict(net: CausalBayesNet) -> dict:
 
 
 def net_from_dict(obj: Mapping) -> CausalBayesNet:
+    json_object(obj, "net", GraphError)
     nodes = []
     for nd in obj["nodes"]:
         cpt = np.asarray(nd["cpt"], dtype=np.float64)
@@ -117,6 +127,7 @@ def net_from_dict(obj: Mapping) -> CausalBayesNet:
 
 
 def query_from_dict(obj: Mapping) -> tuple[dict[str, int], frozenset[str]]:
+    json_object(obj, "query", InvalidQuery)
     x = {e["var"]: json_integer(e["value"], f"value of {e['var']!r}", InvalidQuery)
          for e in obj.get("intervene", [])}
     targets = frozenset(obj.get("targets", []))
@@ -127,19 +138,35 @@ def query_from_dict(obj: Mapping) -> tuple[dict[str, int], frozenset[str]]:
 
 
 class SampleCsvError(ValueError):
-    """A sample CSV is empty, ragged, or holds a cell that is not an integer."""
+    """A sample CSV is empty, ragged, holds a cell that is not an integer, or
+    names a column twice or not at all."""
+
+
+def _separators(k: int) -> np.ndarray:
+    """The bytes after each of a row's k cells: k - 1 commas and a newline."""
+    seps = np.full(k, ord(","), dtype=np.uint8)
+    seps[-1] = ord("\n")
+    return seps
 
 
 def samples_to_csv(samples: Samples) -> str:
     """A header row of names, then one line of integer symbols per draw.
 
-    Each distinct row is rendered once, and the lines are gathered by the
-    batch's row codes (:meth:`Samples.row_codes`). Raises
+    A batch whose symbols are all single digits is one (m, 2k) byte array
+    of ``d,d,...,d\\n`` rows, filled column by column. Otherwise each
+    distinct row is rendered once, and the lines are gathered by the batch's
+    row codes (:meth:`Samples.row_codes`). Raises
     :class:`~dolearn.tables.ScopeMismatch` for a non-integer batch or a
     negative symbol, which no reader would accept.
     """
     buf = _io.StringIO()
     csv.writer(buf, lineterminator="\n").writerow(samples.names)
+    if samples.names and samples.largest_symbol < 10:
+        out = np.empty((samples.m, 2 * len(samples.names)), dtype=np.uint8)
+        out[:, 1::2] = _separators(len(samples.names))
+        np.add(samples.values, ord("0"), out=out[:, ::2], casting="unsafe")
+        buf.write(str(out.data, "ascii"))
+        return buf.getvalue()
     code, size = samples.row_codes()
     at = np.full(size, -1, dtype=np.int64)
     at[code] = np.arange(samples.m)
@@ -151,14 +178,46 @@ def samples_to_csv(samples: Samples) -> str:
     return buf.getvalue()
 
 
+def _single_digit_cells(body: str, k: int) -> np.ndarray | None:
+    """The (m, k) symbols of a body made only of ``d,d,...,d\\n`` rows of k
+    single ASCII digits, or None for any other body."""
+    if not body.isascii() or len(body) % (2 * k):
+        return None
+    view = np.frombuffer(body.encode("ascii"), dtype=np.uint8).reshape(-1, 2 * k)
+    if not (view[:, 1::2] == _separators(k)).all():
+        return None
+    digits = view[:, ::2] - np.uint8(ord("0"))  # wraps every non-digit above 9
+    if not (digits < 10).all():
+        return None
+    return digits.astype(np.int64)
+
+
 def samples_from_csv(text: str) -> Samples:
-    """Parse a header row of names and at least one row of integer symbols."""
+    """Parse a header row of names and at least one row of integer symbols.
+
+    The accepted grammar is ``np.loadtxt``'s (comma-separated integers, with
+    CRLF line ends and blank lines allowed). A body of rows of single ASCII
+    digits, each row ending in ``\\n``, as :func:`samples_to_csv` writes it
+    for a batch of symbols below 10, is decoded from its bytes directly to the
+    same array. Header names must be distinct and non-empty; columns that a
+    graph does not name are kept here and ignored by the learner.
+    """
     head, _, body = text.partition("\n")
     header = next(csv.reader([head.rstrip("\r")]), [])
     if not header:
         raise SampleCsvError("sample CSV has no header row")
+    seen = set()
+    for j, name in enumerate(header):
+        if not name:
+            raise SampleCsvError(f"sample CSV header column {j + 1} has no name")
+        if name in seen:
+            raise SampleCsvError(f"sample CSV header names column {name!r} twice")
+        seen.add(name)
     if not body.strip():
         raise SampleCsvError("sample CSV has a header but no data rows")
+    values = _single_digit_cells(body, len(header))
+    if values is not None:
+        return Samples(tuple(header), values)
     try:
         values = np.loadtxt(_io.StringIO(body), dtype=np.int64, delimiter=",",
                             comments=None, ndmin=2)
@@ -226,6 +285,7 @@ def li_to_dict(li: LearnedInterventional) -> dict:
 
 
 def li_from_dict(obj: Mapping) -> LearnedInterventional:
+    json_object(obj, "learned object", ScopeMismatch)
     factors = {f["target"]: _factor_from_dict(f) for f in obj["factors"]}
     return LearnedInterventional(
         graph=admg_from_dict(obj["graph"]),

@@ -184,6 +184,8 @@ class Samples:
         values.flags.writeable = False
         object.__setattr__(self, "values", values)
         object.__setattr__(self, "names", tuple(self.names))
+        if len(set(self.names)) != len(self.names):
+            raise ScopeMismatch(f"duplicate variable names: {self.names}")
 
     @property
     def m(self) -> int:
@@ -220,6 +222,13 @@ class Samples:
             j = int(np.argmax(lows < 0))
             raise ScopeMismatch(f"negative symbol {int(lows[j])} in column {self.names[j]!r}")
         return tuple(int(t) for t in self.values.max(axis=0))
+
+    @property
+    def largest_symbol(self) -> int:
+        """The batch's largest symbol, or -1 for a batch with no rows or no
+        columns. Raises :class:`ScopeMismatch` for a non-integer batch or a
+        negative symbol."""
+        return max(self._top, default=-1)
 
     def row_codes(self) -> tuple[np.ndarray, int]:
         """One int64 code per row, and the size of the code space.

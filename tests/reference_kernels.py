@@ -21,8 +21,9 @@ from dolearn.estimand import (
     Product,
     _is_base_chain,
 )
+from dolearn.io import SampleCsvError
 from dolearn.scm import CausalBayesNet, CbnNode, exact_interventional, exact_observational
-from dolearn.tables import PmfTable, ScopeMismatch, iter_assignments, strides_for
+from dolearn.tables import PmfTable, Samples, ScopeMismatch, iter_assignments, strides_for
 from dolearn.verify import exact_tv
 from dolearn.witness import IndistinguishablePair, _iter_models
 
@@ -272,6 +273,44 @@ def samples_to_csv(samples) -> str:
     writer.writerow(samples.names)
     writer.writerows(samples.values.tolist())
     return buf.getvalue()
+
+
+# -- the sample CSV codec, as it was before single-digit batches became byte arrays
+
+
+def samples_to_csv_by_row_codes(samples) -> str:
+    """Each distinct row rendered once, the lines gathered by the row codes."""
+    buf = _io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerow(samples.names)
+    code, size = samples.row_codes()
+    at = np.full(size, -1, dtype=np.int64)
+    at[code] = np.arange(samples.m)
+    present = np.flatnonzero(at >= 0)
+    lines = np.empty(size, dtype=object)
+    lines[present] = [",".join(map(str, row)) + "\n"
+                      for row in samples.values[at[present]].tolist()]
+    buf.write("".join(lines[code].tolist()))
+    return buf.getvalue()
+
+
+def samples_from_csv_by_loadtxt(text: str):
+    """A header row of names, then every body parsed by ``np.loadtxt``."""
+    head, _, body = text.partition("\n")
+    header = next(csv.reader([head.rstrip("\r")]), [])
+    if not header:
+        raise SampleCsvError("sample CSV has no header row")
+    if not body.strip():
+        raise SampleCsvError("sample CSV has a header but no data rows")
+    try:
+        values = np.loadtxt(_io.StringIO(body), dtype=np.int64, delimiter=",",
+                            comments=None, ndmin=2)
+    except ValueError as exc:
+        raise SampleCsvError(f"sample CSV body: {exc}") from None
+    if values.shape[1] != len(header):
+        raise SampleCsvError(
+            f"sample CSV rows have {values.shape[1]} cells, header has {len(header)}"
+        )
+    return Samples(tuple(header), values)
 
 
 # -- the estimand interpreter, as it was before estimands were compiled to plans

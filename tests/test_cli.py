@@ -446,3 +446,66 @@ def test_eval_rejects_non_integer_factor_cardinality(li_file, capsys, field, val
                                 "--assign", str(tmp / "point.json")])
     assert err["error"] == "GraphError"
     assert "factor of 'Y'" in err["message"] and "must be an integer" in err["message"]
+
+
+@pytest.mark.parametrize("value", [[0, 0, 0], 3, None, "x"])
+@pytest.mark.parametrize("command, bad, error", [
+    (["eval", "--li", "li.json", "--assign", "point.json"], "point.json", "ScopeMismatch"),
+    (["eval", "--li", "li.json", "--assign", "point.json"], "li.json", "ScopeMismatch"),
+    (["sample", "--li", "li.json", "--seed", "1", "--m", "10"], "li.json", "ScopeMismatch"),
+    (["verify", "--li", "li.json", "--cbn", "net.json"], "li.json", "ScopeMismatch"),
+    (["identify", "--graph", "graph.json", "--query", "query.json"], "query.json",
+     "QueryError"),
+    (["learn", "--graph", "graph.json", "--query", "query.json", "--cbn", "net.json",
+      "--seed", "1", "--m", "100"], "query.json", "QueryError"),
+    (["simulate", "--cbn", "net.json", "--seed", "1", "--m", "10"], "net.json", "NetError"),
+    (["verify", "--li", "li.json", "--cbn", "net.json"], "net.json", "NetError"),
+    (["identify", "--graph", "graph.json", "--query", "query.json"], "graph.json",
+     "GraphError"),
+])
+def test_json_file_that_is_not_an_object_fails_by_name(li_file, capsys, command, bad, error,
+                                                       value):
+    tmp, obj = li_file
+    (tmp / "li.json").write_text(json.dumps(obj))
+    (tmp / bad).write_text(json.dumps(value))
+    err = _input_error(capsys, [str(tmp / a) if a.endswith(".json") else a for a in command])
+    assert err["error"] == error
+    assert f"must be a JSON object, got {type(value).__name__}" in err["message"]
+
+
+def _learn_from(tmp, capsys, name, text):
+    (tmp / name).write_text(text)
+    code = main(["learn", "--graph", str(tmp / "graph.json"),
+                 "--query", str(tmp / "query.json"), "--samples", str(tmp / name)])
+    return code, capsys.readouterr()
+
+
+def test_learn_ignores_sample_columns_the_graph_does_not_name(workdir, capsys):
+    tmp, g, net = workdir
+    assert main(["simulate", "--cbn", str(tmp / "net.json"), "--seed", "3",
+                 "--m", "2000", "--out", str(tmp / "samples.csv")]) == 0
+    capsys.readouterr()
+    rows = (tmp / "samples.csv").read_text().splitlines()
+    extra = np.random.default_rng(0).integers(0, 12, size=len(rows) - 1)
+    wide = ["X,W," + rows[0].partition(",")[2]] + [
+        f"{r.partition(',')[0]},{w},{r.partition(',')[2]}" for r, w in zip(rows[1:], extra)]
+    code, plain = _learn_from(tmp, capsys, "samples.csv", "\n".join(rows) + "\n")
+    assert code == 0
+    code, widened = _learn_from(tmp, capsys, "wide.csv", "\n".join(wide) + "\n")
+    assert code == 0
+    assert widened.out == plain.out
+
+
+def test_learn_rejects_a_sample_column_named_twice(workdir, capsys):
+    tmp, g, net = workdir
+    assert main(["simulate", "--cbn", str(tmp / "net.json"), "--seed", "3",
+                 "--m", "200", "--out", str(tmp / "samples.csv")]) == 0
+    capsys.readouterr()
+    rows = (tmp / "samples.csv").read_text().splitlines()
+    assert rows[0] == "X,Z1,Z2,Y"
+    twice = ["X,Z1,Z2,Y,X"] + [r + "," + str(1 - int(r[0])) for r in rows[1:]]
+    code, captured = _learn_from(tmp, capsys, "twice.csv", "\n".join(twice) + "\n")
+    assert code == 4
+    err = json.loads(captured.err)
+    assert err["error"] == "SampleCsvError"
+    assert "'X' twice" in err["message"]

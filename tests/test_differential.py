@@ -1,8 +1,9 @@
 """Package code against reference versions kept in the test tree: the
 vectorized batch kernels and the sample CSV writer against their
 loop-and-stack forms (the samplers also at batch sizes around their row
-blocks, with their scratch memory held to a few blocks), the fragment learner against its former copy of the
-identification recursion, the row products (oracle joints, learned
+blocks, with their scratch memory held to a few blocks), the byte-array
+sample CSV codec against its row-code writer and ``np.loadtxt`` reader, the
+fragment learner against its former copy of the identification recursion, the row products (oracle joints, learned
 evaluator, structural identities, factor errors) against their hand-written
 forms, compiled estimand plans against the tree interpreter they replaced,
 random nets against one Dirichlet draw per node and their sampling order
@@ -28,7 +29,7 @@ from dolearn.estimand import (
     full_table,
 )
 from dolearn.generate import sample
-from dolearn.io import samples_to_csv
+from dolearn.io import SampleCsvError, samples_from_csv, samples_to_csv
 from dolearn.identify import (
     CausalQuery,
     HedgeWitness,
@@ -447,6 +448,69 @@ def _huge_symbol_batch():
 def test_csv_writer_matches_reference_on_fixed_batches(make):
     samples = make()
     assert samples_to_csv(samples) == ref.samples_to_csv(samples)
+
+
+@st.composite
+def codec_batches(draw):
+    """A batch of cardinalities 1 to 12 (so some symbols have two digits) at
+    m of 1, 2 or an odd size, row- or column-major, with names the reader's
+    one-line header can hold."""
+    names = draw(st.lists(st.sampled_from([n for n in HEADER_NAMES if "\n" not in n]),
+                          min_size=1, max_size=6, unique=True))
+    cards = [draw(st.integers(1, 12)) for _ in names]
+    m = draw(st.sampled_from([1, 2, 3, 7, 51, 999]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**16)))
+    buf = np.stack([rng.integers(0, c, size=m) for c in cards])
+    buf = buf.astype(draw(st.sampled_from(["uint8", "int32", "int64"])))
+    if draw(st.booleans()):
+        return Samples(tuple(names), buf.T)
+    return Samples(tuple(names), np.ascontiguousarray(buf.T))
+
+
+NEAR_CANONICAL = {
+    "no final newline": lambda rows, i: rows[:-1] + [rows[-1].rstrip("\n")],
+    "crlf": lambda rows, i: [r.replace("\n", "\r\n") for r in rows],
+    "blank line": lambda rows, i: rows[:i] + ["\n"] + rows[i:],
+    "extra cell": lambda rows, i: rows[:i] + [rows[i].replace("\n", ",1\n")] + rows[i + 1:],
+    "missing cell": lambda rows, i: rows[:i] + [rows[i].partition(",")[2] or "\n"] + rows[i + 1:],
+    "trailing comma": lambda rows, i: rows[:i] + [rows[i].replace("\n", ",\n")] + rows[i + 1:],
+    "0.7": lambda rows, i: rows[:i] + ["0.7" + rows[i][1:]] + rows[i + 1:],
+    "space": lambda rows, i: rows[:i] + [" " + rows[i]] + rows[i + 1:],
+    "non-ascii digit": lambda rows, i: rows[:i] + ["\u0663" + rows[i][1:]] + rows[i + 1:],
+}
+
+
+def _read_both(text):
+    """The package reader's and the reference reader's result on ``text``:
+    the batch, or the ``SampleCsvError`` each raised."""
+    out = []
+    for read in (samples_from_csv, ref.samples_from_csv_by_loadtxt):
+        try:
+            out.append(read(text))
+        except SampleCsvError as exc:
+            out.append(exc)
+    return out
+
+
+@settings(max_examples=150, deadline=None)
+@given(codec_batches(), st.sampled_from([None, *NEAR_CANONICAL]), st.integers(0, 2**16))
+def test_csv_codec_matches_row_code_writer_and_loadtxt_reader(samples, mutation, at):
+    text = samples_to_csv(samples)
+    assert text == ref.samples_to_csv_by_row_codes(samples)
+    head, _, body = text.partition("\n")
+    if mutation is not None:
+        rows = body.splitlines(keepends=True)
+        body = "".join(NEAR_CANONICAL[mutation](rows, at % len(rows)))
+    got, want = _read_both(head + "\n" + body)
+    if isinstance(want, SampleCsvError):
+        assert isinstance(got, SampleCsvError), mutation
+        return
+    assert not isinstance(got, SampleCsvError), (mutation, got)
+    assert got.names == want.names
+    assert got.values.dtype == want.values.dtype == np.int64
+    assert np.array_equal(got.values, want.values)
+    if mutation is None:
+        assert np.array_equal(got.values, samples.values)
 
 
 # -- fragment learner against the reference recursion ---------------------------

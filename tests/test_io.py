@@ -183,3 +183,15 @@ def test_samples_csv_accepts_crlf_and_blank_lines():
 def test_samples_csv_rejects_malformed_files(text, message):
     with pytest.raises(dio.SampleCsvError, match=message):
         dio.samples_from_csv(text)
+
+
+@pytest.mark.parametrize("text, message", [
+    ("A,A\n0,1\n", "names column 'A' twice"),
+    ("X,Z1,Z2,Y,X\n0,1,0,1,1\n", "names column 'X' twice"),
+    ("A,\n0,1\n", "column 2 has no name"),
+    (",B\n0,1\n", "column 1 has no name"),
+])
+def test_samples_csv_rejects_duplicate_or_empty_names(text, message):
+    with pytest.raises(dio.SampleCsvError, match=message):
+        dio.samples_from_csv(text)
+

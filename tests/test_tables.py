@@ -171,6 +171,18 @@ class TestSamples:
         with pytest.raises(ScopeMismatch, match="'B' not among sampled variables"):
             s.check_symbols(("A", "B"), (2, 2))
 
+    def test_duplicate_names_are_rejected(self):
+        with pytest.raises(ScopeMismatch, match="duplicate variable names"):
+            Samples(("A", "B", "A"), [[0, 1, 1]])
+        with pytest.raises(ScopeMismatch, match="duplicate variable names"):
+            Samples(("A", "B"), [[0, 1]]).project(("B", "B"))
+
+    def test_largest_symbol(self):
+        assert Samples(("A", "B"), [[0, 3], [7, 1]]).largest_symbol == 7
+        assert Samples(("A",), np.zeros((0, 1), dtype=np.int64)).largest_symbol == -1
+        with pytest.raises(ScopeMismatch, match="negative symbol"):
+            Samples(("A",), [[-2]]).largest_symbol
+
     def test_values_are_read_only_and_statistics_memoized(self):
         raw = np.array([[0, 1], [1, 1], [0, 1]])
         s = Samples(("A", "B"), raw)
