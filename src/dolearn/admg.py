@@ -150,10 +150,6 @@ class Admg:
         ps = self._parents[i]
         return ps if within is None else ps & within
 
-    def children(self, i: int, within: frozenset[int] | None = None) -> frozenset[int]:
-        cs = self._children[i]
-        return cs if within is None else cs & within
-
     # -- graph algorithms ----------------------------------------------------
 
     def topological_order(self) -> tuple[int, ...]:
@@ -234,12 +230,6 @@ class Admg:
             comps.append(frozenset(comp))
         return tuple(comps)
 
-    def component_of(self, i: int, within: frozenset[int] | None = None) -> frozenset[int]:
-        for comp in self.c_components(within):
-            if i in comp:
-                return comp
-        raise GraphError(f"variable {i} outside restriction")
-
     def pa_plus(self, s: Iterable[int], within: frozenset[int] | None = None) -> frozenset[int]:
         """The set itself plus the directed parents of its members."""
         s = frozenset(s)
@@ -247,19 +237,6 @@ class Admg:
         for i in s:
             out |= self.parents(i, within)
         return frozenset(out)
-
-    def effective_parents(
-        self,
-        order: Sequence[int],
-        vi: int,
-        within: frozenset[int] | None = None,
-    ) -> frozenset[int]:
-        """Conditioning set for ``vi``: parents-plus of its c-component, cut to
-        the part of ``order`` that precedes ``vi``."""
-        scope = frozenset(range(self.n)) if within is None else frozenset(within)
-        comp = self.component_of(vi, scope)
-        prefix = frozenset(order[: list(order).index(vi)]) & scope
-        return self.pa_plus(comp, scope) & prefix
 
     def induced_subgraph(self, s: Iterable[int]) -> "Admg":
         """Subgraph on ``s`` keeping both edge kinds; indices re-densified.

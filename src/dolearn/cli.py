@@ -32,7 +32,6 @@ from .scm import (
 )
 from .tables import ScopeMismatch
 from .verify import GraphMismatch, compare_to_oracle
-from .witness import indistinguishable_pair
 
 EXIT_OK = 0
 EXIT_NOT_IDENTIFIABLE = 2
@@ -212,21 +211,14 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_demo(args) -> int:
-    from .demo import bow_graph, run_example1, run_example2
+    from .demo import run_bow, run_example1, run_example2
 
     if args.name == "example1":
         report = run_example1(seed=args.seed, m=args.m)
     elif args.name == "example2":
         report = run_example2(seed=args.seed, m=args.m)
     else:
-        bow = bow_graph()
-        pair = indistinguishable_pair(bow, {"X": 1}, seed=args.seed)
-        report = {
-            "query": {"intervene": {"X": 1}, "targets": ["Y"]},
-            "identifiable": False,
-            "observational_tv": pair.observational_tv,
-            "interventional_tv": pair.interventional_tv,
-        }
+        report = run_bow(seed=args.seed)
     _emit(args, report)
     if "formula" in report:
         print(f"formula: {report['formula']}", file=sys.stderr)

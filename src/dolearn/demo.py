@@ -21,6 +21,7 @@ from .scm import (
     sample_observational,
 )
 from .verify import compare_to_oracle, exact_tv
+from .witness import indistinguishable_pair
 
 
 def fig3a_graph() -> Admg:
@@ -89,6 +90,18 @@ def run_example1(seed: int = 7, m: int = 100_000, config: LearnConfig | None = N
 
 def run_example2(seed: int = 11, m: int = 100_000, config: LearnConfig | None = None) -> dict:
     return _run_example(example2_query(), seed, m, config or LearnConfig())
+
+
+def run_bow(seed: int = 7) -> dict:
+    """The non-identifiable bow query, with a witness pair of nets that agree
+    on the observational distribution and differ under ``do(X = 1)``."""
+    pair = indistinguishable_pair(bow_graph(), {"X": 1}, seed=seed)
+    return {
+        "query": {"intervene": {"X": 1}, "targets": ["Y"]},
+        "identifiable": False,
+        "observational_tv": pair.observational_tv,
+        "interventional_tv": pair.interventional_tv,
+    }
 
 
 def random_identifiable_case(

@@ -12,13 +12,12 @@ def sample(li: LearnedInterventional, seed: int, m: int) -> Samples:
     """Draw ``m`` i.i.d. assignments from the learned distribution.
 
     Variables are drawn along the stored topological order with one uniform
-    draw each, inverted through the factor's precomputed cumulative rows, so
+    draw each, inverted through the cumulative sums of the factor's rows, so
     every conditioning value is already determined when it is read. The
     output matches the evaluator exactly: the probability of producing an
     assignment equals its evaluated mass.
     """
-    factors = [li.factors[n] for n in li.order]
-    steps = [(n, f.cond, f._strides, f.cumulative) for n, f in zip(li.order, factors)]
+    steps = [li.factors[n].step for n in li.order]
     return ancestral_sample(steps, li.order, seed, m, fixed=li.x)
 
 

@@ -178,7 +178,8 @@ def chain_conds(
 
     ``over`` is a c-component of the graph restricted to ``vs``; each variable
     conditions on the parents-plus of that component cut to the variable's
-    prefix in the fixed global order.
+    prefix in the fixed global order. This is the one conditioning-set rule:
+    the estimand chains and the Bayes-net learner both read it.
     """
     pa_plus = g.pa_plus(over, vs)
     conds = []

@@ -138,8 +138,8 @@ def query_from_dict(obj: Mapping) -> tuple[dict[str, int], frozenset[str]]:
 
 
 class SampleCsvError(ValueError):
-    """A sample CSV is empty, ragged, holds a cell that is not an integer, or
-    names a column twice or not at all."""
+    """A sample CSV is empty, ragged, holds a cell that is not an integer,
+    names a column twice or not at all, or has a header that is not one line."""
 
 
 def _separators(k: int) -> np.ndarray:
@@ -157,8 +157,12 @@ def samples_to_csv(samples: Samples) -> str:
     distinct row is rendered once, and the lines are gathered by the batch's
     row codes (:meth:`Samples.row_codes`). Raises
     :class:`~dolearn.tables.ScopeMismatch` for a non-integer batch or a
-    negative symbol, which no reader would accept.
+    negative symbol, and :class:`SampleCsvError` for a column name holding a
+    line break, which no reader would accept.
     """
+    for name in samples.names:
+        if "\n" in name or "\r" in name:
+            raise SampleCsvError(f"sample CSV column name {name!r} holds a line break")
     buf = _io.StringIO()
     csv.writer(buf, lineterminator="\n").writerow(samples.names)
     if samples.names and samples.largest_symbol < 10:
@@ -203,7 +207,10 @@ def samples_from_csv(text: str) -> Samples:
     graph does not name are kept here and ignored by the learner.
     """
     head, _, body = text.partition("\n")
-    header = next(csv.reader([head.rstrip("\r")]), [])
+    try:
+        header = next(csv.reader([head.rstrip("\r")]), [])
+    except csv.Error as exc:
+        raise SampleCsvError(f"sample CSV header: {exc}") from None
     if not header:
         raise SampleCsvError("sample CSV has no header row")
     seen = set()

@@ -30,7 +30,14 @@ import numpy as np
 
 from .admg import Admg
 from .estimand import BaseDist, ChainProduct, PositivityViolation, chain_depth, full_table
-from .identify import CausalQuery, HedgeWitness, NotIdentifiable, check_intervention, identify
+from .identify import (
+    CausalQuery,
+    HedgeWitness,
+    NotIdentifiable,
+    chain_conds,
+    check_intervention,
+    identify,
+)
 from .tables import (
     EmpiricalAccess,
     PmfTable,
@@ -144,11 +151,6 @@ class ConditionalTable:
         """This factor as a :func:`~dolearn.tables.row_product` step."""
         return self.target, self.cond, self._strides, self.probs
 
-    @cached_property
-    def cumulative(self) -> np.ndarray:
-        """Per-row cumulative sums, precomputed for inverse-cdf sampling."""
-        return np.cumsum(self.probs, axis=1)
-
     def row(self, env: Mapping[str, int]) -> np.ndarray:
         try:
             return self.probs[sum(env[n] * s for n, s in zip(self.cond, self._strides))]
@@ -159,20 +161,27 @@ class ConditionalTable:
 # -- the two learners and assembly ---------------------------------------------
 
 
+def _q_conds(g: Admg, part: RelativePartition) -> dict[str, tuple[str, ...]]:
+    """Effective parents of each variable outside the intervened components:
+    :func:`~dolearn.identify.chain_conds` of its component over the graph."""
+    order = g.topological_order()
+    return {v: zs for comp in part.components[part.ell:]
+            for v, zs in chain_conds(g, order, comp, frozenset(range(g.n)))}
+
+
 def learn_q(
     samples: Samples, g: Admg, part: RelativePartition
 ) -> dict[str, ConditionalTable]:
     """Add-1 smoothed conditionals for every variable outside the intervened
     components, conditioned on its effective parents. Configurations never
     seen in the batch get the uniform row."""
-    order = g.topological_order()
+    conds = _q_conds(g, part)
     out: dict[str, ConditionalTable] = {}
     for i in sorted(part.c_high):
         name = g.names[i]
         card = g.cards[i]
-        zs = sorted(g.effective_parents(order, i))
-        znames = tuple(g.names[z] for z in zs)
-        zcards = tuple(g.cards[z] for z in zs)
+        znames = conds[name]
+        zcards = tuple(g.cards[g.index(z)] for z in znames)
         counts = samples.counts_over(znames + (name,), zcards + (card,))
         flat = counts.reshape(-1, card)
         rows = (flat + 1.0) / (flat.sum(axis=1, keepdims=True) + card)
@@ -187,14 +196,13 @@ def _q_from_table(
 ) -> dict[str, ConditionalTable]:
     """Infinite-sample conditionals: exact ratios of the supplied table, each
     materialized as a one-factor chain over the input distribution."""
-    order = g.topological_order()
+    conds = _q_conds(g, part)
     base = BaseDist(g.names)
     out: dict[str, ConditionalTable] = {}
     for i in sorted(part.c_high):
         name = g.names[i]
-        zs = sorted(g.effective_parents(order, i))
-        znames = tuple(g.names[z] for z in zs)
-        zcards = tuple(g.cards[z] for z in zs)
+        znames = conds[name]
+        zcards = tuple(g.cards[g.index(z)] for z in znames)
         chain = ChainProduct(base, (name,), ((name, znames),))
         rows = full_table(chain, obs, allow_free_axes=True).aligned_to(znames + (name,))
         out[name] = ConditionalTable(

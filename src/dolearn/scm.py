@@ -147,13 +147,13 @@ class CausalBayesNet:
         again for every intervened set."""
         shape = tuple(nd.cardinality for nd in self.nodes)
         grid = dict(zip(self.names, np.indices(shape, sparse=True)))
-        return tuple((nd.name, row_product([_step(self, nd, nd.cpt)], grid))
+        return tuple((nd.name, row_product([_step(self, nd)], grid))
                      for nd in self.nodes)
 
 
-def _step(net: CausalBayesNet, nd: CbnNode, rows: np.ndarray) -> tuple:
-    """One mechanism as a row-kernel step over ``rows`` (its CPT or cumulative CPT)."""
-    return nd.name, nd.parents, strides_for([net.cardinality(p) for p in nd.parents]), rows
+def _step(net: CausalBayesNet, nd: CbnNode) -> tuple:
+    """One mechanism as a row-kernel step over its CPT."""
+    return nd.name, nd.parents, strides_for([net.cardinality(p) for p in nd.parents]), nd.cpt
 
 
 def _full_joint(net: CausalBayesNet, skip: frozenset[str] = frozenset()) -> np.ndarray:
@@ -214,10 +214,7 @@ def sample_observational(net: CausalBayesNet, seed: int, m: int) -> Samples:
     Each node is sampled in topological order from its conditional row via one
     uniform draw. Deterministic for a fixed seed.
     """
-    steps = (
-        _step(net, nd, np.cumsum(nd.cpt, axis=1))
-        for nd in map(net.node, net.topological_order())
-    )
+    steps = (_step(net, nd) for nd in map(net.node, net.topological_order()))
     return ancestral_sample(steps, net.observables, seed, m)
 
 

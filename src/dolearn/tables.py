@@ -346,8 +346,9 @@ def ancestral_sample(
     """Draw ``m`` rows along ``steps`` with one uniform per variable and draw.
 
     Each step is (variable, conditioning variables, their row-major strides,
-    cumulative table); every conditioning variable is drawn by an earlier step
-    or held at its ``fixed`` value, which adds a row offset into the table.
+    probability rows), as :func:`row_product` takes; every conditioning
+    variable is drawn by an earlier step or held at its ``fixed`` value, which
+    offsets the rows whose cumulative sums give the step's thresholds.
     Variables in ``keep`` are written straight into the rows of an
     (n_keep, m) int64 buffer whose transpose is the batch.
 
@@ -365,10 +366,10 @@ def ancestral_sample(
     fixed = fixed or {}
     slot = {n: i for i, n in enumerate(keep)}
     plan = []  # (variable, drawn parents with strides, thresholds from the fixed offset)
-    for name, cond, strides, cum in steps:
+    for name, cond, strides, probs in steps:
         offset = sum(fixed[c] * s for c, s in zip(cond, strides) if c in fixed)
         drawn = [(c, s) for c, s in zip(cond, strides) if c not in fixed]
-        plan.append((name, drawn, cdf_thresholds(cum[offset:])))
+        plan.append((name, drawn, cdf_thresholds(np.cumsum(probs[offset:], axis=1))))
     dropped = {n: i for i, n in enumerate(n for n, _, _ in plan if n not in slot)}
     buf = np.empty((len(keep), m), dtype=np.int64)
     width = min(m, BLOCK_ROWS)
@@ -425,15 +426,15 @@ def _count(value: int, what: str) -> int:
 def row_product(
     steps: Iterable[tuple[str, Sequence[str], Sequence[int], np.ndarray]],
     grid: Mapping[str, int | np.ndarray],
-    out: float | np.ndarray = 1.0,
 ) -> float | np.ndarray:
-    """Multiply ``out`` by one conditional-row entry per step, in step order.
+    """The product of one conditional-row entry per step, in step order.
 
-    The evaluation twin of :func:`ancestral_sample`, over the same steps but
-    with probability rows: each contributes ``table[sum(grid[c] * stride),
-    grid[variable]]``. Values of ``grid`` may be integer arrays that broadcast
-    together; the product is then formed at every broadcast position.
+    The evaluation twin of :func:`ancestral_sample`, over the same steps: each
+    contributes ``rows[sum(grid[c] * stride), grid[variable]]``. Values of
+    ``grid`` may be integer arrays that broadcast together; the product is
+    then formed at every broadcast position.
     """
+    out: float | np.ndarray = 1.0
     for name, cond, strides, rows in steps:
         row: np.ndarray | int = 0
         for c, s in zip(cond, strides):

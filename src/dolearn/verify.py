@@ -8,7 +8,6 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Callable, Iterator, Mapping, NamedTuple
 
 import numpy as np
@@ -170,21 +169,12 @@ def compare_to_oracle(
 # -- exact structural identities of the component factorization ----------------
 
 
-@lru_cache(maxsize=4)
-def _exact_q_steps(obs: PmfTable, g: Admg, part: RelativePartition) -> tuple:
-    """The exact non-intervened-component conditionals of ``obs`` as row-kernel
-    steps, built once per (table, graph, partition); tables are keyed by
-    identity, and the few most recent are kept alive."""
-    exact = _q_from_table(obs, g, part)
-    return tuple(exact[g.names[i]].step for i in sorted(part.c_high))
-
-
 def tian_q_value(
     obs: PmfTable, g: Admg, part: RelativePartition, env: Mapping[str, int]
 ) -> float:
     """Product of exact effective-parent conditionals over the non-intervened
     components, evaluated at a full assignment."""
-    return float(row_product(_exact_q_steps(obs, g, part), env))
+    return float(row_product((f.step for f in _q_from_table(obs, g, part).values()), env))
 
 
 def tian_q_table(
@@ -204,7 +194,7 @@ def tian_q_table(
     cards = tuple(g.cards[i] for i in sorted(part.c_high))
     grid = dict(fix)
     grid.update(zip(names, np.indices(cards, sparse=True)))
-    arr = row_product([factors[n].step for n in names], grid, np.ones(cards))
+    arr = row_product([factors[n].step for n in names], grid)
     return PmfTable(names, arr, context=dict(fix), normalized=False)
 
 

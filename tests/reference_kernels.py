@@ -13,6 +13,7 @@ import math
 
 import numpy as np
 
+from dolearn.admg import GraphError
 from dolearn.estimand import (
     BaseDist,
     ChainProduct,
@@ -82,7 +83,7 @@ def generate_sample(li, seed: int, m: int) -> np.ndarray:
         rows = np.zeros(m, dtype=np.int64)
         for c, s in zip(f.cond, strides_for(f.cond_cards)):
             rows += cols[c] * s
-        cols[name] = draw_compare_and_cap(f.cumulative[rows], rng.random(m))
+        cols[name] = draw_compare_and_cap(np.cumsum(f.probs, axis=1)[rows], rng.random(m))
     if not li.order:
         return np.zeros((m, 0), dtype=np.int64)
     return np.stack([cols[n] for n in li.order], axis=1)
@@ -154,6 +155,22 @@ def observable_family(net, skip: frozenset[str] = frozenset()) -> np.ndarray:
     return joint
 
 
+def component_of(g, i: int, within: frozenset[int] | None = None) -> frozenset[int]:
+    for comp in g.c_components(within):
+        if i in comp:
+            return comp
+    raise GraphError(f"variable {i} outside restriction")
+
+
+def effective_parents(g, order, vi: int, within: frozenset[int] | None = None) -> frozenset[int]:
+    """Conditioning set for ``vi``: parents-plus of its c-component, cut to
+    the part of ``order`` that precedes ``vi``."""
+    scope = frozenset(range(g.n)) if within is None else frozenset(within)
+    comp = component_of(g, vi, scope)
+    prefix = frozenset(order[: list(order).index(vi)]) & scope
+    return g.pa_plus(comp, scope) & prefix
+
+
 def tian_q_value(obs, g, part, env) -> float:
     """Product of exact effective-parent conditionals over the non-intervened
     components, evaluated at a full assignment."""
@@ -161,7 +178,7 @@ def tian_q_value(obs, g, part, env) -> float:
     out = 1.0
     for i in sorted(part.c_high):
         name = g.names[i]
-        zs = sorted(g.effective_parents(order, i))
+        zs = sorted(effective_parents(g, order, i))
         znames = [g.names[z] for z in zs]
         num = obs.marginal_to(set(znames) | {name}).pmf(env)
         den = obs.marginal_to(set(znames)).pmf(env)
@@ -208,7 +225,7 @@ def kl_decomposition_sides(obs, g, part, q_factors, fix) -> tuple[float, float]:
     high_names = set(q.names)
     for i in sorted(part.c_high):
         name = g.names[i]
-        zs = sorted(g.effective_parents(order, i))
+        zs = sorted(effective_parents(g, order, i))
         znames = [g.names[z] for z in zs]
         free = [z for z in znames if z in high_names]
         fcards = [g.cards[g.index(z)] for z in free]

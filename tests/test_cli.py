@@ -341,6 +341,15 @@ def test_demo_example1(capsys):
     assert "P[z1|x]" in out["formula"]
 
 
+def test_demo_bow(capsys):
+    assert main(["demo", "bow"]) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert out["identifiable"] is False
+    assert out["query"] == {"intervene": {"X": 1}, "targets": ["Y"]}
+    assert out["observational_tv"] <= 1e-9
+    assert out["interventional_tv"] >= 1e-3
+
+
 def test_float_rendering_17_digits(tmp_path):
     text = dio.dump_json({"p": 1 / 3})
     assert "0.33333333333333331" in text

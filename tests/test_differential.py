@@ -3,7 +3,9 @@ vectorized batch kernels and the sample CSV writer against their
 loop-and-stack forms (the samplers also at batch sizes around their row
 blocks, with their scratch memory held to a few blocks), the byte-array
 sample CSV codec against its row-code writer and ``np.loadtxt`` reader, the
-fragment learner against its former copy of the identification recursion, the row products (oracle joints, learned
+fragment learner against its former copy of the identification recursion, the
+Bayes-net learner's conditioning sets against the former effective-parent
+rule, the row products (oracle joints, learned
 evaluator, structural identities, factor errors) against their hand-written
 forms, compiled estimand plans against the tree interpreter they replaced,
 random nets against one Dirichlet draw per node and their sampling order
@@ -39,6 +41,7 @@ from dolearn.identify import (
 )
 from dolearn.learn import (
     PositivityViolation,
+    _q_from_table,
     evaluate_point,
     fit_from_table,
     learn_interventional,
@@ -428,6 +431,10 @@ def csv_batches(draw):
 @settings(max_examples=60, deadline=None)
 @given(csv_batches())
 def test_csv_writer_matches_reference(samples):
+    if any("\n" in n for n in samples.names):  # no reader could split the header
+        with pytest.raises(SampleCsvError, match="holds a line break"):
+            samples_to_csv(samples)
+        return
     assert samples_to_csv(samples) == ref.samples_to_csv(samples)
 
 
@@ -611,6 +618,43 @@ def test_table_fit_matches_estimand_table(case):
         return
     got = fit_from_table(obs, g, x).table().aligned_to(want.names)
     assert np.abs(got.probs - want.probs).max() <= 1e-12
+
+
+# -- the Bayes-net learner's conditioning sets against effective parents --------
+
+
+def _batch_conds(g, part):
+    """Each non-intervened-component variable's conditioning set as
+    ``learn_q`` reads it, on a one-row batch."""
+    batch = Samples(g.names, np.zeros((1, g.n), dtype=np.int64))
+    return {n: f.cond for n, f in learn_q(batch, g, part).items()}
+
+
+def _reference_conds(g, part):
+    order = g.topological_order()
+    return {g.names[i]: g.names_of(ref.effective_parents(g, order, i))
+            for i in sorted(part.c_high)}
+
+
+def test_learner_conditions_on_effective_parents_on_every_sweep_graph():
+    graphs = 0
+    for _, g in sweep_graphs():
+        part = relative_partition(g, ())
+        assert _batch_conds(g, part) == _reference_conds(g, part)
+        graphs += 1
+    assert graphs == 11_946
+
+
+@settings(max_examples=200, deadline=None)
+@given(admgs(max_n=7, max_bidirected=5, cardinalities=(2, 3)), st.data())
+def test_learner_conditions_on_effective_parents(g, data):
+    x_names = data.draw(st.lists(st.sampled_from(g.names), max_size=2, unique=True))
+    part = relative_partition(g, g.indices(x_names))
+    want = _reference_conds(g, part)
+    uniform = PmfTable(g.names, np.full(g.cards, 1.0 / np.prod(g.cards)))
+    from_table = {n: f.cond for n, f in _q_from_table(uniform, g, part).items()}
+    for got in (_batch_conds(g, part), from_table):
+        assert list(got.items()) == list(want.items())  # same sets, same factor order
 
 
 # -- row products against their hand-written forms -------------------------------

@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -179,6 +180,7 @@ def test_samples_csv_accepts_crlf_and_blank_lines():
     ("", "no header row"),
     ("A,B\n0.7,1\n", "could not convert"),
     ("A,B\n0,x\n", "could not convert"),
+    ("a\rb,A\n0,1\n", "sample CSV header: new-line character"),
 ])
 def test_samples_csv_rejects_malformed_files(text, message):
     with pytest.raises(dio.SampleCsvError, match=message):
@@ -195,3 +197,8 @@ def test_samples_csv_rejects_duplicate_or_empty_names(text, message):
     with pytest.raises(dio.SampleCsvError, match=message):
         dio.samples_from_csv(text)
 
+
+@pytest.mark.parametrize("name", ["line\nbreak", "carriage\rreturn", "both\r\n"])
+def test_samples_csv_writer_rejects_a_name_with_a_line_break(name):
+    with pytest.raises(dio.SampleCsvError, match=re.escape(f"column name {name!r} holds")):
+        dio.samples_to_csv(Samples((name, "A"), [[0, 1], [1, 0]]))

@@ -9,6 +9,7 @@ from dolearn.learn import (
     LearnConfig,
     LearnedInterventional,
     PositivityViolation,
+    _family_conditionals,
     assemble,
     evaluate_point,
     fit_from_table,
@@ -122,6 +123,33 @@ class TestLearnQ:
                     continue
                 true_row = [joint.pmf(env | {name: s}) / mass for s in range(f.target_card)]
                 assert np.abs(f.probs[row_idx] - true_row).max() < 0.02
+
+
+class TestFamilyConditionals:
+    """The chain rule that splits a fragment table into conditional rows."""
+
+    def test_zero_mass_row_is_uniform_and_the_others_exact_ratios(self):
+        g = Admg.build(["C", "A", "B"], [("C", "A"), ("A", "B")])
+        arr = np.array([[[0.3, 0.7], [0.0, 0.0]],   # C = 0: A = 1 has no mass
+                        [[0.1, 0.2], [0.3, 0.4]]])  # C = 1
+        table = PmfTable(("C", "A", "B"), arr, normalized=False)
+        rows = _family_conditionals(table, ["A", "B"], g)
+        assert (rows["A"].cond, rows["B"].cond) == (("C",), ("C", "A"))
+        a_given_c = arr.sum(axis=2)
+        assert np.array_equal(rows["A"].probs, a_given_c / a_given_c.sum(axis=1, keepdims=True))
+        b = rows["B"].probs
+        assert np.array_equal(b[1], [0.5, 0.5])
+        for k, row in ((0, arr[0, 0]), (2, arr[1, 0]), (3, arr[1, 1])):
+            assert np.array_equal(b[k], row / row.sum())
+        assert {f.kind for f in rows.values()} == {"fragment"}
+
+    def test_variation_with_later_context_names_both_variables(self):
+        g = Admg.build(["A", "B", "D"], [("A", "B")])
+        arr = np.full((2, 2, 2), 0.5)
+        arr[1, :, 1] = [0.2, 0.8]  # P(B | A = 1) changes with D, which comes after B
+        table = PmfTable(("A", "B", "D"), arr, normalized=False)
+        with pytest.raises(ValueError, match="'B' varies with later context 'D'"):
+            _family_conditionals(table, ["B"], g)
 
 
 class TestLearnR:
@@ -350,6 +378,18 @@ class TestStructuralIdentities:
         for env in obs.assignments():
             ratio = obs.pmf(env) / tian_q_value(obs, fig3a, part, env)
             assert bound - 1e-9 <= ratio <= 1.0 + 1e-9
+
+    def test_tian_q_value_follows_an_in_place_edit_of_the_table(self, fig3a):
+        obs = exact_observational(random_net_for(fig3a, seed=3))
+        part = part_of(fig3a, {"X"})
+        env = {"X": 0, "Z1": 1, "Z2": 0, "Y": 1}
+        before = tian_q_value(obs, fig3a, part, env)
+        flat = obs.probs.reshape(-1)
+        flat[:] = flat[::-1].copy()
+        fresh = PmfTable(obs.names, obs.probs.copy())
+        after = tian_q_value(obs, fig3a, part, env)
+        assert after == tian_q_value(fresh, fig3a, part, env)
+        assert after != pytest.approx(before)
 
     def test_kl_decomposition_identity(self, fig3a):
         net = random_net_for(fig3a, seed=17)

@@ -13,7 +13,7 @@ from dolearn.tables import (
     strides_for,
 )
 
-COIN_STEPS = [("A", (), (), np.array([[0.5, 1.0]]))]
+COIN_STEPS = [("A", (), (), np.array([[0.5, 0.5]]))]
 
 
 class TestPmfTable:
