@@ -1,6 +1,6 @@
 """Identify and learn interventional distributions on causal graphs."""
 
-from .admg import Admg, CycleDetected, GraphError, Var
+from .admg import Admg, CycleDetected, GraphError
 from .estimand import (
     BaseDist,
     ChainProduct,

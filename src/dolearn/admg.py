@@ -23,15 +23,6 @@ class CycleDetected(GraphError):
 
 
 @dataclass(frozen=True)
-class Var:
-    """A variable: dense index within its graph, unique name, symbol count."""
-
-    index: int
-    name: str
-    cardinality: int
-
-
-@dataclass(frozen=True)
 class Admg:
     """Mixed graph over observable variables.
 
@@ -107,10 +98,6 @@ class Admg:
     @property
     def n(self) -> int:
         return len(self.names)
-
-    @property
-    def vars(self) -> tuple[Var, ...]:
-        return tuple(Var(i, n, c) for i, (n, c) in enumerate(zip(self.names, self.cards)))
 
     def index(self, name: str) -> int:
         try:
@@ -253,15 +240,4 @@ class Admg:
                       if a in keep_set and b in keep_set),
             frozenset((remap[a], remap[b]) for a, b in self.bidirected
                       if a in keep_set and b in keep_set),
-        )
-
-    def remove_incoming(self, x: Iterable[int]) -> "Admg":
-        """Sever all causes of ``x``: directed edges into it and bidirected
-        edges touching it are deleted; everything else is preserved."""
-        x = frozenset(x)
-        return Admg(
-            self.names,
-            self.cards,
-            frozenset(e for e in self.directed if e[1] not in x),
-            frozenset(e for e in self.bidirected if e[0] not in x and e[1] not in x),
         )

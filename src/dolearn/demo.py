@@ -11,7 +11,7 @@ import numpy as np
 
 from .admg import Admg
 from .identify import CausalQuery, Estimand, identify, is_identifiable
-from .learn import LearnConfig, learn_interventional
+from .learn import learn_interventional
 from .scm import (
     CausalBayesNet,
     exact_interventional,
@@ -57,9 +57,7 @@ def example2_query(w: int = 0, r: int = 0, x: int = 1) -> CausalQuery:
     return CausalQuery(g, {"W": w, "R": r, "X": x}, frozenset({"Y"}))
 
 
-def _run_example(
-    q: CausalQuery, seed: int, m: int, config: LearnConfig
-) -> dict:
+def _run_example(q: CausalQuery, seed: int, m: int) -> dict:
     net = random_net_for(q.graph, seed=seed)
     obs = exact_observational(net)
     est = identify(q)
@@ -67,7 +65,7 @@ def _run_example(
     oracle = exact_interventional(net, q.x)
     symbolic = est.table(obs, q.x).aligned_to(oracle.names)
     batch = sample_observational(net, seed=seed + 1, m=m)
-    li = learn_interventional(batch, q.graph, q.x, config)
+    li = learn_interventional(batch, q.graph, q.x)
     report = compare_to_oracle(li, net, q.x)
     return {
         "query": {"intervene": dict(q.x), "targets": sorted(q.y)},
@@ -84,12 +82,12 @@ def _run_example(
     }
 
 
-def run_example1(seed: int = 7, m: int = 100_000, config: LearnConfig | None = None) -> dict:
-    return _run_example(example1_query(), seed, m, config or LearnConfig())
+def run_example1(seed: int = 7, m: int = 100_000) -> dict:
+    return _run_example(example1_query(), seed, m)
 
 
-def run_example2(seed: int = 11, m: int = 100_000, config: LearnConfig | None = None) -> dict:
-    return _run_example(example2_query(), seed, m, config or LearnConfig())
+def run_example2(seed: int = 11, m: int = 100_000) -> dict:
+    return _run_example(example2_query(), seed, m)
 
 
 def run_bow(seed: int = 7) -> dict:

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Container, Iterable, Mapping, NamedTuple, Protocol, Sequence
+from typing import Callable, Container, Iterable, Mapping, Protocol, Sequence
 
 import numpy as np
 
@@ -45,16 +45,13 @@ ZeroConditioningEvent = PositivityViolation  # the error's former name
 class DistAccess(Protocol):
     """Marginals of a distribution over an ordered scope.
 
-    ``marginal_probs`` is the bare marginal array that compiled plans read;
-    ``marginal_to`` checks the names and wraps that array in a table.
+    ``marginal_probs`` is the bare marginal array that compiled plans read.
     """
 
     names: tuple[str, ...]
     cards: tuple[int, ...]
 
     def marginal_probs(self, keep: Container[str]) -> np.ndarray: ...
-
-    def marginal_to(self, keep: Iterable[str]) -> PmfTable: ...
 
 
 class DistExpr:
@@ -215,19 +212,6 @@ def chain_depth(expr: DistExpr) -> int:
 
 
 # -- compiled evaluation and materialization ------------------------------------
-
-
-class Plan(NamedTuple):
-    """An expression compiled against one access layout and one fixing.
-
-    ``run(access)`` returns the bare array over ``names``: the scope plus
-    the unfixed free references, axes in the access's variable order. Every
-    name, axis tuple, permutation and slice is worked out once, by
-    :func:`compile_plan`; a run performs only the array operations.
-    """
-
-    names: tuple[str, ...]
-    run: Callable[[DistAccess], np.ndarray]
 
 
 _ONE = np.ones(())
@@ -405,21 +389,6 @@ def _compile_chain(
     return result_names, run_chain
 
 
-def compile_plan(
-    expr: DistExpr, access_names: Sequence[str], fixed: Mapping[str, int]
-) -> Plan:
-    """Compile the expression for accesses over ``access_names``, with the free
-    references in ``fixed`` sliced at their values and the others left as
-    axes. The plan's result axes follow ``access_names``."""
-    access_names = tuple(access_names)
-    fixed = {n: v for n, v in fixed.items() if n not in expr.scope}
-    order = {n: i for i, n in enumerate(access_names)}
-    names, run = _compile(expr, access_names, fixed, order.get, False)
-    if expr.free <= set(fixed) and set(names) != expr.scope:  # pragma: no cover
-        raise ScopeMismatch(f"materialized axes {names} do not match scope")
-    return Plan(names, run)
-
-
 def evaluate(expr: DistExpr, access: DistAccess, env: Mapping[str, int]) -> float:
     """Evaluate the expression at one point.
 
@@ -453,9 +422,11 @@ def full_table(
     ``allow_free_axes`` the unfixed references stay as extra axes instead,
     one distribution slice per configuration. The result axes follow the base
     distribution's variable order; a total deviating from 1 by more than 1e-6
-    is an error. The expression is compiled by :func:`compile_plan`; a
-    ``plans`` dict, kept by the caller for this one expression, caches each
-    plan under the access's variable names and the fixed values.
+    is an error. The expression is compiled once for the access's variable
+    order, with the fixed references sliced at their values and the others
+    left as axes; a ``plans`` dict, kept by the caller for this one
+    expression, caches each compiled runner under the access's variable
+    names and the fixed values.
     """
     fixed = dict(fixed or {})
     missing = expr.free - set(fixed)
@@ -463,20 +434,23 @@ def full_table(
         raise ScopeMismatch(f"fixed values required for {sorted(missing)}")
     fixed = {n: v for n, v in fixed.items() if n not in expr.scope}
     _symbols(fixed, access)
-    if plans is None:
-        plan = compile_plan(expr, access.names, fixed)
-    else:
-        key = (access.names, tuple(sorted(fixed.items())))
-        plan = plans.get(key)
-        if plan is None:
-            plan = plans[key] = compile_plan(expr, access.names, fixed)
-    arr = plan.run(access)
+    key = (access.names, tuple(sorted(fixed.items())))
+    plan = None if plans is None else plans.get(key)
+    if plan is None:
+        order = {n: i for i, n in enumerate(access.names)}
+        plan = _compile(expr, access.names, fixed, order.get, False)
+        if expr.free <= set(fixed) and set(plan[0]) != expr.scope:  # pragma: no cover
+            raise ScopeMismatch(f"materialized axes {plan[0]} do not match scope")
+        if plans is not None:
+            plans[key] = plan
+    names, run = plan
+    arr = run(access)
     if missing:
-        return PmfTable(plan.names, arr, context=fixed, normalized=False)
+        return PmfTable(names, arr, context=fixed, normalized=False)
     total = float(arr.sum())
     if abs(total - 1.0) > TABLE_TOTAL_TOL:
         raise ValueError(f"estimand table mass {total!r} deviates from 1")
-    return PmfTable(plan.names, arr, context=fixed, normalized=abs(total - 1.0) <= 1e-9)
+    return PmfTable(names, arr, context=fixed, normalized=abs(total - 1.0) <= 1e-9)
 
 
 # -- rendering ----------------------------------------------------------------

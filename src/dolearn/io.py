@@ -66,6 +66,15 @@ def json_object(value: Any, what: str, error: type[ValueError]) -> Mapping:
     return value
 
 
+def json_names(value: Any, what: str, error: type[ValueError]) -> tuple[str, ...]:
+    """A JSON array of strings as a tuple of names; a string (which would
+    split into its characters), an object, a number, or an array holding
+    anything but strings raises ``error`` naming ``what``."""
+    if not isinstance(value, list) or not all(isinstance(n, str) for n in value):
+        raise error(f"{what} must be a JSON array of names, got {value!r}")
+    return tuple(value)
+
+
 # -- graphs --------------------------------------------------------------------
 
 
@@ -77,14 +86,25 @@ def admg_to_dict(g: Admg) -> dict:
     }
 
 
+def _edges(obj: Mapping, kind: str) -> list[tuple[str, ...]]:
+    """The graph's ``kind`` edges, each an array of exactly two names."""
+    edges =[json_names(e, f"{kind} edge", GraphError) for e in obj.get(kind, [])]
+    for e in edges:
+        if len(e) != 2:
+            raise GraphError(f"{kind} edge {list(e)} must name exactly two variables")
+    return edges
+
+
 def admg_from_dict(obj: Mapping) -> Admg:
     json_object(obj, "graph", GraphError)
     try:
-        variables = [(v["name"], json_integer(v.get("cardinality", 2),
-                                              f"cardinality of {v['name']!r}", GraphError))
-                     for v in obj["vars"]]
-        directed = [tuple(e) for e in obj.get("directed", [])]
-        bidirected = [tuple(e) for e in obj.get("bidirected", [])]
+        names = json_names([v["name"] for v in obj["vars"]], "graph variable names",
+                           GraphError)
+        variables = [(n, json_integer(v.get("cardinality", 2), f"cardinality of {n!r}",
+                                      GraphError))
+                     for n, v in zip(names, obj["vars"])]
+        directed = _edges(obj, "directed")
+        bidirected = _edges(obj, "bidirected")
     except (KeyError, TypeError) as exc:
         raise GraphError(f"malformed graph object: {exc}") from exc
     return Admg.build(variables, directed, bidirected)
@@ -109,14 +129,15 @@ def net_to_dict(net: CausalBayesNet) -> dict:
 
 def net_from_dict(obj: Mapping) -> CausalBayesNet:
     json_object(obj, "net", GraphError)
+    names = json_names([nd["name"] for nd in obj["nodes"]], "net node names", GraphError)
     nodes = []
-    for nd in obj["nodes"]:
+    for name, nd in zip(names, obj["nodes"]):
         cpt = np.asarray(nd["cpt"], dtype=np.float64)
-        card = json_integer(nd["cardinality"], f"cardinality of {nd['name']!r}", GraphError)
+        card = json_integer(nd["cardinality"], f"cardinality of {name!r}", GraphError)
         nodes.append(CbnNode(
-            name=nd["name"],
+            name=name,
             cardinality=card,
-            parents=tuple(nd.get("parents", [])),
+            parents=json_names(nd.get("parents", []), f"parents of {name!r}", GraphError),
             cpt=cpt.reshape(-1, card),
             hidden=bool(nd.get("hidden", False)),
         ))
@@ -128,9 +149,11 @@ def net_from_dict(obj: Mapping) -> CausalBayesNet:
 
 def query_from_dict(obj: Mapping) -> tuple[dict[str, int], frozenset[str]]:
     json_object(obj, "query", InvalidQuery)
-    x = {e["var"]: json_integer(e["value"], f"value of {e['var']!r}", InvalidQuery)
-         for e in obj.get("intervene", [])}
-    targets = frozenset(obj.get("targets", []))
+    intervene = obj.get("intervene", [])
+    names = json_names([e["var"] for e in intervene], "intervened variables", InvalidQuery)
+    x = {n: json_integer(e["value"], f"value of {n!r}", InvalidQuery)
+         for n, e in zip(names, intervene)}
+    targets = frozenset(json_names(obj.get("targets", []), "query targets", InvalidQuery))
     return x, targets
 
 
@@ -270,7 +293,7 @@ def _factor_from_dict(obj: Mapping) -> ConditionalTable:
         target=target,
         target_card=json_integer(obj["target_cardinality"], f"{what} target cardinality",
                                  GraphError),
-        cond=tuple(obj["cond"]),
+        cond=json_names(obj["cond"], f"{what} conditioning variables", ScopeMismatch),
         cond_cards=tuple(json_integer(c, f"{what} conditioning cardinality", GraphError)
                          for c in obj["cond_cardinalities"]),
         probs=np.asarray(obj["probs"], dtype=np.float64),
@@ -293,12 +316,14 @@ def li_to_dict(li: LearnedInterventional) -> dict:
 
 def li_from_dict(obj: Mapping) -> LearnedInterventional:
     json_object(obj, "learned object", ScopeMismatch)
-    factors = {f["target"]: _factor_from_dict(f) for f in obj["factors"]}
+    targets = json_names([f["target"] for f in obj["factors"]], "factor targets",
+                         ScopeMismatch)
+    factors = {t: _factor_from_dict(f) for t, f in zip(targets, obj["factors"])}
     return LearnedInterventional(
         graph=admg_from_dict(obj["graph"]),
         x={k: json_integer(v, f"intervention value of {k!r}", InvalidQuery)
            for k, v in obj["intervention"].items()},
-        order=tuple(obj["order"]),
+        order=json_names(obj["order"], "sampling order", ScopeMismatch),
         factors=factors,
         metadata=dict(obj.get("metadata", {})),
     )

@@ -151,12 +151,6 @@ class ConditionalTable:
         """This factor as a :func:`~dolearn.tables.row_product` step."""
         return self.target, self.cond, self._strides, self.probs
 
-    def row(self, env: Mapping[str, int]) -> np.ndarray:
-        try:
-            return self.probs[sum(env[n] * s for n, s in zip(self.cond, self._strides))]
-        except KeyError as missing:
-            raise ScopeMismatch(f"no value for conditioning variable {missing}") from None
-
 
 # -- the two learners and assembly ---------------------------------------------
 

@@ -125,9 +125,6 @@ class PmfTable:
             context=self.context, normalized=self.normalized,
         )
 
-    def marginal_dropping(self, drop: Iterable[str]) -> "PmfTable":
-        return self.marginal_to(self.scope - set(drop))
-
     def sliced(self, fixed: Mapping[str, int]) -> "PmfTable":
         """Fix some coordinates. The result is an unnormalized slice."""
         relevant = {n: v for n, v in fixed.items() if n in self.scope}
@@ -201,7 +198,7 @@ class Samples:
         return self.values[:, self._index(name)]
 
     def project(self, names: Sequence[str]) -> "Samples":
-        cols = [self.names.index(n) for n in names]
+        cols = [self._index(n) for n in names]
         return Samples(tuple(names), self.values[:, cols], self.rng_algorithm)
 
     def assignments(self) -> Iterator[dict[str, int]]:
@@ -473,20 +470,11 @@ class EmpiricalAccess:
         """Bare relative frequencies over the columns in ``keep``, axes in
         batch column order. An empty batch gives all zeros, so conditioning on
         it fails positivity instead of dividing by zero. Names in ``keep``
-        that the batch lacks are not checked here; :meth:`marginal_to` checks
-        them and wraps this array."""
+        that the batch lacks are not checked here; the estimand compiler
+        checks them when it builds a plan."""
         names = tuple(n for n in self.names if n in keep)
         cards = tuple(c for n, c in zip(self.names, self.cards) if n in keep)
         return self.samples.counts_over(names, cards) / max(self.samples.m, 1)
-
-    def marginal_to(self, keep: Iterable[str]) -> PmfTable:
-        """Relative frequencies over ``keep``, axes in batch column order."""
-        keep = set(keep)
-        unknown = keep - set(self.names)
-        if unknown:
-            raise ScopeMismatch(f"cannot keep unknown variables {sorted(unknown)}")
-        return PmfTable(tuple(n for n in self.names if n in keep),
-                        self.marginal_probs(keep), normalized=self.samples.m > 0)
 
     def pmf(self, assignment: Mapping[str, int]) -> float:
         return self.table().pmf(assignment)

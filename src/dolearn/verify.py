@@ -169,14 +169,6 @@ def compare_to_oracle(
 # -- exact structural identities of the component factorization ----------------
 
 
-def tian_q_value(
-    obs: PmfTable, g: Admg, part: RelativePartition, env: Mapping[str, int]
-) -> float:
-    """Product of exact effective-parent conditionals over the non-intervened
-    components, evaluated at a full assignment."""
-    return float(row_product((f.step for f in _q_from_table(obs, g, part).values()), env))
-
-
 def tian_q_table(
     obs: PmfTable,
     g: Admg,

@@ -89,6 +89,11 @@ def generate_sample(li, seed: int, m: int) -> np.ndarray:
     return np.stack([cols[n] for n in li.order], axis=1)
 
 
+def _row(f, env) -> np.ndarray:
+    """A learned factor's probability row at the conditioning values in ``env``."""
+    return f.probs[sum(env[n] * s for n, s in zip(f.cond, strides_for(f.cond_cards)))]
+
+
 def evaluate_point(li, y) -> float:
     """One learned-evaluator value: scalar row lookups multiplied in order."""
     env = dict(li.x)
@@ -96,7 +101,7 @@ def evaluate_point(li, y) -> float:
     out = 1.0
     for n in li.order:
         f = li.factors[n]
-        out *= float(f.row(env)[env[n]])
+        out *= float(_row(f, env)[env[n]])
     return out
 
 
@@ -205,7 +210,7 @@ def tian_q_table(obs, g, part, fix, factors=None) -> PmfTable:
             out = 1.0
             for n in names:
                 f = factors[n]
-                out *= float(f.row(env)[env[n]])
+                out *= float(_row(f, env)[env[n]])
             arr[combo] = out
     return PmfTable(names, arr, context=dict(fix), normalized=False)
 
@@ -243,7 +248,7 @@ def kl_decomposition_sides(obs, g, part, q_factors, fix) -> tuple[float, float]:
                 joint.pmf(env | {name: s}) / den
                 for s in range(g.cards[i])
             ])
-            hat_row = q_factors[name].row(env)
+            hat_row = _row(q_factors[name], env)
             mask = true_row > 0.0
             decomposed += weight * float(
                 np.sum(true_row[mask] * np.log(true_row[mask] / hat_row[mask]))
@@ -269,7 +274,7 @@ def factor_errors(li, oracle) -> list[tuple[str, dict[str, int], float]]:
             mass = cond_marg.pmf(env) if free else 1.0
             if mass <= 0.0:
                 continue  # unreachable configuration: rows are immaterial
-            row = f.row(env)
+            row = _row(f, env)
             for s in range(f.target_card):
                 true_p = joint.pmf(env | {name: s}) / mass
                 err = abs(float(row[s]) - true_p)
@@ -333,6 +338,15 @@ def samples_from_csv_by_loadtxt(text: str):
 # -- the estimand interpreter, as it was before estimands were compiled to plans
 
 
+def _marginal_to(access, keep) -> tuple[tuple[str, ...], np.ndarray]:
+    """The access's marginal over ``keep``, axes in access order, with every
+    name checked to be a variable of the access."""
+    unknown = set(keep) - set(access.names)
+    if unknown:
+        raise ScopeMismatch(f"cannot keep unknown variables {sorted(unknown)}")
+    return tuple(n for n in access.names if n in keep), access.marginal_probs(keep)
+
+
 def _aligned(arr: np.ndarray, names: tuple[str, ...], target: tuple[str, ...]) -> np.ndarray:
     """View ``arr`` broadcastable over the axes of ``target``."""
     idx = tuple(slice(None) if n in names else None for n in target)
@@ -342,10 +356,9 @@ def _aligned(arr: np.ndarray, names: tuple[str, ...], target: tuple[str, ...]) -
 
 def _node_table(expr, access, fixed, order_key) -> tuple[tuple[str, ...], np.ndarray]:
     """Dense array over the node's scope plus unfixed free references,
-    re-walking the tree at every call; marginals come from ``marginal_to``."""
+    re-walking the tree at every call; marginals come from :func:`_marginal_to`."""
     if _is_base_chain(expr):
-        t = access.marginal_to(expr.scope)
-        return t.names, t.probs
+        return _marginal_to(access, expr.scope)
     if isinstance(expr, Marginal):
         names, arr = _node_table(expr.child, access, fixed, order_key)
         axes = tuple(i for i, n in enumerate(names) if n in expr.drop)
@@ -370,8 +383,7 @@ def _node_table(expr, access, fixed, order_key) -> tuple[tuple[str, ...], np.nda
     for v, zs in expr.conds:
         keep = set(zs) | {v} | family
         if base_chain:
-            num_table = access.marginal_to(keep)
-            num_names, num = num_table.names, num_table.probs
+            num_names, num = _marginal_to(access, keep)
         else:
             sum_axes = tuple(i for i, n in enumerate(cnames) if n not in keep)
             num_names = tuple(n for n in cnames if n in keep)
@@ -414,44 +426,44 @@ def _card_map(access) -> dict[str, int]:
 def _marginal_value(
     expr,
     keep: frozenset[str],
-    access,
+    pmf,
     env,
     cards,
 ) -> float:
     summed = sorted(expr.scope - keep)
     if not summed:
-        return _value(expr, access, env, cards)
+        return _value(expr, pmf, env, cards)
     total = []
     env2 = dict(env)
     for combo in iter_assignments(summed, [cards[v] for v in summed]):
         env2.update(combo)
-        total.append(_value(expr, access, env2, cards))
+        total.append(_value(expr, pmf, env2, cards))
     return math.fsum(total)
 
 
 def _value(
     expr,
-    access,
+    pmf,
     env,
     cards,
 ) -> float:
     if isinstance(expr, BaseDist):
-        return access.pmf(env)
+        return pmf(env)
     if isinstance(expr, Marginal):
-        return _marginal_value(expr.child, expr.scope, access, env, cards)
+        return _marginal_value(expr.child, expr.scope, pmf, env, cards)
     if isinstance(expr, Product):
         out = 1.0
         for c in expr.children:
-            out *= _value(c, access, env, cards)
+            out *= _value(c, pmf, env, cards)
         return out
     if isinstance(expr, ChainProduct):
         out = 1.0
         for v, zs in expr.conds:
             zset = frozenset(zs)
-            den = _marginal_value(expr.child, zset, access, env, cards)
+            den = _marginal_value(expr.child, zset, pmf, env, cards)
             if den == 0.0:
                 raise PositivityViolation(v, {z: env[z] for z in zs})
-            num = _marginal_value(expr.child, zset | {v}, access, env, cards)
+            num = _marginal_value(expr.child, zset | {v}, pmf, env, cards)
             out *= num / den
         return out
     raise TypeError(f"unknown expression node {type(expr).__name__}")
@@ -459,12 +471,18 @@ def _value(
 
 def evaluate(expr, access, env) -> float:
     """The expression at one point, by walking the tree and summing bound
-    variables one assignment at a time through ``access.pmf``."""
+    variables one assignment at a time, each term the mass of the access's
+    full joint at one point."""
     needed = expr.scope | expr.free
     missing = needed - set(env)
     if missing:
         raise ScopeMismatch(f"environment lacks values for {sorted(missing)}")
-    return _value(expr, access, env, _card_map(access))
+    names, joint = _marginal_to(access, access.names)
+
+    def pmf(point) -> float:
+        return float(joint[tuple(point[n] for n in names)])
+
+    return _value(expr, pmf, env, _card_map(access))
 
 
 # -- random nets, as they were before the CPT rows were drawn in runs -----------

@@ -40,10 +40,6 @@ class TestConstruction:
         with pytest.raises(GraphError):
             Admg.build(["A", "B"], [("A", "B"), ("A", "B")])
 
-    def test_vars_view(self, fig3a):
-        v = fig3a.vars[1]
-        assert (v.index, v.name, v.cardinality) == (1, "Z1", 2)
-
 
 class TestTopologicalOrder:
     def test_chain_unique(self):
@@ -109,24 +105,6 @@ class TestInducedSubgraph:
     def test_fig3a_to_fig3b(self, fig3a):
         sub = fig3a.induced_subgraph(fig3a.indices({"X", "Z1", "Z2"}))
         assert sub == fig3b_graph()
-
-
-class TestRemoveIncoming:
-    def test_bow(self, bow):
-        cut = bow.remove_incoming(bow.indices({"X"}))
-        assert cut == Admg.build(["X", "Y"], [("X", "Y")])
-
-    def test_empty_is_identity(self, fig3a):
-        assert fig3a.remove_incoming(frozenset()) == fig3a
-
-    def test_fig3a_x(self, fig3a):
-        cut = fig3a.remove_incoming(fig3a.indices({"X"}))
-        expected = Admg.build(
-            ["X", "Z1", "Z2", "Y"],
-            [("X", "Z1"), ("X", "Y"), ("Z1", "Z2"), ("Z1", "Y"), ("Z2", "Y")],
-            [("Z1", "Y")],
-        )
-        assert cut == expected
 
 
 @settings(max_examples=60)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from dolearn import io as dio
+from dolearn.admg import Admg
 from dolearn.cli import main
 from dolearn.demo import bow_graph, fig3a_graph
 from dolearn.scm import exact_interventional, exact_observational, random_net_for
@@ -518,3 +519,63 @@ def test_learn_rejects_a_sample_column_named_twice(workdir, capsys):
     err = json.loads(captured.err)
     assert err["error"] == "SampleCsvError"
     assert "'X' twice" in err["message"]
+
+
+
+def _factor(obj, target):
+    return next(f for f in obj["factors"] if f["target"] == target)
+
+
+ARRAY = "must be a JSON array of names"
+NAME_CASES = {  # file, edit in place, error the CLI reports, part of its message
+    "directed edge as a string": (
+        "graph", lambda o: o.update(directed=["XY"]), "GraphError", ARRAY),
+    "bidirected edge as a string": (
+        "graph", lambda o: o.update(bidirected=["XZ"]), "GraphError", ARRAY),
+    "edge naming three variables": (
+        "graph", lambda o: o.update(directed=[["X", "Y", "Z"]]), "GraphError",
+        "must name exactly two variables"),
+    "variable name not a string": (
+        "graph", lambda o: o["vars"].append({"name": 1}), "GraphError", ARRAY),
+    "targets as a string": (
+        "query", lambda o: o.update(targets="YZ"), "QueryError", ARRAY),
+    "intervened variable not a string": (
+        "query", lambda o: o["intervene"][0].update(var=1), "QueryError", ARRAY),
+    "parents as a string": (
+        "net", lambda o: o["nodes"][1].update(parents="X"), "NetError", ARRAY),
+    "order as a string": ("li", lambda o: o.update(order="YZ"), "ScopeMismatch", ARRAY),
+    "conditioning variables as a string": (
+        "li", lambda o: _factor(o, "Z").update(cond="Y"), "ScopeMismatch", ARRAY),
+    "target as an array": (
+        "li", lambda o: _factor(o, "Y").update(target=["Y"]), "ScopeMismatch", ARRAY),
+}
+
+
+@pytest.mark.parametrize("case", NAME_CASES)
+def test_json_names_must_be_arrays_of_strings(tmp_path, capsys, case):
+    from dolearn.learn import fit_from_table
+
+    file, edit, error, message = NAME_CASES[case]
+    g = Admg.build(["X", "Y", "Z"], [("X", "Y"), ("Y", "Z")])
+    net = random_net_for(g, seed=2)
+    objs = {
+        "graph": dio.admg_to_dict(g),
+        "query": {"intervene": [{"var": "X", "value": 0}], "targets": ["Y", "Z"]},
+        "net": dio.net_to_dict(net),
+        "li": dio.li_to_dict(fit_from_table(exact_observational(net), g, {"X": 0})),
+        "point": {"Y": 0, "Z": 0},
+    }
+    assert _factor(objs["li"], "Z")["cond"] == ["Y"]
+    edit(objs[file])
+    for name, obj in objs.items():
+        (tmp_path / f"{name}.json").write_text(json.dumps(obj))
+    argv = {
+        "graph": ["identify", "--graph", "graph", "--query", "query"],
+        "query": ["identify", "--graph", "graph", "--query", "query"],
+        "net": ["simulate", "--cbn", "net", "--seed", "1", "--m", "10"],
+        "li": ["eval", "--li", "li", "--assign", "point"],
+    }[file]
+    err = _input_error(capsys, [str(tmp_path / f"{a}.json") if a in objs else a
+                                for a in argv])
+    assert err["error"] == error
+    assert message in err["message"]

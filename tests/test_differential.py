@@ -73,7 +73,6 @@ from dolearn.verify import (
     kl_decomposition_sides,
     sweep_graphs,
     tian_q_table,
-    tian_q_value,
 )
 from dolearn.witness import _iter_models, _ParitySearch, indistinguishable_pair
 
@@ -725,8 +724,6 @@ def test_row_products_match_reference(case):
 
     obs = exact_observational(net)
     part = relative_partition(g, g.indices(x))
-    for env in obs.assignments():
-        assert _close(tian_q_value(obs, g, part, env), ref.tian_q_value(obs, g, part, env))
     q_factors = learn_q(batch, g, part)
     low = sorted(g.names_of(part.c_low))
     for fix in iter_assignments(low, [g.cards[g.index(n)] for n in low]):

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from dolearn.demo import fig3a_graph
+from dolearn.estimand import BaseDist, full_table
 from dolearn.scm import random_net_for, sample_observational
 from dolearn.tables import (
     EmpiricalAccess,
@@ -32,8 +33,7 @@ class TestPmfTable:
         m = t.marginal_to({"B"})
         assert m.names == ("B",)
         assert np.allclose(m.probs, [0.4, 0.6])
-        d = t.marginal_dropping({"B"})
-        assert np.allclose(d.probs, [0.3, 0.7])
+        assert np.allclose(t.marginal_probs({"A"}), [0.3, 0.7])
 
     def test_sliced_records_context(self):
         t = PmfTable(("A", "B"), np.array([[0.1, 0.2], [0.3, 0.4]]))
@@ -115,6 +115,11 @@ class TestSamples:
         assert list(p.column("B")) == [1, 0]
         assert list(s.assignments())[0] == {"A": 0, "B": 1}
 
+    def test_project_to_an_unknown_name_fails_by_name(self):
+        s = Samples(("A", "B"), np.array([[0, 1], [1, 0]]))
+        with pytest.raises(ScopeMismatch, match="'Q' not among sampled variables"):
+            s.project(["Q"])
+
     def test_empirical_access(self):
         s = Samples(("A",), np.array([[0], [1], [1], [1]]))
         acc = EmpiricalAccess(s, (2,))
@@ -136,14 +141,12 @@ class TestSamples:
     def test_empirical_marginal(self):
         s = Samples(("A", "B"), np.array([[0, 1], [1, 1], [1, 0], [1, 1]]))
         acc = EmpiricalAccess(s, (2, 2))
-        marg = acc.marginal_to({"B"})
-        assert marg.names == ("B",)
-        assert marg.probs.tolist() == [0.25, 0.75]
-        assert np.array_equal(acc.marginal_to({"B", "A"}).probs, acc.table().probs)
+        assert acc.marginal_probs({"B"}).tolist() == [0.25, 0.75]
+        assert np.array_equal(acc.marginal_probs({"B", "A"}), acc.table().probs)
         with pytest.raises(ScopeMismatch, match="unknown variables"):
-            acc.marginal_to({"C"})
+            full_table(BaseDist(("C",)), acc)
         empty = EmpiricalAccess(Samples(("A",), np.zeros((0, 1), dtype=np.int64)), (2,))
-        assert empty.marginal_to({"A"}).probs.tolist() == [0.0, 0.0]
+        assert empty.marginal_probs({"A"}).tolist() == [0.0, 0.0]
 
     def test_symbol_at_or_above_cardinality_is_rejected(self):
         s = Samples(("A", "B"), [[0, 2], [0, 0], [1, 1]])
