@@ -18,7 +18,6 @@ from .identify import (
     HedgeWitness,
     InvalidQuery,
     NotIdentifiable,
-    explain_trace,
     identify,
     is_identifiable,
 )

@@ -5,8 +5,9 @@ a plan of array operations over the marginals of any distribution access (an
 exact table, a learned table, or an empirical frequency estimator); running
 the plan materializes a table, or evaluates the tree at one point.
 Conditionals are not a node kind: they arise only inside :class:`ChainProduct`
-as ratios of two marginals of the child, which keeps the zero-conditioning
-error, :class:`PositivityViolation`, at one site.
+as ratios of two marginals of the child. :func:`conditional` forms those
+ratios and the learner's rows alike, so the zero-conditioning error,
+:class:`PositivityViolation`, is raised at one site.
 """
 
 from __future__ import annotations
@@ -40,6 +41,25 @@ class PositivityViolation(ArithmeticError):
 
 
 ZeroConditioningEvent = PositivityViolation  # the error's former name
+
+
+def conditional(num: np.ndarray, names: Sequence[str], v: str,
+                pins: Mapping[str, int] | None = None, uniform: bool = False) -> np.ndarray:
+    """``num`` over ``names`` divided by its sum over ``v``'s axis: the one
+    former of conditional rows and chain factors. The first empty
+    conditioning event in axis order, joined with ``pins`` (values sliced
+    away before the call), raises :class:`PositivityViolation`, or with
+    ``uniform`` gets the uniform row."""
+    axis = names.index(v)
+    den = num.sum(axis=axis, keepdims=True)
+    if den.all():
+        return num / den
+    empty = den == 0.0
+    if uniform:
+        return np.where(empty, 1.0 / num.shape[axis], num / np.where(empty, 1.0, den))
+    pos = np.unravel_index(int(np.argmax(empty.reshape(-1))), den.shape)
+    event = {n: int(p) for n, p in zip(names, pos) if n != v}
+    raise PositivityViolation(v, event | dict(pins or {}))
 
 
 class DistAccess(Protocol):
@@ -317,8 +337,8 @@ def _compile_chain(
     order_key,
     point: bool,
 ) -> tuple[tuple[str, ...], Callable[[DistAccess], np.ndarray]]:
-    """Each chain factor is the ratio of a numerator marginal to its sum over
-    the factor's variable, checked for an empty conditioning event first.
+    """Each chain factor is formed by :func:`conditional` from a numerator
+    marginal, which checks for an empty conditioning event first.
 
     A pin the child does not take is sliced from each numerator after it is
     summed, so a factor checks its conditioning events only at the pinned
@@ -355,7 +375,7 @@ def _compile_chain(
         v_slc, factor_names = _sliced(num_names, {v: pins[v]} if v in pins else {})
         target = tuple(sorted(set(out_names) | set(factor_names), key=order_key))
         steps.append((
-            keep, child, sum_axes, slc, v, num_names, num_names.index(v), v_slc,
+            keep, child, sum_axes, slc, v, num_names, v_slc,
             {n: pins[n] for n in zs if n in pins},
             _view(out_names, target), _view(factor_names, target),
         ))
@@ -368,19 +388,13 @@ def _compile_chain(
     def run_chain(access: DistAccess) -> np.ndarray:
         carrs = [run(access) for _, run in child_plans]
         out = _ONE
-        for (keep, child, sum_axes, slc, v, num_names, v_axis, v_slc, event_pins,
+        for (keep, child, sum_axes, slc, v, num_names, v_slc, event_pins,
              out_view, factor_view) in steps:
             num = (access.marginal_probs(keep) if child is None
                    else carrs[child].sum(axis=sum_axes))
             if slc is not None:
                 num = num[slc]
-            den = num.sum(axis=v_axis, keepdims=True)
-            if not den.all():
-                flat = int(np.argmax((den == 0.0).reshape(-1)))
-                pos = np.unravel_index(flat, den.shape)
-                event = {n: int(p) for n, p in zip(num_names, pos) if n != v}
-                raise PositivityViolation(v, event | event_pins)
-            factor = num / den
+            factor = conditional(num, num_names, v, event_pins)
             if v_slc is not None:
                 factor = factor[v_slc]
             out = _apply(out, out_view) * _apply(factor, factor_view)

@@ -294,8 +294,3 @@ def identify(q: CausalQuery) -> Estimand | HedgeWitness:
 
 def is_identifiable(q: CausalQuery) -> bool:
     return isinstance(identify(q), Estimand)
-
-
-def explain_trace(q: CausalQuery) -> tuple[TraceStep, ...]:
-    """The ordered list of recursion steps taken for a query."""
-    return identify(q).trace

@@ -316,9 +316,11 @@ def li_to_dict(li: LearnedInterventional) -> dict:
 
 def li_from_dict(obj: Mapping) -> LearnedInterventional:
     json_object(obj, "learned object", ScopeMismatch)
-    targets = json_names([f["target"] for f in obj["factors"]], "factor targets",
-                         ScopeMismatch)
-    factors = {t: _factor_from_dict(f) for t, f in zip(targets, obj["factors"])}
+    if not isinstance(obj["factors"], list):
+        raise ScopeMismatch(f"factors must be a JSON array, got {type(obj['factors']).__name__}")
+    entries = [json_object(f, "factor", ScopeMismatch) for f in obj["factors"]]
+    targets = json_names([f["target"] for f in entries], "factor targets", ScopeMismatch)
+    factors = {t: _factor_from_dict(f) for t, f in zip(targets, entries)}
     return LearnedInterventional(
         graph=admg_from_dict(obj["graph"]),
         x={k: json_integer(v, f"intervention value of {k!r}", InvalidQuery)

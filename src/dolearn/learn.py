@@ -2,17 +2,18 @@
 
 The pipeline splits the problem along the c-component structure of the graph:
 
-* components untouched by the intervention keep a Bayes-net form and their
-  conditionals are learned with add-1 smoothing over effective-parent
-  configurations;
+* components untouched by the intervention keep a Bayes-net form; one
+  :func:`learn_q` forms their conditionals over effective-parent
+  configurations, add-1 smoothed from a batch or exact from a table;
 * every component that contains intervened variables splits into fragments
   ``C``; each fragment's query ``P(C | do(V∖C))`` is compiled by
   :func:`~dolearn.identify.identify` and its estimand is materialized by
   :func:`~dolearn.estimand.full_table` against the sample batch (or an exact
-  table), so there is one identification recursion and one place where a
-  conditional is formed. A non-identifiable fragment raises
-  :class:`~dolearn.identify.NotIdentifiable` carrying identify's witness and
-  step trace; an empty conditioning event raises :class:`PositivityViolation`.
+  table), so there is one identification recursion. A non-identifiable
+  fragment raises :class:`~dolearn.identify.NotIdentifiable` carrying
+  identify's witness and step trace. Every row, like every chain factor, is
+  formed by :func:`~dolearn.estimand.conditional`, the one place where an
+  empty conditioning event raises :class:`PositivityViolation`.
 
 The assembled object is a product of per-variable conditional rows in a fixed
 topological order, usable both as a pointwise evaluator and as the driver of
@@ -29,7 +30,7 @@ from typing import Iterable, Mapping
 import numpy as np
 
 from .admg import Admg
-from .estimand import BaseDist, ChainProduct, PositivityViolation, chain_depth, full_table
+from .estimand import PositivityViolation, chain_depth, conditional, full_table
 from .identify import (
     CausalQuery,
     HedgeWitness,
@@ -111,9 +112,12 @@ class ConditionalTable:
     """Rows of conditional probabilities for one target variable.
 
     ``probs`` has one row per configuration of ``cond`` (row-major) and one
-    column per target symbol; every row sums to 1. ``counts`` holds the raw
-    occurrence counts when the rows were estimated from samples.
-    ``fixed_context`` records intervention coordinates baked into the rows.
+    column per target symbol; every row sums to 1. ``kind`` names the former:
+    ``"add1"`` is :func:`learn_q` on a batch, with the raw ``counts`` kept;
+    ``"exact"`` is :func:`learn_q` on an exact table; ``"fragment"`` is
+    chain-ruled from a fragment table, uniform where a configuration is
+    unreachable. ``fixed_context`` records intervention coordinates baked
+    into the rows.
     """
 
     target: str
@@ -164,11 +168,12 @@ def _q_conds(g: Admg, part: RelativePartition) -> dict[str, tuple[str, ...]]:
 
 
 def learn_q(
-    samples: Samples, g: Admg, part: RelativePartition
+    samples_or_table: Samples | PmfTable, g: Admg, part: RelativePartition
 ) -> dict[str, ConditionalTable]:
-    """Add-1 smoothed conditionals for every variable outside the intervened
-    components, conditioned on its effective parents. Configurations never
-    seen in the batch get the uniform row."""
+    """Conditionals for every variable outside the intervened components,
+    conditioned on its effective parents: add-1 smoothed counts of a batch,
+    or exact ratios of a table, where an empty event raises
+    :class:`PositivityViolation`."""
     conds = _q_conds(g, part)
     out: dict[str, ConditionalTable] = {}
     for i in sorted(part.c_high):
@@ -176,32 +181,17 @@ def learn_q(
         card = g.cards[i]
         znames = conds[name]
         zcards = tuple(g.cards[g.index(z)] for z in znames)
-        counts = samples.counts_over(znames + (name,), zcards + (card,))
-        flat = counts.reshape(-1, card)
-        rows = (flat + 1.0) / (flat.sum(axis=1, keepdims=True) + card)
-        out[name] = ConditionalTable(
-            name, card, znames, zcards, rows, counts=flat, kind="add1"
-        )
-    return out
-
-
-def _q_from_table(
-    obs: PmfTable, g: Admg, part: RelativePartition
-) -> dict[str, ConditionalTable]:
-    """Infinite-sample conditionals: exact ratios of the supplied table, each
-    materialized as a one-factor chain over the input distribution."""
-    conds = _q_conds(g, part)
-    base = BaseDist(g.names)
-    out: dict[str, ConditionalTable] = {}
-    for i in sorted(part.c_high):
-        name = g.names[i]
-        znames = conds[name]
-        zcards = tuple(g.cards[g.index(z)] for z in znames)
-        chain = ChainProduct(base, (name,), ((name, znames),))
-        rows = full_table(chain, obs, allow_free_axes=True).aligned_to(znames + (name,))
-        out[name] = ConditionalTable(
-            name, g.cards[i], znames, zcards, rows.probs, kind="exact"
-        )
+        names = znames + (name,)
+        if isinstance(samples_or_table, PmfTable):  # divided in table order, as chains are
+            marg = samples_or_table.marginal_to(names)
+            rows = conditional(marg.probs, marg.names, name)
+            rows = rows.transpose([marg.names.index(n) for n in names])
+            out[name] = ConditionalTable(name, card, znames, zcards, rows, kind="exact")
+        else:
+            counts = samples_or_table.counts_over(names, zcards + (card,))
+            out[name] = ConditionalTable(name, card, znames, zcards,
+                                         conditional(counts + 1.0, names, name),
+                                         counts=counts.reshape(-1, card))
     return out
 
 
@@ -243,7 +233,7 @@ def learn_r(
         access = EmpiricalAccess(samples, g.cards)
     return {
         key: (
-            full_table(expr, access, {n: x[n] for n in expr.free if n in x},
+            full_table(expr, access, {n: x[n] for n in g.names if n in expr.free and n in x},
                        allow_free_axes=True),
             chain_depth(expr),
         )
@@ -282,10 +272,8 @@ def _family_conditionals(
         # order conditioning axes by topological position for the row layout
         cond = tuple(sorted((n for n in marg.names if n != v), key=topo_pos.get))
         card = g.cards[g.index(v)]
-        flat = marg.aligned_to(cond + (v,)).probs.reshape(-1, card)
-        den = flat.sum(axis=1, keepdims=True)
-        rows = np.where(den > 0.0, flat / np.where(den == 0.0, 1.0, den),
-                        1.0 / card)  # unreachable configurations get uniform rows
+        # unreachable configurations get uniform rows
+        rows = conditional(marg.aligned_to(cond + (v,)).probs, cond + (v,), v, uniform=True)
         out[v] = ConditionalTable(
             v, card, cond, tuple(g.cards[g.index(n)] for n in cond), rows,
             kind="fragment", fixed_context=dict(table.context or {}),
@@ -480,6 +468,6 @@ def fit_from_table(
     """
     check_intervention(g, x)
     part = relative_partition(g, g.indices(x))
-    q = _q_from_table(obs, g, part)
+    q = learn_q(obs, g, part)
     r = learn_r(obs, g, part, x)
     return assemble(q, r, part, g, x, {"source": "exact-table"})

@@ -14,7 +14,7 @@ import numpy as np
 
 from .admg import Admg, CycleDetected
 from .identify import CausalQuery, Estimand, identify
-from .learn import ConditionalTable, LearnedInterventional, RelativePartition, _q_from_table
+from .learn import ConditionalTable, LearnedInterventional, RelativePartition, learn_q
 from .scm import (
     CausalBayesNet,
     exact_interventional,
@@ -181,7 +181,7 @@ def tian_q_table(
     With ``factors`` given, learned rows replace the exact conditionals.
     """
     if factors is None:
-        factors = _q_from_table(obs, g, part)
+        factors = learn_q(obs, g, part)
     names = tuple(g.names[i] for i in sorted(part.c_high))
     cards = tuple(g.cards[i] for i in sorted(part.c_high))
     grid = dict(fix)
@@ -202,7 +202,7 @@ def kl_decomposition_sides(
     Left: KL between the exact and learned component distributions computed
     directly. Right: the per-variable sum of conditioning-weighted row KLs.
     """
-    exact = _q_from_table(obs, g, part)
+    exact = learn_q(obs, g, part)
     q = tian_q_table(obs, g, part, fix, exact)
     q_hat = tian_q_table(obs, g, part, fix, q_factors)
     direct = float(

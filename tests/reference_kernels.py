@@ -21,8 +21,10 @@ from dolearn.estimand import (
     PositivityViolation,
     Product,
     _is_base_chain,
+    full_table,
 )
 from dolearn.io import SampleCsvError
+from dolearn.learn import ConditionalTable, _q_conds
 from dolearn.scm import CausalBayesNet, CbnNode, exact_interventional, exact_observational
 from dolearn.tables import PmfTable, Samples, ScopeMismatch, iter_assignments, strides_for
 from dolearn.verify import exact_tv
@@ -283,6 +285,28 @@ def factor_errors(li, oracle) -> list[tuple[str, dict[str, int], float]]:
                     worst_event = {k: v for k, v in env.items() if k in free}
                     worst_event[name] = s
         out.append((name, worst_event, worst))
+    return out
+
+
+# -- exact Bayes-net rows, as they were before one function formed every
+#    conditional ---------------------------------------------------------------
+
+
+def q_from_table(obs, g, part):
+    """Infinite-sample conditionals: exact ratios of the supplied table, each
+    materialized as a one-factor chain over the input distribution."""
+    conds = _q_conds(g, part)
+    base = BaseDist(g.names)
+    out = {}
+    for i in sorted(part.c_high):
+        name = g.names[i]
+        znames = conds[name]
+        zcards = tuple(g.cards[g.index(z)] for z in znames)
+        chain = ChainProduct(base, (name,), ((name, znames),))
+        rows = full_table(chain, obs, allow_free_axes=True).aligned_to(znames + (name,))
+        out[name] = ConditionalTable(
+            name, g.cards[i], znames, zcards, rows.probs, kind="exact"
+        )
     return out
 
 

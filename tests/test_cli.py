@@ -444,6 +444,22 @@ def test_eval_rejects_non_integer_learned_intervention(li_file, capsys, value):
     assert "intervention value of 'X' must be an integer" in err["message"]
 
 
+@pytest.mark.parametrize("edit, message", [
+    (lambda o: o["factors"].__setitem__(0, "Z1"), "factor must be a JSON object, got str"),
+    (lambda o: o["factors"].__setitem__(0, None), "factor must be a JSON object, got NoneType"),
+    (lambda o: o.update(factors={"Z1": {}}), "factors must be a JSON array, got dict"),
+    (lambda o: o.update(factors="Z1"), "factors must be a JSON array, got str"),
+])
+def test_eval_rejects_a_factor_that_is_not_an_object(li_file, capsys, edit, message):
+    tmp, obj = li_file
+    edit(obj)
+    (tmp / "li.json").write_text(json.dumps(obj))
+    err = _input_error(capsys, ["eval", "--li", str(tmp / "li.json"),
+                                "--assign", str(tmp / "point.json")])
+    assert err["error"] == "ScopeMismatch"
+    assert message in err["message"]
+
+
 @pytest.mark.parametrize("field", ["target_cardinality", "cond_cardinalities"])
 @pytest.mark.parametrize("value", [2.7, 2.0, True, "2"])
 def test_eval_rejects_non_integer_factor_cardinality(li_file, capsys, field, value):

@@ -1,11 +1,11 @@
-"""Package code against reference versions kept in the test tree: the
-vectorized batch kernels and the sample CSV writer against their
-loop-and-stack forms (the samplers also at batch sizes around their row
-blocks, with their scratch memory held to a few blocks), the byte-array
-sample CSV codec against its row-code writer and ``np.loadtxt`` reader, the
-fragment learner against its former copy of the identification recursion, the
-Bayes-net learner's conditioning sets against the former effective-parent
-rule, the row products (oracle joints, learned
+"""Package code against reference versions kept in the test tree: the vectorized
+batch kernels and the sample CSV writer against their loop-and-stack forms (the
+samplers also at batch sizes around their row blocks, with their scratch memory
+held to a few blocks), the byte-array sample CSV codec against its row-code
+writer and ``np.loadtxt`` reader, the fragment learner against its former copy
+of the identification recursion, the Bayes-net learner's conditioning sets
+against the former effective-parent rule and its exact rows against the
+one-factor chains they replaced, the row products (oracle joints, learned
 evaluator, structural identities, factor errors) against their hand-written
 forms, compiled estimand plans against the tree interpreter they replaced,
 random nets against one Dirichlet draw per node and their sampling order
@@ -41,7 +41,6 @@ from dolearn.identify import (
 )
 from dolearn.learn import (
     PositivityViolation,
-    _q_from_table,
     evaluate_point,
     fit_from_table,
     learn_interventional,
@@ -651,9 +650,45 @@ def test_learner_conditions_on_effective_parents(g, data):
     part = relative_partition(g, g.indices(x_names))
     want = _reference_conds(g, part)
     uniform = PmfTable(g.names, np.full(g.cards, 1.0 / np.prod(g.cards)))
-    from_table = {n: f.cond for n, f in _q_from_table(uniform, g, part).items()}
+    from_table = {n: f.cond for n, f in learn_q(uniform, g, part).items()}
     for got in (_batch_conds(g, part), from_table):
         assert list(got.items()) == list(want.items())  # same sets, same factor order
+
+
+# -- the Bayes-net learner's rows against their former forms ----------------------
+
+
+@settings(max_examples=200, deadline=None)
+@given(admgs(max_n=6, cardinalities=(2, 3)), st.data())
+def test_learner_rows_match_reference(g, data):
+    """Exact rows equal the one-factor chains they replaced, byte for byte, or
+    both fail on the same empty event; batch rows equal add-1 on the counts."""
+    x_names = data.draw(st.lists(st.sampled_from(g.names), max_size=2, unique=True))
+    part = relative_partition(g, g.indices(x_names))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    zeroed = rng.random(g.cards) < data.draw(st.sampled_from([0.0, 0.3, 0.7]))
+    probs = np.where(zeroed, 0.0, rng.random(g.cards))
+    probs.flat[rng.integers(probs.size)] = 1.0  # some mass survives
+    table = PmfTable(g.names, probs / probs.sum())
+    try:
+        want = ref.q_from_table(table, g, part)
+    except PositivityViolation as exc:
+        with pytest.raises(PositivityViolation) as got:
+            learn_q(table, g, part)
+        assert (got.value.variable, got.value.event) == (exc.variable, exc.event)
+    else:
+        got = learn_q(table, g, part)
+        assert list(got) == list(want)
+        for n, f in got.items():
+            assert (f.cond, f.kind) == (want[n].cond, want[n].kind)
+            assert f.probs.tobytes() == want[n].probs.tobytes()
+
+    values = rng.integers(0, g.cards, size=(data.draw(st.integers(0, 40)), g.n))
+    for n, f in learn_q(Samples(g.names, values), g, part).items():
+        card = f.target_card
+        c = ref.counts_over(g.names, values, f.cond + (n,), f.cond_cards + (card,))
+        c = c.reshape(-1, card)
+        assert f.probs.tobytes() == ((c + 1) / (c.sum(axis=1, keepdims=True) + card)).tobytes()
 
 
 # -- row products against their hand-written forms -------------------------------

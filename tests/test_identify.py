@@ -10,7 +10,6 @@ from dolearn.identify import (
     Estimand,
     HedgeWitness,
     InvalidQuery,
-    explain_trace,
     identify,
     is_identifiable,
 )
@@ -34,7 +33,7 @@ class TestQueryValidation:
 class TestGoldenExamples:
     def test_example1_trace(self, fig3a):
         q = CausalQuery(fig3a, {"X": 0}, frozenset({"Z1", "Z2", "Y"}))
-        steps = [t.step for t in explain_trace(q)]
+        steps = [t.step for t in identify(q).trace]
         assert steps == ["step4", "step5b", "step2", "step5c", "step2", "step1"]
 
     def test_example1_equals_oracle(self, fig3a):

@@ -1,9 +1,14 @@
 import json
+import os
+import pathlib
 import re
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import dolearn
 from dolearn import io as dio
 from dolearn.admg import Admg, GraphError
 from dolearn.demo import fig3a_graph
@@ -118,6 +123,30 @@ def test_learned_object_rejects_negative_or_nan_probabilities(setup, row):
     factor["probs"] = [row] * len(factor["probs"])
     with pytest.raises(ValueError, match="Z1: negative or NaN conditional entry"):
         dio.li_from_dict(json.loads(json.dumps(obj)))
+
+
+def test_learned_object_is_the_same_json_under_any_hash_seed():
+    """The fixed context of a fragment factor follows the graph's variable
+    order, not the iteration order of a set of names."""
+    script = (
+        "from dolearn.demo import fig4a_graph\n"
+        "from dolearn.io import dump_json, li_to_dict\n"
+        "from dolearn.learn import fit_from_table\n"
+        "from dolearn.scm import exact_observational, random_net_for\n"
+        "g = fig4a_graph()\n"
+        "obs = exact_observational(random_net_for(g, seed=3))\n"
+        "print(dump_json(li_to_dict(fit_from_table(obs, g, {'W': 1, 'R': 0, 'X': 1}))))\n"
+    )
+    src = str(pathlib.Path(dolearn.__file__).resolve().parents[1])
+    outs = [
+        subprocess.run([sys.executable, "-c", script], check=True, capture_output=True,
+                       text=True, env={**os.environ, "PYTHONHASHSEED": seed,
+                                       "PYTHONPATH": src}).stdout
+        for seed in ("1", "2")
+    ]
+    contexts = [list(f["fixed_context"]) for f in json.loads(outs[0])["factors"]]
+    assert ["R", "X"] in contexts
+    assert outs[0] == outs[1]
 
 
 def test_net_rejects_nan_cpt(setup):
