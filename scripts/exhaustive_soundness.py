@@ -1,9 +1,10 @@
 #!/usr/bin/env python3
 """Sweep every binary mixed graph on four variables with at most two
 bidirected edges: check each identifiable single-variable intervention
-against the brute-force oracle and, optionally, find witness pairs for the
-first hedges. Fails when a check exceeds the soundness bound, a hedge has no
-witness pair, or a case drops out of the sweep."""
+against the brute-force oracle and, optionally, build witness pairs for the
+first hedges. Fails when a check exceeds the soundness bound, a witness pair
+does not agree observationally (TV <= 1e-9) and differ under the
+intervention (TV >= 1e-3), or a case drops out of the sweep."""
 
 import argparse
 import time
@@ -17,7 +18,7 @@ def main() -> None:
     ap.add_argument("--realizations", type=int, default=20,
                     help="random nets checked per graph")
     ap.add_argument("--witness-hedges", type=int, default=0,
-                    help="also search witness pairs for this many hedges")
+                    help="also build witness pairs for this many hedges")
     args = ap.parse_args()
 
     t0 = time.time()
@@ -25,7 +26,9 @@ def main() -> None:
     assert res.worst < SOUNDNESS_BOUND, (res.worst, res.worst_at)
     witnessed = 0
     for number, g, name in res.hedges[: args.witness_hedges]:
-        assert indistinguishable_pair(g, {name: 0}, seed=number) is not None, (number, name)
+        pair = indistinguishable_pair(g, {name: 0})
+        assert pair.observational_tv <= 1e-9, (number, name, pair.observational_tv)
+        assert pair.interventional_tv >= 1e-3, (number, name, pair.interventional_tv)
         witnessed += 1
     print(f"graphs={res.graphs} identifiable={res.identifiable} hedges={len(res.hedges)} "
           f"checks={res.checks} witnessed={witnessed} worst={res.worst:.2e} "

@@ -21,7 +21,7 @@ def main() -> None:
     report = {
         "example1": run_example1(seed=args.seed, m=args.m),
         "example2": run_example2(seed=args.seed + 4, m=args.m),
-        "bow": run_bow(seed=args.seed),
+        "bow": run_bow(),
     }
     print(dump_json(report), end="")
     checks = [

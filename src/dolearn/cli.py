@@ -218,7 +218,7 @@ def _cmd_demo(args) -> int:
     elif args.name == "example2":
         report = run_example2(seed=args.seed, m=args.m)
     else:
-        report = run_bow(seed=args.seed)
+        report = run_bow()
     _emit(args, report)
     if "formula" in report:
         print(f"formula: {report['formula']}", file=sys.stderr)

@@ -211,16 +211,6 @@ def marginal(child: DistExpr, drop: Iterable[str]) -> DistExpr:
     return Marginal(child, drop)
 
 
-def depth(expr: DistExpr) -> int:
-    if isinstance(expr, BaseDist):
-        return 1
-    if isinstance(expr, Marginal):
-        return 1 + depth(expr.child)
-    if isinstance(expr, ChainProduct):
-        return 1 + depth(expr.child)
-    return 1 + max(depth(c) for c in expr.children)
-
-
 def chain_depth(expr: DistExpr) -> int:
     """The deepest nesting of :class:`ChainProduct` nodes: how many chain
     materializations stack up on the way to the input distribution."""

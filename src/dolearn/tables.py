@@ -146,9 +146,6 @@ class PmfTable:
             context=self.context, normalized=self.normalized,
         )
 
-    def assignments(self) -> Iterator[dict[str, int]]:
-        return iter_assignments(self.names, self.cards)
-
 
 class DistinctRows(NamedTuple):
     """The distinct rows of a batch, in ascending mixed-radix code order, and
@@ -194,16 +191,9 @@ class Samples:
         except ValueError:
             raise ScopeMismatch(f"{name!r} not among sampled variables") from None
 
-    def column(self, name: str) -> np.ndarray:
-        return self.values[:, self._index(name)]
-
     def project(self, names: Sequence[str]) -> "Samples":
         cols = [self._index(n) for n in names]
         return Samples(tuple(names), self.values[:, cols], self.rng_algorithm)
-
-    def assignments(self) -> Iterator[dict[str, int]]:
-        for row in self.values:
-            yield {n: int(v) for n, v in zip(self.names, row)}
 
     @cached_property
     def _top(self) -> tuple[int, ...]:

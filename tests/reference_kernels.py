@@ -10,6 +10,7 @@ from __future__ import annotations
 import csv
 import io as _io
 import math
+from typing import Iterator
 
 import numpy as np
 
@@ -28,7 +29,7 @@ from dolearn.learn import ConditionalTable, _q_conds
 from dolearn.scm import CausalBayesNet, CbnNode, exact_interventional, exact_observational
 from dolearn.tables import PmfTable, Samples, ScopeMismatch, iter_assignments, strides_for
 from dolearn.verify import exact_tv
-from dolearn.witness import IndistinguishablePair, _iter_models
+from dolearn.witness import IndistinguishablePair
 
 
 def draw_compare_and_cap(cum_rows: np.ndarray, u: np.ndarray) -> np.ndarray:
@@ -672,9 +673,32 @@ class ParitySearch:
         return CausalBayesNet(nodes)
 
 
+def _iter_models(search: ParitySearch, seed: int, cap: int) -> Iterator[tuple[int, ...]]:
+    rng = np.random.default_rng(seed)
+    sizes = [2 ** (len(ins) + 1) for ins in search.inputs]
+    total = math.prod(sizes)
+    if total <= cap:
+        perm = rng.permutation(total)
+        for code in perm:
+            model = []
+            c = int(code)
+            for s in sizes:
+                model.append(c % s)
+                c //= s
+            yield tuple(model)
+    else:
+        seen: set[tuple[int, ...]] = set()
+        for _ in range(cap):
+            model = tuple(int(rng.integers(0, s)) for s in sizes)
+            if model in seen:
+                continue
+            seen.add(model)
+            yield model
+
+
 def indistinguishable_pair(g, x, seed: int = 0, max_models: int = 250_000):
-    """The pair search over :class:`ParitySearch` keys, in the package's
-    model order."""
+    """The pair search over :class:`ParitySearch` keys, in the seeded model
+    order the package searched in before it built pairs from the hedge."""
     search = ParitySearch(g, x)
     by_obs: dict[tuple, tuple[tuple, tuple[int, ...]]] = {}
     for model in _iter_models(search, seed, max_models):

@@ -25,7 +25,7 @@ from dolearn.scm import (
     random_net_for,
     sample_observational,
 )
-from dolearn.tables import EmpiricalAccess, PmfTable, Samples, ScopeMismatch
+from dolearn.tables import EmpiricalAccess, PmfTable, Samples, ScopeMismatch, iter_assignments
 
 
 def fair_coin():
@@ -112,7 +112,7 @@ class TestFullTable:
         obs = exact_observational(net)
         est = identify(CausalQuery(fig3a, {"X": 1}, frozenset({"Z1", "Z2", "Y"})))
         tab = est.table(obs, {"X": 1})
-        for env in tab.assignments():
+        for env in iter_assignments(tab.names, tab.cards):
             assert est.evaluate(obs, {**env, "X": 1}) == pytest.approx(
                 tab.pmf(env), abs=1e-12
             )

@@ -15,7 +15,7 @@ from dolearn.demo import fig3a_graph
 from dolearn.identify import InvalidQuery
 from dolearn.learn import fit_from_table, learn_interventional
 from dolearn.scm import exact_observational, random_net_for, sample_observational
-from dolearn.tables import Samples, ScopeMismatch
+from dolearn.tables import Samples, ScopeMismatch, iter_assignments
 
 
 @pytest.fixture
@@ -79,7 +79,8 @@ def test_learned_object_roundtrip(setup):
     again = dio.li_from_dict(json.loads(json.dumps(dio.li_to_dict(li))))
     assert again.order == li.order
     assert again.x == li.x
-    for env in li.table().assignments():
+    table = li.table()
+    for env in iter_assignments(table.names, table.cards):
         assert again.evaluate(env) == pytest.approx(li.evaluate(env), abs=1e-15)
     assert again.metadata["m"] == 20_000
 

@@ -487,7 +487,7 @@ class TestDualRoute:
         assert set(fam.names) == {"A", "B"}
         assert fam.context == {"X": 1}
         oracle = exact_interventional(net, {"X": 1})
-        for env in oracle.assignments():
+        for env in iter_assignments(oracle.names, oracle.cards):
             assert fam.pmf(env) == pytest.approx(oracle.pmf(env), abs=0.01)
 
 

@@ -121,7 +121,8 @@ class TestEstimateTv:
         assert len(calls) == 2
         assert all(c["X"].shape == (est.samples_used,) for c in calls)
         batch = table_sampler(p)(3, est.samples_used)
-        want = sum(max(0.0, 1.0 - q.pmf(a) / p.pmf(a)) for a in batch.assignments())
+        rows = (dict(zip(batch.names, map(int, row))) for row in batch.values)
+        want = sum(max(0.0, 1.0 - q.pmf(a) / p.pmf(a)) for a in rows)
         assert est.value == pytest.approx(want / est.samples_used, abs=1e-12)
 
     def test_zero_evaluator_mass_names_the_first_zero_row(self):
