@@ -142,13 +142,25 @@ class CausalBayesNet:
     @cached_property
     def _mechanisms(self) -> tuple[tuple[str, np.ndarray], ...]:
         """Every mechanism's CPT rows gathered over an open grid of all nodes,
-        in declaration order, each shaped to broadcast against the joint:
-        built once per net, because the oracle multiplies the same factors
-        again for every intervened set."""
+        in declaration order, each with length-1 axes for the nodes it does
+        not read, so that products of them broadcast: built once per net,
+        because the oracle multiplies the same factors again for every
+        intervened set, starting from the first and in this order."""
         shape = tuple(nd.cardinality for nd in self.nodes)
         grid = dict(zip(self.names, np.indices(shape, sparse=True)))
         return tuple((nd.name, row_product([_step(self, nd)], grid))
                      for nd in self.nodes)
+
+    @cached_property
+    def _runs_after_hidden(self) -> tuple[tuple[str, ...], ...]:
+        """Each maximal run of consecutive observables, length-1 axes aside,
+        that comes after a hidden axis in declaration order. Slicing a whole
+        run away before the hidden sum would leave hidden axes innermost or
+        join two runs of them, and numpy would then add them in another order."""
+        runs = itertools.groupby((nd for nd in self.nodes if nd.cardinality > 1),
+                                 key=lambda nd: nd.hidden)
+        return tuple(tuple(nd.name for nd in run)
+                     for k, (hidden, run) in enumerate(runs) if k > 0 and not hidden)
 
 
 def _step(net: CausalBayesNet, nd: CbnNode) -> tuple:
@@ -156,20 +168,61 @@ def _step(net: CausalBayesNet, nd: CbnNode) -> tuple:
     return nd.name, nd.parents, strides_for([net.cardinality(p) for p in nd.parents]), nd.cpt
 
 
-def _full_joint(net: CausalBayesNet, skip: frozenset[str] = frozenset()) -> np.ndarray:
+def _full_joint(
+    net: CausalBayesNet,
+    skip: frozenset[str] = frozenset(),
+    fixed: Mapping[str, int] | None = None,
+) -> np.ndarray:
     """Truncated-factorization array over the observables: the product of every
-    mechanism outside ``skip`` over all nodes (skipped variables keep their
-    axes but carry no factor), with the hidden axes summed out."""
+    mechanism outside ``skip``, with the hidden axes summed out. Skipped
+    variables keep their axes but carry no factor.
+
+    The product starts from the first factor and multiplies the others in
+    declaration order, growing by broadcasting, so each entry takes the same
+    multiplications in the same order as from a full array of ones. Each axis
+    of ``fixed`` (a subset of ``skip``) is sliced to its value before
+    multiplying and is returned with length 1. The hidden axes are summed
+    over a C-ordered array; a run of ``net._runs_after_hidden`` wholly in
+    ``fixed`` keeps its last axis until after that sum. numpy then adds in
+    the order it would over the unsliced array, so every entry is
+    bit-identical to the same slice of it.
+    """
+    fixed = fixed or {}
+    for name in skip:
+        if net.node(name).hidden:
+            raise GraphError(f"cannot intervene on hidden variable {name!r}")
     if net.joint_states() > STATE_CEILING:
         raise StateSpaceTooLarge(
             f"joint state space {net.joint_states()} exceeds ceiling {STATE_CEILING}"
         )
-    joint = np.ones(tuple(nd.cardinality for nd in net.nodes))
+    shape = tuple(nd.cardinality for nd in net.nodes)
+    late: set[str] = set()
+    cuts: list[tuple[int, tuple[slice, ...]]] = []
+    if fixed:
+        late = {run[-1] for run in net._runs_after_hidden if all(n in fixed for n in run)}
+        cuts = [(i, (slice(None),) * i + (slice(fixed[nd.name], fixed[nd.name] + 1),))
+                for i, nd in enumerate(net.nodes) if nd.name in fixed and nd.name not in late]
+        shape = tuple(1 if (nd.name in fixed and nd.name not in late) else k
+                      for nd, k in zip(net.nodes, shape))
+    joint: float | np.ndarray = 1.0
     for name, factor in net._mechanisms:
         if name not in skip:
+            for axis, at in cuts:
+                if factor.shape[axis] > 1:  # the factor reads this axis
+                    factor = factor[at]
             joint = joint * factor
+    if np.shape(joint) != shape:  # an axis no factor reads
+        full = np.empty(shape)
+        full[...] = joint
+        joint = full
+    joint = np.asarray(joint, order="C")
     hidden_axes = tuple(i for i, nd in enumerate(net.nodes) if nd.hidden)
-    return joint.sum(axis=hidden_axes) if hidden_axes else joint
+    if hidden_axes:
+        joint = joint.sum(axis=hidden_axes)
+    if late:
+        joint = joint[tuple(slice(fixed[n], fixed[n] + 1) if n in late else slice(None)
+                            for n in net.observables)]
+    return joint
 
 
 def exact_observational(net: CausalBayesNet) -> PmfTable:
@@ -180,9 +233,10 @@ def exact_observational(net: CausalBayesNet) -> PmfTable:
 def exact_interventional(net: CausalBayesNet, x: Mapping[str, int]) -> PmfTable:
     """Exact truncated-factorization distribution over observables minus ``x``.
 
-    Mechanisms of intervened variables are deleted and their values clamped;
-    hidden variables are summed out. With ``x`` empty this coincides exactly
-    with :func:`exact_observational`.
+    Mechanisms of intervened variables are deleted and their axes sliced to
+    the clamped values before the remaining factors are multiplied, so only
+    the returned states are formed; hidden variables are summed out. With
+    ``x`` empty this coincides exactly with :func:`exact_observational`.
     """
     for name, val in x.items():
         nd = net.node(name)
@@ -190,8 +244,10 @@ def exact_interventional(net: CausalBayesNet, x: Mapping[str, int]) -> PmfTable:
             raise GraphError(f"value {val!r} for {name!r} is not an integer symbol")
         if not nd.hidden and not 0 <= val < nd.cardinality:
             raise GraphError(f"value {val} out of range for {name!r}")
-    t = interventional_family(net, x).sliced(x)
-    return PmfTable(t.names, t.probs, context=dict(x))
+    joint = _full_joint(net, skip=frozenset(x), fixed=x)
+    kept = tuple(n for n in net.observables if n not in x)
+    return PmfTable(kept, joint.reshape([net.cardinality(n) for n in kept]),
+                    context=dict(x))
 
 
 def interventional_family(net: CausalBayesNet, x_vars: Iterable[str]) -> PmfTable:
@@ -201,11 +257,8 @@ def interventional_family(net: CausalBayesNet, x_vars: Iterable[str]) -> PmfTabl
     gives exactly the interventional distribution for that assignment. Marked
     unnormalized because the whole array sums to the number of slices.
     """
-    x_vars = frozenset(x_vars)
-    for name in x_vars:
-        if net.node(name).hidden:
-            raise GraphError(f"cannot intervene on hidden variable {name!r}")
-    return PmfTable(net.observables, _full_joint(net, skip=x_vars), normalized=False)
+    return PmfTable(net.observables, _full_joint(net, skip=frozenset(x_vars)),
+                    normalized=False)
 
 
 def sample_observational(net: CausalBayesNet, seed: int, m: int) -> Samples:

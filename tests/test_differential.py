@@ -774,6 +774,40 @@ def test_row_products_match_reference(case):
         assert all(map(_close, sides, want_sides))
 
 
+def _assert_oracle_matches_reference(net, x):
+    idx = tuple(x.get(n, slice(None)) for n in net.observables)
+    want = ref.observable_family(net, frozenset(x))
+    assert np.array_equal(exact_interventional(net, x).probs, want[idx])
+    assert np.array_equal(interventional_family(net, x).probs, want)
+
+
+def test_oracle_edge_cases_match_reference():
+    # B is childless, so once its mechanism is skipped no factor reads its axis
+    collider = Admg(("A", "B", "C"), (2, 2, 2), frozenset({(0, 1), (2, 1)}),
+                    frozenset({(0, 2)}))
+    net = random_net_for(collider, seed=3)
+    _assert_oracle_matches_reference(net, {"B": 1})
+    assert (exact_interventional(net, {}).probs.tobytes()
+            == exact_observational(net).probs.tobytes())
+    # no hidden node and every observable intervened: no factor is left
+    chain = Admg(("A", "B", "C"), (2, 3, 2), frozenset({(0, 1), (1, 2)}), frozenset())
+    _assert_oracle_matches_reference(random_net_for(chain, seed=4), {"A": 1, "B": 2, "C": 0})
+    # ternary intervention over ternary hidden nodes
+    bow = Admg(("X", "Y", "Z"), (3, 3, 2), frozenset({(0, 1), (1, 2)}),
+               frozenset({(0, 1), (0, 2)}))
+    _assert_oracle_matches_reference(random_net_for(bow, seed=5, hidden_cardinality=3),
+                                     {"X": 2})
+    # slicing every observable axis before the hidden sum, or the one observable
+    # between two runs of hidden axes, would change the order numpy adds in
+    triangle = Admg(("A", "B", "C"), (2, 2, 2), frozenset({(0, 1)}),
+                    frozenset({(0, 1), (1, 2), (0, 2)}))
+    _assert_oracle_matches_reference(random_net_for(triangle, seed=0), {"A": 1, "B": 0, "C": 1})
+    net = random_net_for(triangle, seed=0, hidden_cardinality=3)
+    pos = {nd.name: i for i, nd in enumerate(net.nodes)}
+    interleaved = CausalBayesNet([net.nodes[pos[n]] for n in ("A", "C", "U0", "B", "U1", "U2")])
+    _assert_oracle_matches_reference(interleaved, {"B": 1})
+
+
 # -- compiled estimand plans and run-drawn nets against their former forms -------
 
 

@@ -98,8 +98,12 @@ class TestExactObservational:
 
     def test_state_ceiling(self):
         nodes = [coin(f"A{i}", card=4, rows=[[0.25] * 4]) for i in range(13)]
+        net = CausalBayesNet(nodes)
         with pytest.raises(StateSpaceTooLarge):
-            exact_observational(CausalBayesNet(nodes))
+            exact_observational(net)
+        # the ceiling is on the whole net, not on the 4^12 states the slice forms
+        with pytest.raises(StateSpaceTooLarge):
+            exact_interventional(net, {"A0": 0})
 
 
 class TestExactInterventional:
@@ -134,6 +138,14 @@ class TestExactInterventional:
             exact_interventional(net, {"Q": 0})
         with pytest.raises(GraphError, match="unknown variable 'Q'"):
             interventional_family(net, {"Q"})
+
+    @pytest.mark.parametrize("val", [0, 7])
+    def test_hidden_variable_is_rejected(self, val):
+        net = bow_net([[1, 0], [0, 1], [0, 1], [1, 0]])
+        with pytest.raises(GraphError, match="cannot intervene on hidden variable 'U'"):
+            exact_interventional(net, {"U": val})
+        with pytest.raises(GraphError, match="cannot intervene on hidden variable 'U'"):
+            interventional_family(net, {"U"})
 
     @pytest.mark.parametrize("val", [1.5, True, np.True_, "1", None])
     def test_non_integer_value_is_rejected(self, val):
