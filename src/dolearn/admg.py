@@ -80,15 +80,16 @@ class Admg:
             raise GraphError("variable names must be unique")
         pos = {name: i for i, name in enumerate(names)}
 
-        def _pair(a: str, b: str) -> tuple[int, int]:
+        def _pair(edge: Sequence[str]) -> tuple[int, int]:
+            if len(edge) != 2:
+                raise GraphError(f"edge {list(edge)} must name exactly two variables")
+            a, b = edge
             if a not in pos or b not in pos:
                 raise GraphError(f"edge ({a},{b}) references an unknown variable")
             return pos[a], pos[b]
 
-        directed = list(directed)
-        bidirected = list(bidirected)
-        d_pairs = [_pair(a, b) for a, b in directed]
-        b_pairs = [tuple(sorted(_pair(a, b))) for a, b in bidirected]
+        d_pairs = [_pair(e) for e in directed]
+        b_pairs = [tuple(sorted(_pair(e))) for e in bidirected]
         if len(set(d_pairs)) != len(d_pairs) or len(set(b_pairs)) != len(b_pairs):
             raise GraphError("duplicate edges")
         return cls(tuple(names), tuple(cards), frozenset(d_pairs), frozenset(b_pairs))

@@ -14,7 +14,6 @@ import sys
 from pathlib import Path
 
 from . import io as dio
-from .admg import GraphError
 from .identify import CausalQuery, HedgeWitness, InvalidQuery, NotIdentifiable, identify
 from .learn import (
     LearnConfig,
@@ -24,14 +23,8 @@ from .learn import (
     recommended_sample_size,
 )
 from .generate import sample as generate_sample
-from .scm import (
-    StateSpaceTooLarge,
-    exact_interventional,
-    exact_observational,
-    sample_observational,
-)
-from .tables import ScopeMismatch
-from .verify import GraphMismatch, compare_to_oracle
+from .scm import exact_interventional, exact_observational, sample_observational
+from .verify import compare_to_oracle
 
 EXIT_OK = 0
 EXIT_NOT_IDENTIFIABLE = 2
@@ -46,94 +39,74 @@ class _CliError(Exception):
         super().__init__(message)
 
 
-def _read_json(path: str):
-    try:
-        with open(path) as fh:
-            return json.load(fh)
-    except FileNotFoundError:
-        raise _CliError(EXIT_INPUT, "FileNotFound", f"no such file: {path}")
-    except json.JSONDecodeError as exc:
-        raise _CliError(EXIT_INPUT, "BadJson", f"{path}: {exc}")
-
-
 def _read_text(path: str) -> str:
     try:
-        return Path(path).read_text()
+        return Path(path).read_text(encoding="utf-8")
     except FileNotFoundError:
         raise _CliError(EXIT_INPUT, "FileNotFound", f"no such file: {path}")
+    except (OSError, UnicodeDecodeError) as exc:  # a directory, no permission, not UTF-8
+        raise _CliError(EXIT_INPUT, "UnreadableFile", f"{path}: {exc}")
 
 
-def _write(args, text: str) -> None:
-    """Write a command's output to ``--out``, or to stdout without one."""
-    if getattr(args, "out", None):
-        Path(args.out).write_text(text)
-    else:
+def _write(args, out) -> None:
+    """Write a command's output, text or a JSON value, to ``--out``, or to
+    stdout without one."""
+    text = out if isinstance(out, str) else dio.dump_json(out)
+    if not args.out:
         sys.stdout.write(text)
-
-
-def _emit(args, obj) -> None:
-    _write(args, dio.dump_json(obj))
-
-
-def _load_graph(path: str):
+        return
     try:
-        return dio.admg_from_dict(_read_json(path))
-    except GraphError as exc:
-        raise _CliError(EXIT_INPUT, "GraphError", str(exc))
+        Path(args.out).write_text(text, encoding="utf-8")
+    except OSError as exc:
+        raise _CliError(EXIT_INPUT, "UnwritableFile", f"{args.out}: {exc}")
 
 
-def _load_net(path: str):
+def _load(path: str, reader, payload: str | None = None):
+    """``reader`` applied to the JSON file at ``path``. With a ``payload``
+    name, a fault it raises is reported under that name with the path;
+    without one, under the error's own class name."""
     try:
-        return dio.net_from_dict(_read_json(path))
-    except (GraphError, KeyError, ValueError) as exc:
-        raise _CliError(EXIT_INPUT, "NetError", f"{path}: {exc}")
-
-
-def _load_query(path: str):
-    obj = _read_json(path)
-    try:
-        return dio.query_from_dict(obj)
-    except (KeyError, TypeError, ValueError) as exc:
-        raise _CliError(EXIT_INPUT, "QueryError", f"{path}: {exc}")
+        return reader(json.loads(_read_text(path)))
+    except json.JSONDecodeError as exc:
+        raise _CliError(EXIT_INPUT, "BadJson", f"{path}: {exc}")
+    except ValueError as exc:
+        if payload is None:
+            raise
+        raise _CliError(EXIT_INPUT, payload, f"{path}: {exc}")
 
 
 # -- subcommands -----------------------------------------------------------------
 
 
 def _cmd_identify(args) -> int:
-    g = _load_graph(args.graph)
-    x, targets = _load_query(args.query)
+    g = _load(args.graph, dio.admg_from_dict, "GraphError")
+    x, targets = _load(args.query, dio.query_from_dict, "QueryError")
     if not targets:
         targets = frozenset(set(g.names) - set(x))
-    try:
-        q = CausalQuery(g, x, targets)
-    except InvalidQuery as exc:
-        raise _CliError(EXIT_INPUT, "InvalidQuery", str(exc))
-    result = identify(q)
+    result = identify(CausalQuery(g, x, targets))
     if isinstance(result, HedgeWitness):
-        _emit(args, dio.hedge_to_dict(result))
-        print("not identifiable; witness root set "
-              f"{sorted(result.root_set)}", file=sys.stderr)
-        return EXIT_NOT_IDENTIFIABLE
-    _emit(args, dio.estimand_to_dict(result))
+        _write(args, dio.hedge_to_dict(result))
+        raise _CliError(EXIT_NOT_IDENTIFIABLE, "NotIdentifiable",
+                        f"not identifiable; witness root set {sorted(result.root_set)}")
+    _write(args, dio.estimand_to_dict(result))
     return EXIT_OK
 
 
 def _cmd_oracle(args) -> int:
-    net = _load_net(args.cbn)
+    net = _load(args.cbn, dio.net_from_dict, "NetError")
     if args.query:
-        x, targets = _load_query(args.query)
+        x, targets = _load(args.query, dio.query_from_dict, "QueryError")
         table = exact_interventional(net, x)
         if targets:
             table = table.marginal_to(targets)
     else:
         table = exact_observational(net)
-    _emit(args, dio.table_to_dict(table))
+    _write(args, dio.table_to_dict(table))
     return EXIT_OK
 
 
 def _cmd_simulate(args) -> int:
-    net = _load_net(args.cbn)
+    net = _load(args.cbn, dio.net_from_dict, "NetError")
     samples = sample_observational(net, seed=args.seed, m=args.m)
     _write(args, dio.samples_to_csv(samples))
     print(dio.dump_json({"m": samples.m, "seed": args.seed,
@@ -143,8 +116,8 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_learn(args) -> int:
-    g = _load_graph(args.graph)
-    x, targets = _load_query(args.query)
+    g = _load(args.graph, dio.admg_from_dict, "GraphError")
+    x, targets = _load(args.query, dio.query_from_dict, "QueryError")
     rest = frozenset(g.names) - set(x)
     if targets and targets != rest:
         raise InvalidQuery(
@@ -168,36 +141,36 @@ def _cmd_learn(args) -> int:
             raise _CliError(EXIT_INPUT, "MissingSampleSize",
                             f"--m is required when sampling from --cbn; the recommended "
                             f"sample size for these targets is {m}", recommended_m=m)
-        samples = sample_observational(_load_net(args.cbn), seed=args.seed, m=args.m)
+        net = _load(args.cbn, dio.net_from_dict, "NetError")
+        samples = sample_observational(net, seed=args.seed, m=args.m)
     else:
         raise _CliError(EXIT_INPUT, "MissingInput", "provide --samples or --cbn")
     li = learn_interventional(samples, g, x, config)
-    _emit(args, dio.li_to_dict(li))
+    _write(args, dio.li_to_dict(li))
     return EXIT_OK
 
 
 def _cmd_eval(args) -> int:
-    li = dio.li_from_dict(_read_json(args.li))
-    assign = dio.json_object(_read_json(args.assign), "assignment", ScopeMismatch)
-    y = {k: dio.json_integer(v, f"value of {k!r}", ScopeMismatch) for k, v in assign.items()}
+    li = _load(args.li, dio.li_from_dict)
+    y = _load(args.assign, dio.assignment_from_dict)
     p = evaluate_point(li, y)
-    _emit(args, {"assignment": y, "probability": p})
+    _write(args, {"assignment": y, "probability": p})
     return EXIT_OK
 
 
 def _cmd_sample(args) -> int:
-    li = dio.li_from_dict(_read_json(args.li))
+    li = _load(args.li, dio.li_from_dict)
     samples = generate_sample(li, seed=args.seed, m=args.m)
     _write(args, dio.samples_to_csv(samples))
     return EXIT_OK
 
 
 def _cmd_verify(args) -> int:
-    li = dio.li_from_dict(_read_json(args.li))
-    net = _load_net(args.cbn)
-    x, _ = _load_query(args.query) if args.query else (dict(li.x), frozenset())
+    li = _load(args.li, dio.li_from_dict)
+    net = _load(args.cbn, dio.net_from_dict, "NetError")
+    x = _load(args.query, dio.query_from_dict, "QueryError")[0] if args.query else li.x
     report = compare_to_oracle(li, net, x)
-    _emit(args, {
+    _write(args, {
         "tv": report.tv,
         "kl": report.kl,
         "intervention": report.x,
@@ -219,7 +192,7 @@ def _cmd_demo(args) -> int:
         report = run_example2(seed=args.seed, m=args.m)
     else:
         report = run_bow()
-    _emit(args, report)
+    _write(args, report)
     if "formula" in report:
         print(f"formula: {report['formula']}", file=sys.stderr)
     return EXIT_OK
@@ -230,36 +203,34 @@ def build_parser() -> argparse.ArgumentParser:
         prog="dolearn",
         description="Identify and learn interventional distributions on "
                     "causal graphs with hidden confounders.",
-        epilog=(
-            "File schemas: graph JSON {vars:[{name,cardinality}],directed:[[a,b]],"
-            "bidirected:[[a,b]]}; query JSON {intervene:[{var,value}],targets:[...]}; "
-            "net JSON {nodes:[{name,cardinality,hidden,parents,cpt}]} with cpt nested "
-            "row-major over the parents; samples CSV has a variable-name header and "
-            "integer symbols."
-        ),
+        epilog="File schemas (a field with = default may be left out; other keys are "
+               "ignored): " + "; ".join(f"{kind} JSON {dio.describe(schema)}"
+                                       for kind, schema in dio.SCHEMAS.items())
+               + "; samples CSV: a header of distinct names, then rows of integer symbols. "
+                 "A net's cpt is nested row-major over the parents.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("identify", help="compile a query into an estimand or a witness")
+    def command(name: str, fn, help: str) -> argparse.ArgumentParser:
+        p = sub.add_parser(name, help=help)
+        p.add_argument("--out")
+        p.set_defaults(fn=fn)
+        return p
+
+    p = command("identify", _cmd_identify, "compile a query into an estimand or a witness")
     p.add_argument("--graph", required=True)
     p.add_argument("--query", required=True)
-    p.add_argument("--out")
-    p.set_defaults(fn=_cmd_identify)
 
-    p = sub.add_parser("oracle", help="exact observational or interventional table")
+    p = command("oracle", _cmd_oracle, "exact observational or interventional table")
     p.add_argument("--cbn", required=True)
     p.add_argument("--query")
-    p.add_argument("--out")
-    p.set_defaults(fn=_cmd_oracle)
 
-    p = sub.add_parser("simulate", help="draw observational samples from a net")
+    p = command("simulate", _cmd_simulate, "draw observational samples from a net")
     p.add_argument("--cbn", required=True)
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--m", type=int, required=True)
-    p.add_argument("--out")
-    p.set_defaults(fn=_cmd_simulate)
 
-    p = sub.add_parser("learn", help="learn an interventional evaluator/generator")
+    p = command("learn", _cmd_learn, "learn an interventional evaluator/generator")
     p.add_argument("--graph", required=True)
     p.add_argument("--query", required=True)
     p.add_argument("--samples", help="observational samples CSV")
@@ -269,62 +240,44 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--epsilon", type=float, default=0.1)
     p.add_argument("--delta", type=float, default=0.1)
     p.add_argument("--alpha", type=float, default=0.05)
-    p.add_argument("--out")
-    p.set_defaults(fn=_cmd_learn)
 
-    p = sub.add_parser("eval", help="evaluate a learned object at one assignment")
+    p = command("eval", _cmd_eval, "evaluate a learned object at one assignment")
     p.add_argument("--li", required=True)
     p.add_argument("--assign", required=True, help="JSON object var -> value")
-    p.add_argument("--out")
-    p.set_defaults(fn=_cmd_eval)
 
-    p = sub.add_parser("sample", help="draw samples from a learned object")
+    p = command("sample", _cmd_sample, "draw samples from a learned object")
     p.add_argument("--li", required=True)
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--m", type=int, required=True)
-    p.add_argument("--out")
-    p.set_defaults(fn=_cmd_sample)
 
-    p = sub.add_parser("verify", help="compare a learned object to its ground truth")
+    p = command("verify", _cmd_verify, "compare a learned object to its ground truth")
     p.add_argument("--li", required=True)
     p.add_argument("--cbn", required=True)
     p.add_argument("--query")
-    p.add_argument("--out")
-    p.set_defaults(fn=_cmd_verify)
 
-    p = sub.add_parser("demo", help="run a built-in worked example end to end")
+    p = command("demo", _cmd_demo, "run a built-in worked example end to end")
     p.add_argument("name", choices=["example1", "example2", "bow"])
     p.add_argument("--seed", type=int, default=7)
     p.add_argument("--m", type=int, default=100_000)
-    p.add_argument("--out")
-    p.set_defaults(fn=_cmd_demo)
 
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
     except _CliError as exc:
-        print(dio.dump_json(exc.payload), file=sys.stderr, end="")
-        return exc.code
+        code, payload = exc.code, exc.payload
     except NotIdentifiable as exc:
-        print(dio.dump_json(dio.hedge_to_dict(exc.witness)), file=sys.stderr, end="")
-        return EXIT_NOT_IDENTIFIABLE
+        code, payload = EXIT_NOT_IDENTIFIABLE, dio.hedge_to_dict(exc.witness)
     except PositivityViolation as exc:
-        print(dio.dump_json({
-            "error": "PositivityViolation", "message": str(exc),
-            "variable": exc.variable, "event": exc.event,
-        }), file=sys.stderr, end="")
-        return EXIT_POSITIVITY
-    except (InvalidQuery, GraphError, GraphMismatch, ScopeMismatch,
-            StateSpaceTooLarge, ValueError, KeyError) as exc:
-        print(dio.dump_json({
-            "error": type(exc).__name__, "message": str(exc),
-        }), file=sys.stderr, end="")
-        return EXIT_INPUT
+        code, payload = EXIT_POSITIVITY, {"error": "PositivityViolation", "message": str(exc),
+                                          "variable": exc.variable, "event": exc.event}
+    except ValueError as exc:  # every named input error is one (GraphError, ScopeMismatch, ...)
+        code, payload = EXIT_INPUT, {"error": type(exc).__name__, "message": str(exc)}
+    print(dio.dump_json(payload), file=sys.stderr, end="")
+    return code
 
 
 if __name__ == "__main__":

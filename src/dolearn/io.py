@@ -9,7 +9,7 @@ from __future__ import annotations
 import csv
 import io as _io
 import json
-from typing import Any, Mapping
+from typing import Any, Callable, Mapping, NamedTuple
 
 import numpy as np
 
@@ -49,30 +49,132 @@ def dump_json(obj: Any) -> str:
     return _render(obj) + "\n"
 
 
-def json_integer(value: Any, what: str, error: type[ValueError]) -> int:
-    """A JSON integer as an int; a float (even ``1.0``), a boolean or a string
-    raises ``error`` naming ``what`` instead of being truncated."""
-    out = as_integer(value)
-    if out is None:
-        raise error(f"{what} must be an integer, got {value!r}")
+# -- JSON file schemas -----------------------------------------------------------
+#
+# What a well-formed JSON input file is, declared once per file kind and checked
+# by one walker. A schema is a Leaf, a one-element list (an array of that
+# schema), a Map (names to values of one schema) or an Obj, whose fields each
+# give a schema, a default (``...``: required; None: null is accepted too) and
+# the error class of their faults where it is not the file's. Keys an Obj does
+# not declare are ignored; in an array, an Obj's ``key`` labels it in messages
+# and may not repeat.
+
+
+class Leaf(NamedTuple):
+    name: str  # as :func:`describe` lists it
+    expected: str  # as a fault's message says "must be ..."
+    test: Callable[[Any], bool]
+
+
+class Field(NamedTuple):
+    schema: Any
+    default: Any = ...
+    error: type[ValueError] | None = None
+
+
+class Obj(NamedTuple):
+    fields: Mapping[str, Field]
+    key: str | None = None
+
+
+class Map(NamedTuple):
+    values: Any
+
+
+INTEGER = Leaf("integer", "an integer", lambda v: as_integer(v) is not None)  # not 1.0 or "1"
+STRING = Leaf("string", "a JSON string", lambda v: isinstance(v, str))
+BOOLEAN = Leaf("boolean", "a JSON boolean", lambda v: isinstance(v, bool))
+NAMES = Leaf("[string]", "a JSON array of names",  # a string would split into letters
+             lambda v: isinstance(v, list) and all(isinstance(n, str) for n in v))
+NUMBERS = Leaf("nested [number]", "nested JSON arrays of numbers of one shape",
+               lambda v: isinstance(v, list) and all(  # NaN is a number here
+                   type(x) in (int, float) for x in np.array(v, dtype=object).flat))
+ANYTHING = Leaf("any", "any JSON value", lambda v: True)
+
+
+def _fault(error: type[ValueError], what: str, expected: str, value: Any):
+    raise error(f"{what} must be {expected}, got {type(value).__name__}")
+
+
+def _walk(value: Any, schema: Any, what: str, error: type[ValueError]) -> Any:
+    """``value`` checked against ``schema``; an Obj is read as a dict of every declared
+    field, defaults filled in. ``what`` labels ``value`` in messages (the file kind)."""
+    if isinstance(schema, Leaf):
+        if not schema.test(value):
+            _fault(error, what, schema.expected, value)
+        return value
+    if isinstance(schema, list):
+        if not isinstance(value, list):
+            _fault(error, what, "a JSON array", value)
+        key = getattr(schema[0], "key", None)
+        labels = [repr(v[key]) if key and isinstance(v, Mapping) and isinstance(v.get(key), str)
+                  else f"entry {i} of {what}" for i, v in enumerate(value)]
+        if key and len(set(labels)) < len(labels):
+            raise error(f"{what} names {max(labels, key=labels.count)} twice")
+        return [_walk(v, schema[0], label, error) for v, label in zip(value, labels)]
+    if not isinstance(value, Mapping):
+        _fault(error, what, "a JSON object", value)
+    if isinstance(schema, Map):
+        return {k: _walk(v, schema.values, f"{what} value of {k!r}", error)
+                for k, v in value.items()}
+    out = {}
+    for name, (inner, default, own) in schema.fields.items():
+        label = f"{name} of {what}" if schema.key else name  # an entry's field, or a file's
+        got = value.get(name, default)
+        if got is ...:
+            raise (own or error)(f"{label} is missing")
+        out[name] = got if got is default else _walk(got, inner, label, own or error)
     return out
 
 
-def json_object(value: Any, what: str, error: type[ValueError]) -> Mapping:
-    """A JSON object as a mapping; an array, a number, a string or null
-    raises ``error`` naming ``what``."""
-    if not isinstance(value, Mapping):
-        raise error(f"{what} must be a JSON object, got {type(value).__name__}")
-    return value
+def describe(schema: Any) -> str:
+    """``schema`` as ``dolearn --help`` and the README list it."""
+    if isinstance(schema, Leaf):
+        return schema.name
+    if isinstance(schema, list):
+        return f"[{describe(schema[0])}]"
+    if isinstance(schema, Map):
+        return f"{{name: {describe(schema.values)}}}"
+    return "{" + ", ".join(f"{k}: {describe(f.schema)}" + (
+        "" if f.default is ... else f" = {json.dumps(f.default)}")
+        for k, f in schema.fields.items()) + "}"
 
 
-def json_names(value: Any, what: str, error: type[ValueError]) -> tuple[str, ...]:
-    """A JSON array of strings as a tuple of names; a string (which would
-    split into its characters), an object, a number, or an array holding
-    anything but strings raises ``error`` naming ``what``."""
-    if not isinstance(value, list) or not all(isinstance(n, str) for n in value):
-        raise error(f"{what} must be a JSON array of names, got {value!r}")
-    return tuple(value)
+GRAPH = Obj({
+    "vars": Field([Obj({"name": Field(STRING), "cardinality": Field(INTEGER, 2)}, key="name")]),
+    "directed": Field([NAMES], ()),
+    "bidirected": Field([NAMES], ()),
+})
+NET = Obj({"nodes": Field([Obj({
+    "name": Field(STRING),
+    "cardinality": Field(INTEGER),
+    "hidden": Field(BOOLEAN, False),
+    "parents": Field(NAMES, ()),
+    "cpt": Field(NUMBERS),
+}, key="name")])})
+QUERY = Obj({
+    "intervene": Field([Obj({"var": Field(STRING), "value": Field(INTEGER)}, key="var")], ()),
+    "targets": Field(NAMES, ()),
+})
+LEARNED = Obj({
+    "graph": Field(Leaf("graph JSON", "a graph", lambda v: True)),  # read by admg_from_dict
+    "intervention": Field(Map(INTEGER), error=InvalidQuery),
+    "order": Field(NAMES),
+    "factors": Field([Obj({
+        "target": Field(STRING),
+        "target_cardinality": Field(INTEGER, error=GraphError),
+        "cond": Field(NAMES),
+        "cond_cardinalities": Field([INTEGER], error=GraphError),
+        "probs": Field(NUMBERS),
+        "counts": Field(NUMBERS, None),
+        "kind": Field(STRING, "add1"),
+        "fixed_context": Field(Map(INTEGER), {}, InvalidQuery),
+    }, key="target")]),
+    "metadata": Field(Map(ANYTHING), {}),
+})
+ASSIGNMENT = Map(INTEGER)
+SCHEMAS = {"graph": GRAPH, "query": QUERY, "net": NET, "learned-object": LEARNED,
+           "assignment": ASSIGNMENT}
 
 
 # -- graphs --------------------------------------------------------------------
@@ -86,28 +188,10 @@ def admg_to_dict(g: Admg) -> dict:
     }
 
 
-def _edges(obj: Mapping, kind: str) -> list[tuple[str, ...]]:
-    """The graph's ``kind`` edges, each an array of exactly two names."""
-    edges =[json_names(e, f"{kind} edge", GraphError) for e in obj.get(kind, [])]
-    for e in edges:
-        if len(e) != 2:
-            raise GraphError(f"{kind} edge {list(e)} must name exactly two variables")
-    return edges
-
-
 def admg_from_dict(obj: Mapping) -> Admg:
-    json_object(obj, "graph", GraphError)
-    try:
-        names = json_names([v["name"] for v in obj["vars"]], "graph variable names",
-                           GraphError)
-        variables = [(n, json_integer(v.get("cardinality", 2), f"cardinality of {n!r}",
-                                      GraphError))
-                     for n, v in zip(names, obj["vars"])]
-        directed = _edges(obj, "directed")
-        bidirected = _edges(obj, "bidirected")
-    except (KeyError, TypeError) as exc:
-        raise GraphError(f"malformed graph object: {exc}") from exc
-    return Admg.build(variables, directed, bidirected)
+    g = _walk(obj, GRAPH, "graph", GraphError)
+    return Admg.build([(v["name"], v["cardinality"]) for v in g["vars"]],
+                      g["directed"], g["bidirected"])
 
 
 # -- causal Bayes nets -----------------------------------------------------------
@@ -128,33 +212,22 @@ def net_to_dict(net: CausalBayesNet) -> dict:
 
 
 def net_from_dict(obj: Mapping) -> CausalBayesNet:
-    json_object(obj, "net", GraphError)
-    names = json_names([nd["name"] for nd in obj["nodes"]], "net node names", GraphError)
-    nodes = []
-    for name, nd in zip(names, obj["nodes"]):
-        cpt = np.asarray(nd["cpt"], dtype=np.float64)
-        card = json_integer(nd["cardinality"], f"cardinality of {name!r}", GraphError)
-        nodes.append(CbnNode(
-            name=name,
-            cardinality=card,
-            parents=json_names(nd.get("parents", []), f"parents of {name!r}", GraphError),
-            cpt=cpt.reshape(-1, card),
-            hidden=bool(nd.get("hidden", False)),
-        ))
-    return CausalBayesNet(nodes)
+    nodes = _walk(obj, NET, "net", GraphError)["nodes"]
+    return CausalBayesNet([CbnNode(nd["name"], nd["cardinality"], nd["parents"], nd["cpt"],
+                                   nd["hidden"]) for nd in nodes])
 
 
 # -- queries --------------------------------------------------------------------
 
 
 def query_from_dict(obj: Mapping) -> tuple[dict[str, int], frozenset[str]]:
-    json_object(obj, "query", InvalidQuery)
-    intervene = obj.get("intervene", [])
-    names = json_names([e["var"] for e in intervene], "intervened variables", InvalidQuery)
-    x = {n: json_integer(e["value"], f"value of {n!r}", InvalidQuery)
-         for n, e in zip(names, intervene)}
-    targets = frozenset(json_names(obj.get("targets", []), "query targets", InvalidQuery))
-    return x, targets
+    q = _walk(obj, QUERY, "query", InvalidQuery)
+    return {e["var"]: e["value"] for e in q["intervene"]}, frozenset(q["targets"])
+
+
+def assignment_from_dict(obj: Mapping) -> dict[str, int]:
+    """An ``eval`` point: a JSON object from variable names to integer symbols."""
+    return _walk(obj, ASSIGNMENT, "assignment", ScopeMismatch)
 
 
 # -- samples --------------------------------------------------------------------
@@ -285,25 +358,6 @@ def _factor_to_dict(f: ConditionalTable) -> dict:
     }
 
 
-def _factor_from_dict(obj: Mapping) -> ConditionalTable:
-    counts = obj.get("counts")
-    target = obj["target"]
-    what = f"factor of {target!r}:"
-    return ConditionalTable(
-        target=target,
-        target_card=json_integer(obj["target_cardinality"], f"{what} target cardinality",
-                                 GraphError),
-        cond=json_names(obj["cond"], f"{what} conditioning variables", ScopeMismatch),
-        cond_cards=tuple(json_integer(c, f"{what} conditioning cardinality", GraphError)
-                         for c in obj["cond_cardinalities"]),
-        probs=np.asarray(obj["probs"], dtype=np.float64),
-        counts=np.asarray(counts, dtype=np.float64) if counts is not None else None,
-        kind=obj.get("kind", "add1"),
-        fixed_context={k: json_integer(v, f"{what} fixed value of {k!r}", InvalidQuery)
-                       for k, v in obj.get("fixed_context", {}).items()},
-    )
-
-
 def li_to_dict(li: LearnedInterventional) -> dict:
     return {
         "graph": admg_to_dict(li.graph),
@@ -315,20 +369,12 @@ def li_to_dict(li: LearnedInterventional) -> dict:
 
 
 def li_from_dict(obj: Mapping) -> LearnedInterventional:
-    json_object(obj, "learned object", ScopeMismatch)
-    if not isinstance(obj["factors"], list):
-        raise ScopeMismatch(f"factors must be a JSON array, got {type(obj['factors']).__name__}")
-    entries = [json_object(f, "factor", ScopeMismatch) for f in obj["factors"]]
-    targets = json_names([f["target"] for f in entries], "factor targets", ScopeMismatch)
-    factors = {t: _factor_from_dict(f) for t, f in zip(targets, entries)}
-    return LearnedInterventional(
-        graph=admg_from_dict(obj["graph"]),
-        x={k: json_integer(v, f"intervention value of {k!r}", InvalidQuery)
-           for k, v in obj["intervention"].items()},
-        order=json_names(obj["order"], "sampling order", ScopeMismatch),
-        factors=factors,
-        metadata=dict(obj.get("metadata", {})),
-    )
+    li = _walk(obj, LEARNED, "learned object", ScopeMismatch)
+    factors = {f["target"]: ConditionalTable(
+        f["target"], f["target_cardinality"], f["cond"], f["cond_cardinalities"], f["probs"],
+        f["counts"], f["kind"], f["fixed_context"]) for f in li["factors"]}
+    return LearnedInterventional(admg_from_dict(li["graph"]), li["intervention"],
+                                 tuple(li["order"]), factors, li["metadata"])
 
 
 # -- identification results --------------------------------------------------------

@@ -130,8 +130,14 @@ class ConditionalTable:
     fixed_context: Mapping[str, int] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        probs = np.asarray(self.probs, dtype=np.float64).reshape(-1, self.target_card)
+        probs = np.asarray(self.probs, dtype=np.float64)
+        if self.target_card < 1 or probs.size % self.target_card:
+            raise ScopeMismatch(f"{self.target}: {probs.size} probabilities do not make "
+                                f"rows of {self.target_card}")
+        probs = probs.reshape(-1, self.target_card)
         object.__setattr__(self, "probs", probs)
+        if self.counts is not None:
+            object.__setattr__(self, "counts", np.asarray(self.counts, dtype=np.float64))
         object.__setattr__(self, "cond", tuple(self.cond))
         object.__setattr__(self, "cond_cards", tuple(self.cond_cards))
         object.__setattr__(self, "fixed_context", dict(self.fixed_context))

@@ -38,7 +38,8 @@ class CbnNode:
     """One mechanism: a variable, its parents, and a conditional table.
 
     ``cpt`` has one row per parent configuration (row-major in ``parents``
-    order) and one column per symbol; every row sums to 1.
+    order) and one column per symbol; every row sums to 1. Rows nested over
+    the parents, as a net JSON file holds them, are read by their last axis.
     """
 
     name: str
@@ -50,8 +51,8 @@ class CbnNode:
     def __post_init__(self) -> None:
         object.__setattr__(self, "parents", tuple(self.parents))
         cpt = np.asarray(self.cpt, dtype=np.float64)
-        if cpt.ndim == 1:
-            cpt = cpt.reshape(1, -1)
+        if cpt.ndim != 2:  # one row, or rows nested over the parents, symbols last
+            cpt = cpt.reshape(math.prod(cpt.shape[:-1]), cpt.shape[-1])
         object.__setattr__(self, "cpt", cpt)
         if self.cardinality < 1:
             raise GraphError(f"{self.name}: cardinality must be positive")
@@ -59,10 +60,10 @@ class CbnNode:
             raise GraphError(f"{self.name}: cpt has {cpt.shape[1]} columns, "
                              f"expected {self.cardinality}")
         # written so that NaN fails both checks
-        if not cpt.min() >= -CPT_ROW_TOL:
+        if not cpt.min(initial=0.0) >= -CPT_ROW_TOL:  # a cpt of no rows is the net's to name
             raise GraphError(f"{self.name}: negative or NaN cpt entry")
         off = np.abs(cpt.sum(axis=1) - 1.0)
-        if not off.max() <= CPT_ROW_TOL:
+        if not off.max(initial=0.0) <= CPT_ROW_TOL:
             row = int(np.argmax(~(off <= CPT_ROW_TOL)))
             raise GraphError(f"{self.name}: cpt row {row} does not sum to 1")
 

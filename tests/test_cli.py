@@ -1,7 +1,11 @@
+import contextlib
+import io
 import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dolearn import io as dio
 from dolearn.admg import Admg
@@ -54,6 +58,30 @@ def test_missing_file_is_input_error(capsys):
     assert code == 4
     err = json.loads(capsys.readouterr().err)
     assert err["error"] == "FileNotFound"
+
+
+@pytest.mark.parametrize("flag, bad", [
+    ("--graph", "directory"), ("--samples", "directory"), ("--out", "directory"),
+    ("--graph", "latin-1"), ("--samples", "latin-1"),
+])
+def test_unreadable_or_unwritable_file_fails_by_name(workdir, capsys, flag, bad):
+    tmp, g, net = workdir
+    assert main(["simulate", "--cbn", str(tmp / "net.json"), "--seed", "3",
+                 "--m", "200", "--out", str(tmp / "obs.csv")]) == 0
+    capsys.readouterr()
+    files = {"--graph": tmp / "graph.json", "--query": tmp / "query.json",
+             "--samples": tmp / "obs.csv", "--out": tmp / "li.json"}
+    if bad == "directory":
+        (tmp / "bad").mkdir()
+    else:  # a variable name outside ASCII, in a file that is not UTF-8
+        (tmp / "bad").write_bytes(files[flag].read_text().replace("X", "É").encode("latin-1"))
+    files[flag] = tmp / "bad"
+    argv = ["learn"]
+    for option, path in files.items():
+        argv += [option, str(path)]
+    err = _input_error(capsys, argv)
+    assert err["error"] == ("UnwritableFile" if flag == "--out" else "UnreadableFile")
+    assert err["message"].startswith(f"{tmp / 'bad'}: ")
 
 
 def test_invalid_query_is_input_error(workdir, capsys):
@@ -445,8 +473,10 @@ def test_eval_rejects_non_integer_learned_intervention(li_file, capsys, value):
 
 
 @pytest.mark.parametrize("edit, message", [
-    (lambda o: o["factors"].__setitem__(0, "Z1"), "factor must be a JSON object, got str"),
-    (lambda o: o["factors"].__setitem__(0, None), "factor must be a JSON object, got NoneType"),
+    (lambda o: o["factors"].__setitem__(0, "Z1"),
+     "entry 0 of factors must be a JSON object, got str"),
+    (lambda o: o["factors"].__setitem__(0, None),
+     "entry 0 of factors must be a JSON object, got NoneType"),
     (lambda o: o.update(factors={"Z1": {}}), "factors must be a JSON array, got dict"),
     (lambda o: o.update(factors="Z1"), "factors must be a JSON array, got str"),
 ])
@@ -471,7 +501,7 @@ def test_eval_rejects_non_integer_factor_cardinality(li_file, capsys, field, val
     err = _input_error(capsys, ["eval", "--li", str(tmp / "li.json"),
                                 "--assign", str(tmp / "point.json")])
     assert err["error"] == "GraphError"
-    assert "factor of 'Y'" in err["message"] and "must be an integer" in err["message"]
+    assert f"{field} of 'Y'" in err["message"] and "must be an integer" in err["message"]
 
 
 @pytest.mark.parametrize("value", [[0, 0, 0], 3, None, "x"])
@@ -543,6 +573,7 @@ def _factor(obj, target):
 
 
 ARRAY = "must be a JSON array of names"
+STRING = "must be a JSON string"
 NAME_CASES = {  # file, edit in place, error the CLI reports, part of its message
     "directed edge as a string": (
         "graph", lambda o: o.update(directed=["XY"]), "GraphError", ARRAY),
@@ -552,18 +583,70 @@ NAME_CASES = {  # file, edit in place, error the CLI reports, part of its messag
         "graph", lambda o: o.update(directed=[["X", "Y", "Z"]]), "GraphError",
         "must name exactly two variables"),
     "variable name not a string": (
-        "graph", lambda o: o["vars"].append({"name": 1}), "GraphError", ARRAY),
+        "graph", lambda o: o["vars"].append({"name": 1}), "GraphError", STRING),
     "targets as a string": (
         "query", lambda o: o.update(targets="YZ"), "QueryError", ARRAY),
     "intervened variable not a string": (
-        "query", lambda o: o["intervene"][0].update(var=1), "QueryError", ARRAY),
+        "query", lambda o: o["intervene"][0].update(var=1), "QueryError", STRING),
     "parents as a string": (
         "net", lambda o: o["nodes"][1].update(parents="X"), "NetError", ARRAY),
     "order as a string": ("li", lambda o: o.update(order="YZ"), "ScopeMismatch", ARRAY),
     "conditioning variables as a string": (
         "li", lambda o: _factor(o, "Z").update(cond="Y"), "ScopeMismatch", ARRAY),
     "target as an array": (
-        "li", lambda o: _factor(o, "Y").update(target=["Y"]), "ScopeMismatch", ARRAY),
+        "li", lambda o: _factor(o, "Y").update(target=["Y"]), "ScopeMismatch", STRING),
+    "intervened variable named twice": (
+        "query", lambda o: o["intervene"].append({"var": "X", "value": 1}), "QueryError",
+        "intervene names 'X' twice"),
+    "two factors for one target": (
+        "li", lambda o: o["factors"].append(dict(_factor(o, "Z"))), "ScopeMismatch",
+        "factors names 'Z' twice"),
+    # each value below once escaped as a TypeError or was silently read as another
+    "bidirected edges as an object": (
+        "graph", lambda o: o.update(bidirected={}), "GraphError",
+        "bidirected must be a JSON array, got dict"),
+    "node not an object": (
+        "net", lambda o: o["nodes"].__setitem__(1, float("nan")), "NetError",
+        "entry 1 of nodes must be a JSON object, got float"),
+    "cpt as an object": (
+        "net", lambda o: o["nodes"][1].update(cpt={}), "NetError",
+        "cpt of 'Y' must be nested JSON arrays of numbers of one shape, got dict"),
+    "hidden as the string false": (
+        "net", lambda o: o["nodes"][0].update(hidden="false"), "NetError",
+        "hidden of 'X' must be a JSON boolean, got str"),
+    "hidden as null": (
+        "net", lambda o: o["nodes"][0].update(hidden=None), "NetError",
+        "hidden of 'X' must be a JSON boolean, got NoneType"),
+    "hidden as an array": (
+        "net", lambda o: o["nodes"][0].update(hidden=["X"]), "NetError",
+        "hidden of 'X' must be a JSON boolean, got list"),
+    "conditioning cardinalities not an array": (
+        "li", lambda o: _factor(o, "Z").update(cond_cardinalities=3), "GraphError",
+        "cond_cardinalities of 'Z' must be a JSON array, got int"),
+    "object in probs": (
+        "li", lambda o: _factor(o, "Z")["probs"][0].__setitem__(1, {}), "ScopeMismatch",
+        "probs of 'Z' must be nested JSON arrays of numbers"),
+    "object in counts": (
+        "li", lambda o: _factor(o, "Z").update(counts=[[1.0, {}], [1.0, 1.0]]), "ScopeMismatch",
+        "counts of 'Z' must be nested JSON arrays of numbers"),
+    "null in counts": (
+        "li", lambda o: _factor(o, "Z").update(counts=[[1.0, None], [1.0, 1.0]]),
+        "ScopeMismatch", "counts of 'Z' must be nested JSON arrays of numbers"),
+    "true in counts": (
+        "li", lambda o: _factor(o, "Z").update(counts=[[1.0, True], [1.0, 1.0]]),
+        "ScopeMismatch", "counts of 'Z' must be nested JSON arrays of numbers"),
+    "kind not a string": (
+        "li", lambda o: _factor(o, "Z").update(kind=1), "ScopeMismatch",
+        "kind of 'Z' must be a JSON string, got int"),
+    "fixed context not an object": (
+        "li", lambda o: _factor(o, "Z").update(fixed_context=[1]), "InvalidQuery",
+        "fixed_context of 'Z' must be a JSON object, got list"),
+    "intervention not an object": (
+        "li", lambda o: o.update(intervention=[1]), "InvalidQuery",
+        "intervention must be a JSON object, got list"),
+    "metadata not an object": (
+        "li", lambda o: o.update(metadata=[1]), "ScopeMismatch",
+        "metadata must be a JSON object, got list"),
 }
 
 
@@ -595,3 +678,114 @@ def test_json_names_must_be_arrays_of_strings(tmp_path, capsys, case):
                                 for a in argv])
     assert err["error"] == error
     assert message in err["message"]
+
+
+# -- the fuzz gate: a corrupted input file of any kind fails by name ------------------
+
+
+MISSING = object()  # a mutation that deletes the key or array element
+JUNK = [MISSING, None, True, False, 0, -1, 2, 1.5, 1e308, float("nan"), "", "X", "false",
+        [], [1], ["X"], [[0.5, 0.5]], {}, {"X": 1}]
+CELLS = ["", "x", "-1", "1.5", "2", "99", " 1", "X", "a,b", '"', "\r"]
+FUZZ_COMMANDS = {  # file kind, its golden file, the commands that read it
+    "graph": ("graph.json", [["identify", "--graph", "graph.json", "--query", "query.json"],
+                             ["learn", "--graph", "graph.json", "--query", "query.json",
+                              "--samples", "obs.csv"]]),
+    "query": ("query.json", [["learn", "--graph", "graph.json", "--query", "query.json",
+                              "--samples", "obs.csv"],
+                             ["oracle", "--cbn", "net.json", "--query", "query.json"]]),
+    "net": ("net.json", [["simulate", "--cbn", "net.json", "--seed", "1", "--m", "10"],
+                         ["verify", "--li", "li.json", "--cbn", "net.json"]]),
+    "li": ("li.json", [["eval", "--li", "li.json", "--assign", "point.json"],
+                       ["sample", "--li", "li.json", "--seed", "1", "--m", "10"],
+                       ["verify", "--li", "li.json", "--cbn", "net.json"]]),
+    "assignment": ("point.json", [["eval", "--li", "li.json", "--assign", "point.json"]]),
+    "samples": ("obs.csv", [["learn", "--graph", "graph.json", "--query", "query.json",
+                             "--samples", "obs.csv"]]),
+}
+
+
+@pytest.fixture(scope="module")
+def golden(tmp_path_factory):
+    """Valid files of every kind on fig3a, as bytes by file name."""
+    from dolearn.learn import learn_interventional
+    from dolearn.scm import sample_observational
+
+    g = fig3a_graph()
+    net = random_net_for(g, seed=7)
+    li = learn_interventional(sample_observational(net, seed=3, m=2_000), g, {"X": 0})
+    files = {
+        "graph.json": dio.dump_json(dio.admg_to_dict(g)),
+        "query.json": json.dumps({"intervene": [{"var": "X", "value": 0}],
+                                  "targets": ["Z1", "Z2", "Y"]}),
+        "net.json": dio.dump_json(dio.net_to_dict(net)),
+        "li.json": dio.dump_json(dio.li_to_dict(li)),
+        "point.json": json.dumps({"Z1": 0, "Z2": 1, "Y": 1}),
+        "obs.csv": dio.samples_to_csv(sample_observational(net, seed=4, m=300)),
+    }
+    return tmp_path_factory.mktemp("golden"), {k: v.encode() for k, v in files.items()}
+
+
+def _locations(value, at=()):
+    """The path of every value inside a parsed JSON value, its own included."""
+    yield at
+    items = (value.items() if isinstance(value, dict) else
+             enumerate(value) if isinstance(value, list) else ())
+    for key, inner in items:
+        yield from _locations(inner, (*at, key))
+
+
+def _replaced(value, at, new):
+    if not at:
+        return new
+    out = value.copy()
+    if at[1:] or new is not MISSING:
+        out[at[0]] = _replaced(value[at[0]], at[1:], new)
+    else:
+        del out[at[0]]
+    return out
+
+
+@st.composite
+def corrupted(draw, data: bytes, csv: bool):
+    """``data`` with one or two values swapped for junk, or cut short, or
+    holding a byte that is not UTF-8."""
+    how = draw(st.sampled_from(["values", "values", "values", "cut", "byte"]))
+    if how != "values":
+        at = draw(st.integers(0, len(data)))
+        return data[:at] + (b"\xff" + data[at:] if how == "byte" else b"")
+    if csv:
+        rows = [r.split(",") for r in data.decode().split("\n")]
+        for _ in range(draw(st.integers(1, 2))):
+            row = draw(st.integers(0, len(rows) - 1))
+            col = draw(st.integers(0, len(rows[row]) - 1))
+            rows[row][col] = draw(st.sampled_from(CELLS))
+        return "\n".join(",".join(r) for r in rows).encode()
+    value = json.loads(data)
+    for _ in range(draw(st.integers(1, 2))):
+        at = draw(st.sampled_from(list(_locations(value))))
+        value = _replaced(value, at, draw(st.sampled_from(JUNK)))
+    return b"null" if value is MISSING else json.dumps(value).encode()
+
+
+@pytest.mark.parametrize("kind", FUZZ_COMMANDS)
+def test_every_corrupted_file_fails_by_name(golden, kind):
+    """Each command that reads a corrupted file exits 0, 2, 3 or 4; any
+    exit but 0 writes a JSON object on stderr, and nothing escapes."""
+    root, files = golden
+    name, commands = FUZZ_COMMANDS[kind]
+
+    @settings(max_examples=500, derandomize=True, deadline=None, database=None)
+    @given(corrupted(files[name], name.endswith(".csv")))
+    def run(data):
+        for file, golden_bytes in files.items():
+            (root / file).write_bytes(data if file == name else golden_bytes)
+        for command in commands:
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = main([str(root / a) if a in files else a for a in command])
+            assert code in (0, 2, 3, 4), (command, code, err.getvalue())
+            if code:
+                assert isinstance(json.loads(err.getvalue()), dict), (command, err.getvalue())
+
+    run()

@@ -232,3 +232,22 @@ def test_samples_csv_rejects_duplicate_or_empty_names(text, message):
 def test_samples_csv_writer_rejects_a_name_with_a_line_break(name):
     with pytest.raises(dio.SampleCsvError, match=re.escape(f"column name {name!r} holds")):
         dio.samples_to_csv(Samples((name, "A"), [[0, 1], [1, 0]]))
+
+
+def test_query_intervening_twice_on_one_variable_fails_by_name():
+    with pytest.raises(InvalidQuery, match="intervene names 'X' twice"):
+        dio.query_from_dict({"intervene": [{"var": "X", "value": 0}, {"var": "X", "value": 1}]})
+
+
+def test_learned_object_with_two_factors_for_one_target_fails_by_name(setup):
+    g, net = setup
+    obj = dio.li_to_dict(fit_from_table(exact_observational(net), g, {"X": 0}))
+    obj["factors"].append(dict(next(f for f in obj["factors"] if f["target"] == "Z1")))
+    with pytest.raises(ScopeMismatch, match="factors names 'Z1' twice"):
+        dio.li_from_dict(obj)
+
+
+def test_readme_lists_every_file_schema_as_declared():
+    readme = (pathlib.Path(__file__).resolve().parents[1] / "README.md").read_text()
+    for kind, schema in dio.SCHEMAS.items():
+        assert f"- {kind} JSON: `{dio.describe(schema)}`" in readme, kind
