@@ -9,6 +9,7 @@ is deterministic given its inputs and seeds.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from pathlib import Path
@@ -198,6 +199,7 @@ def _cmd_demo(args) -> int:
     return EXIT_OK
 
 
+@functools.cache  # built once per process: it is about half of a small command
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="dolearn",

@@ -90,6 +90,8 @@ NUMBERS = Leaf("nested [number]", "nested JSON arrays of numbers of one shape",
                lambda v: isinstance(v, list) and all(  # NaN is a number here
                    type(x) in (int, float) for x in np.array(v, dtype=object).flat))
 ANYTHING = Leaf("any", "any JSON value", lambda v: True)
+FACTOR_KIND = Leaf('"add1" | "exact" | "fragment"', 'one of "add1", "exact" and "fragment"',
+                   lambda v: isinstance(v, str) and v in ("add1", "exact", "fragment"))
 
 
 def _fault(error: type[ValueError], what: str, expected: str, value: Any):
@@ -167,7 +169,7 @@ LEARNED = Obj({
         "cond_cardinalities": Field([INTEGER], error=GraphError),
         "probs": Field(NUMBERS),
         "counts": Field(NUMBERS, None),
-        "kind": Field(STRING, "add1"),
+        "kind": Field(FACTOR_KIND, "add1"),
         "fixed_context": Field(Map(INTEGER), {}, InvalidQuery),
     }, key="target")]),
     "metadata": Field(Map(ANYTHING), {}),

@@ -9,6 +9,7 @@ scale.
 
 from __future__ import annotations
 
+import functools
 import heapq
 import itertools
 import math
@@ -19,7 +20,7 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from .admg import Admg, CycleDetected, GraphError
-from .tables import PmfTable, Samples, ancestral_sample, as_integer, row_product, strides_for
+from .tables import PmfTable, Samples, ancestral_sample, as_integer, row_index, strides_for
 
 STATE_CEILING = 2**24
 CPT_ROW_TOL = 1e-12
@@ -62,111 +63,134 @@ class CbnNode:
         # written so that NaN fails both checks
         if not cpt.min(initial=0.0) >= -CPT_ROW_TOL:  # a cpt of no rows is the net's to name
             raise GraphError(f"{self.name}: negative or NaN cpt entry")
-        off = np.abs(cpt.sum(axis=1) - 1.0)
-        if not off.max(initial=0.0) <= CPT_ROW_TOL:
+        off = np.abs(np.add.reduce(cpt, axis=1) - 1.0)
+        if not np.maximum.reduce(off, initial=0.0) <= CPT_ROW_TOL:
             row = int(np.argmax(~(off <= CPT_ROW_TOL)))
             raise GraphError(f"{self.name}: cpt row {row} does not sum to 1")
+
+
+class _Layout:
+    """Everything about a net that its CPT values do not touch, compiled from
+    the node signatures ``(name, cardinality, parents, hidden)`` in declaration
+    order: the structure checks, the topological order (parents before
+    children; among ready nodes, declaration order first), each node's
+    parent strides and expected row count, the state space and its hidden
+    axes, and on first use each node's gather index over the open grid."""
+
+    def __init__(self, signature: tuple[tuple[str, int, tuple[str, ...], bool], ...]):
+        self.names = tuple(name for name, _, _, _ in signature)
+        if len(set(self.names)) != len(self.names):
+            raise GraphError("node names must be unique")
+        self.pos = {name: i for i, name in enumerate(self.names)}
+        self.shape = tuple(card for _, card, _, _ in signature)
+        self.signature = signature
+        strides, rows = [], []
+        children: list[list[int]] = [[] for _ in signature]
+        for i, (name, _, parents, _) in enumerate(signature):
+            if len(set(parents)) != len(parents):
+                raise GraphError(f"{name}: duplicate parents")
+            for p in parents:
+                if p not in self.pos:
+                    raise GraphError(f"{name}: unknown parent {p!r}")
+                children[self.pos[p]].append(i)
+            cards = [self.shape[self.pos[p]] for p in parents]
+            strides.append(strides_for(cards))
+            rows.append(math.prod(cards))
+        self.strides, self.rows = tuple(strides), tuple(rows)  # shared: kept immutable
+        indeg = [len(parents) for _, _, parents, _ in signature]
+        ready = [i for i, d in enumerate(indeg) if d == 0]  # a heap of positions
+        order: list[str] = []
+        while ready:
+            i = heapq.heappop(ready)
+            order.append(self.names[i])
+            for c in children[i]:
+                indeg[c] -= 1
+                if indeg[c] == 0:
+                    heapq.heappush(ready, c)
+        if len(order) != len(signature):
+            raise CycleDetected("causal Bayes net graph contains a cycle")
+        self.order = tuple(order)
+        self.joint_states = math.prod(self.shape)
+        self.observables = tuple(name for name, _, _, hidden in signature if not hidden)
+        self.hiddens = tuple(name for name, _, _, hidden in signature if hidden)
+        self.hidden_axes = tuple(i for i, (_, _, _, hidden) in enumerate(signature) if hidden)
+        # Each maximal run of consecutive observables, length-1 axes aside, that
+        # comes after a hidden axis in declaration order. Slicing a whole run away
+        # before the hidden sum would leave hidden axes innermost or join two runs
+        # of them, and numpy would then add them in another order.
+        runs = itertools.groupby((s for s in signature if s[1] > 1), key=lambda s: s[3])
+        self.runs_after_hidden = tuple(tuple(s[0] for s in run) for k, (hidden, run)
+                                       in enumerate(runs) if k > 0 and not hidden)
+
+    @cached_property
+    def gathers(self) -> tuple[np.ndarray, ...]:
+        """Per node, the flat index into its CPT of the entry at every point of
+        an open grid over all nodes, with length-1 axes for the nodes it does
+        not read; only a net under :data:`STATE_CEILING` asks for it."""
+        grid = dict(zip(self.names, np.indices(self.shape, sparse=True)))
+        return tuple(row_index(parents, strides, grid) * card + grid[name]
+                     for (name, card, parents, _), strides in zip(self.signature, self.strides))
+
+
+# Bounded: a sweep realizes each graph back to back, so one entry per graph in
+# flight is all the reuse there is.
+_layout = functools.lru_cache(maxsize=64)(_Layout)
 
 
 class CausalBayesNet:
     """A Bayes net over observables and hidden variables, read causally.
 
     The node list fixes the variable order used for tables and samples.
-    Instances are immutable after construction.
+    Instances are immutable after construction. Nets whose nodes have the
+    same names, cardinalities, parents and hidden flags in the same order
+    share one compiled layout; each net checks its own CPT row counts.
     """
 
     def __init__(self, nodes: Sequence[CbnNode]):
         self.nodes: tuple[CbnNode, ...] = tuple(nodes)
-        names = [nd.name for nd in self.nodes]
-        if len(set(names)) != len(names):
-            raise GraphError("node names must be unique")
-        self._pos = {nd.name: i for i, nd in enumerate(self.nodes)}
-        for nd in self.nodes:
-            if len(set(nd.parents)) != len(nd.parents):
-                raise GraphError(f"{nd.name}: duplicate parents")
-            for p in nd.parents:
-                if p not in self._pos:
-                    raise GraphError(f"{nd.name}: unknown parent {p!r}")
-            expected_rows = math.prod(self.node(p).cardinality for p in nd.parents)
+        self._layout = _layout(tuple((nd.name, nd.cardinality, nd.parents, nd.hidden)
+                                     for nd in self.nodes))
+        for nd, expected_rows in zip(self.nodes, self._layout.rows):
             if nd.cpt.shape[0] != expected_rows:
                 raise GraphError(f"{nd.name}: cpt has {nd.cpt.shape[0]} rows, "
                                  f"expected {expected_rows}")
-        self._order = self._sort_topologically()  # raises CycleDetected on cycles
 
     def node(self, name: str) -> CbnNode:
         try:
-            return self.nodes[self._pos[name]]
+            return self.nodes[self._layout.pos[name]]
         except KeyError:
             raise GraphError(f"unknown variable {name!r}") from None
 
     @property
     def names(self) -> tuple[str, ...]:
-        return tuple(nd.name for nd in self.nodes)
+        return self._layout.names
 
     @property
     def observables(self) -> tuple[str, ...]:
-        return tuple(nd.name for nd in self.nodes if not nd.hidden)
+        return self._layout.observables
 
     @property
     def hiddens(self) -> tuple[str, ...]:
-        return tuple(nd.name for nd in self.nodes if nd.hidden)
+        return self._layout.hiddens
 
     def cardinality(self, name: str) -> int:
         return self.node(name).cardinality
 
     def topological_order(self) -> tuple[str, ...]:
         """Parents before children; among ready nodes, declaration order first."""
-        return self._order
-
-    def _sort_topologically(self) -> tuple[str, ...]:
-        indeg = [len(nd.parents) for nd in self.nodes]
-        children: list[list[int]] = [[] for _ in self.nodes]
-        for i, nd in enumerate(self.nodes):
-            for p in nd.parents:
-                children[self._pos[p]].append(i)
-        ready = [i for i, d in enumerate(indeg) if d == 0]  # a heap of positions
-        out: list[str] = []
-        while ready:
-            i = heapq.heappop(ready)
-            out.append(self.nodes[i].name)
-            for c in children[i]:
-                indeg[c] -= 1
-                if indeg[c] == 0:
-                    heapq.heappush(ready, c)
-        if len(out) != len(self.nodes):
-            raise CycleDetected("causal Bayes net graph contains a cycle")
-        return tuple(out)
+        return self._layout.order
 
     def joint_states(self) -> int:
-        return math.prod(nd.cardinality for nd in self.nodes)
+        return self._layout.joint_states
 
     @cached_property
     def _mechanisms(self) -> tuple[tuple[str, np.ndarray], ...]:
-        """Every mechanism's CPT rows gathered over an open grid of all nodes,
-        in declaration order, each with length-1 axes for the nodes it does
-        not read, so that products of them broadcast: built once per net,
-        because the oracle multiplies the same factors again for every
-        intervened set, starting from the first and in this order."""
-        shape = tuple(nd.cardinality for nd in self.nodes)
-        grid = dict(zip(self.names, np.indices(shape, sparse=True)))
-        return tuple((nd.name, row_product([_step(self, nd)], grid))
-                     for nd in self.nodes)
-
-    @cached_property
-    def _runs_after_hidden(self) -> tuple[tuple[str, ...], ...]:
-        """Each maximal run of consecutive observables, length-1 axes aside,
-        that comes after a hidden axis in declaration order. Slicing a whole
-        run away before the hidden sum would leave hidden axes innermost or
-        join two runs of them, and numpy would then add them in another order."""
-        runs = itertools.groupby((nd for nd in self.nodes if nd.cardinality > 1),
-                                 key=lambda nd: nd.hidden)
-        return tuple(tuple(nd.name for nd in run)
-                     for k, (hidden, run) in enumerate(runs) if k > 0 and not hidden)
-
-
-def _step(net: CausalBayesNet, nd: CbnNode) -> tuple:
-    """One mechanism as a row-kernel step over its CPT."""
-    return nd.name, nd.parents, strides_for([net.cardinality(p) for p in nd.parents]), nd.cpt
+        """Every mechanism's CPT entries gathered over the layout's open grid,
+        in declaration order, so that products of them broadcast: built once
+        per net, because the oracle multiplies the same factors again for
+        every intervened set, starting from the first and in this order."""
+        return tuple((nd.name, nd.cpt.ravel()[at])
+                     for nd, at in zip(self.nodes, self._layout.gathers))
 
 
 def _full_joint(
@@ -183,7 +207,7 @@ def _full_joint(
     multiplications in the same order as from a full array of ones. Each axis
     of ``fixed`` (a subset of ``skip``) is sliced to its value before
     multiplying and is returned with length 1. The hidden axes are summed
-    over a C-ordered array; a run of ``net._runs_after_hidden`` wholly in
+    over a C-ordered array; a run of the layout's ``runs_after_hidden`` wholly in
     ``fixed`` keeps its last axis until after that sum. numpy then adds in
     the order it would over the unsliced array, so every entry is
     bit-identical to the same slice of it.
@@ -196,11 +220,12 @@ def _full_joint(
         raise StateSpaceTooLarge(
             f"joint state space {net.joint_states()} exceeds ceiling {STATE_CEILING}"
         )
-    shape = tuple(nd.cardinality for nd in net.nodes)
+    layout = net._layout
+    shape = layout.shape
     late: set[str] = set()
     cuts: list[tuple[int, tuple[slice, ...]]] = []
     if fixed:
-        late = {run[-1] for run in net._runs_after_hidden if all(n in fixed for n in run)}
+        late = {run[-1] for run in layout.runs_after_hidden if all(n in fixed for n in run)}
         cuts = [(i, (slice(None),) * i + (slice(fixed[nd.name], fixed[nd.name] + 1),))
                 for i, nd in enumerate(net.nodes) if nd.name in fixed and nd.name not in late]
         shape = tuple(1 if (nd.name in fixed and nd.name not in late) else k
@@ -217,9 +242,8 @@ def _full_joint(
         full[...] = joint
         joint = full
     joint = np.asarray(joint, order="C")
-    hidden_axes = tuple(i for i, nd in enumerate(net.nodes) if nd.hidden)
-    if hidden_axes:
-        joint = joint.sum(axis=hidden_axes)
+    if layout.hidden_axes:
+        joint = np.add.reduce(joint, axis=layout.hidden_axes)
     if late:
         joint = joint[tuple(slice(fixed[n], fixed[n] + 1) if n in late else slice(None)
                             for n in net.observables)]
@@ -268,7 +292,9 @@ def sample_observational(net: CausalBayesNet, seed: int, m: int) -> Samples:
     Each node is sampled in topological order from its conditional row via one
     uniform draw. Deterministic for a fixed seed.
     """
-    steps = (_step(net, nd) for nd in map(net.node, net.topological_order()))
+    layout = net._layout
+    steps = ((nd.name, nd.parents, layout.strides[layout.pos[nd.name]], nd.cpt)
+             for nd in map(net.node, layout.order))
     return ancestral_sample(steps, net.observables, seed, m)
 
 
@@ -398,9 +424,23 @@ def random_net_for(
     strong positivity certifiable by construction. The hidden nodes come
     first, then the observables; each run of consecutive nodes of equal
     cardinality takes its CPT rows from one Dirichlet draw, which consumes
-    the seed's stream exactly as one draw per node would.
+    the seed's stream exactly as one draw per node would. The nodes without
+    their rows are planned once per graph and hidden cardinality.
     """
     rng = np.random.default_rng(seed)
+    nodes: list[CbnNode] = []
+    for card, n_rows, run in _net_plan(g, hidden_cardinality):
+        rows = _floored_rows(rng, n_rows, card, gamma)
+        nodes.extend(CbnNode(name, card, parents, rows[start:stop], hidden=hidden)
+                     for name, parents, hidden, start, stop in run)
+    return CausalBayesNet(nodes)
+
+
+@functools.lru_cache(maxsize=64)  # see _layout
+def _net_plan(g: Admg, hidden_cardinality: int) -> tuple:
+    """:func:`random_net_for`'s nodes without their rows: per run of equal
+    cardinality, ``(cardinality, rows drawn, ((name, parents, hidden, first
+    row, end row), ...))``."""
     hidden = hidden_names(g)
     edge_list = sorted(g.bidirected)
     # (name, cardinality, parents, hidden) per node, in declaration order
@@ -410,16 +450,15 @@ def random_net_for(
         parents += [hidden[k] for k, e in enumerate(edge_list) if i in e]
         specs.append((name, g.cards[i], tuple(parents), False))
     card_of = {name: card for name, card, _, _ in specs}
-    nodes: list[CbnNode] = []
+    plan = []
     for card, run in itertools.groupby(specs, key=lambda spec: spec[1]):
-        run = list(run)
-        n_rows = [math.prod(card_of[p] for p in parents) for _, _, parents, _ in run]
-        rows = _floored_rows(rng, sum(n_rows), card, gamma)
-        start = 0
-        for (name, _, parents, hidden), k in zip(run, n_rows):
-            nodes.append(CbnNode(name, card, parents, rows[start:start + k], hidden=hidden))
-            start += k
-    return CausalBayesNet(nodes)
+        members, start = [], 0
+        for name, _, parents, is_hidden in run:
+            stop = start + math.prod(card_of[p] for p in parents)
+            members.append((name, parents, is_hidden, start, stop))
+            start = stop
+        plan.append((card, start, tuple(members)))
+    return tuple(plan)
 
 
 def random_admg(

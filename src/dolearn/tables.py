@@ -423,11 +423,18 @@ def row_product(
     """
     out: float | np.ndarray = 1.0
     for name, cond, strides, rows in steps:
-        row: np.ndarray | int = 0
-        for c, s in zip(cond, strides):
-            row = row + grid[c] * s
-        out = out * rows[row, grid[name]]
+        out = out * rows[row_index(cond, strides, grid), grid[name]]
     return out
+
+
+def row_index(
+    cond: Sequence[str], strides: Sequence[int], grid: Mapping[str, int | np.ndarray]
+) -> int | np.ndarray:
+    """The conditional row a step reads at ``grid``: ``sum(grid[c] * stride)``."""
+    row: int | np.ndarray = 0
+    for c, s in zip(cond, strides):
+        row = row + grid[c] * s
+    return row
 
 
 def _densify(codes: np.ndarray) -> tuple[np.ndarray, int]:

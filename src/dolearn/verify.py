@@ -13,7 +13,7 @@ from typing import Callable, Iterator, Mapping, NamedTuple
 import numpy as np
 
 from .admg import Admg, CycleDetected
-from .identify import CausalQuery, Estimand, identify
+from .identify import CausalQuery, Estimand, HedgeWitness, identify
 from .learn import ConditionalTable, LearnedInterventional, RelativePartition, learn_q
 from .scm import (
     CausalBayesNet,
@@ -280,7 +280,7 @@ class SweepResult:
     checks: int
     worst: float
     worst_at: tuple[int, str, int] | None  # (graph number, variable, net seed)
-    hedges: tuple[tuple[int, Admg, str], ...]  # (graph number, graph, variable)
+    hedges: tuple[tuple[int, Admg, str, HedgeWitness], ...]  # (graph number, graph, variable, hedge)
 
 
 def soundness_sweep(realizations: int) -> SweepResult:
@@ -299,7 +299,7 @@ def soundness_sweep(realizations: int) -> SweepResult:
             if isinstance(res, Estimand):
                 estimands.append((name, res))
             else:
-                hedges.append((number, g, name))
+                hedges.append((number, g, name, res))
         identifiable += len(estimands)
         if not estimands:
             continue

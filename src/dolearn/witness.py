@@ -88,17 +88,20 @@ def indistinguishable_pair(
     g: Admg,
     x: Mapping[str, int],
     seed: int = 0,
+    hedge: HedgeWitness | None = None,
 ) -> IndistinguishablePair:
     """Build two models that witness non-identifiability of P(V∖X | do(x)).
 
     The pair is a fixed function of ``g`` and ``x``: ``seed`` is not read.
-    Raises ``ValueError`` if a variable is not binary or the query is
-    identifiable. The pair is checked against the brute-force oracle before
-    it is returned.
+    ``hedge`` is what :func:`identify` returned for that query, if the caller
+    holds it; otherwise the query is identified here. Raises ``ValueError``
+    if a variable is not binary or the query is identifiable. The pair is
+    checked against the brute-force oracle before it is returned.
     """
     if any(c != 2 for c in g.cards):
         raise ValueError("witness construction supports binary variables only")
-    hedge = identify(CausalQuery(g, x, frozenset(g.names) - set(x)))
+    if hedge is None:
+        hedge = identify(CausalQuery(g, x, frozenset(g.names) - set(x)))
     if not isinstance(hedge, HedgeWitness):
         raise ValueError("query is identifiable: no witness pair exists")
     f = g.indices(hedge.root_set | hedge.internal)

@@ -135,22 +135,29 @@ def counts_over(names, values: np.ndarray, keep, cards) -> np.ndarray:
 def _full_joint(net, skip: frozenset[str] = frozenset()) -> np.ndarray:
     """Dense joint over all nodes in declaration order, omitting the mechanisms
     of ``skip`` (their axes remain but carry no factor)."""
-    pos = {nd.name: i for i, nd in enumerate(net.nodes)}
     shape = tuple(nd.cardinality for nd in net.nodes)
     joint = np.ones(shape, dtype=np.float64)
     for nd in net.nodes:
         if nd.name in skip:
             continue
-        axes = [pos[p] for p in nd.parents] + [pos[nd.name]]
-        arr = nd.cpt.reshape(
-            tuple(net.cardinality(p) for p in nd.parents) + (nd.cardinality,)
-        )
-        arr = np.transpose(arr, np.argsort(axes))
-        full_shape = [1] * len(shape)
-        for ax in sorted(axes):
-            full_shape[ax] = shape[ax]
-        joint = joint * arr.reshape(full_shape)
+        joint = joint * mechanism_factor(net, nd)
     return joint
+
+
+def mechanism_factor(net, nd) -> np.ndarray:
+    """One node's CPT as an array over all nodes in declaration order, with
+    length-1 axes for the nodes it does not read."""
+    pos = {m.name: i for i, m in enumerate(net.nodes)}
+    shape = tuple(m.cardinality for m in net.nodes)
+    axes = [pos[p] for p in nd.parents] + [pos[nd.name]]
+    arr = nd.cpt.reshape(
+        tuple(net.cardinality(p) for p in nd.parents) + (nd.cardinality,)
+    )
+    arr = np.transpose(arr, np.argsort(axes))
+    full_shape = [1] * len(shape)
+    for ax in sorted(axes):
+        full_shape[ax] = shape[ax]
+    return arr.reshape(full_shape)
 
 
 def observable_family(net, skip: frozenset[str] = frozenset()) -> np.ndarray:

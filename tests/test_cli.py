@@ -637,7 +637,10 @@ NAME_CASES = {  # file, edit in place, error the CLI reports, part of its messag
         "ScopeMismatch", "counts of 'Z' must be nested JSON arrays of numbers"),
     "kind not a string": (
         "li", lambda o: _factor(o, "Z").update(kind=1), "ScopeMismatch",
-        "kind of 'Z' must be a JSON string, got int"),
+        "kind of 'Z' must be one of \"add1\", \"exact\" and \"fragment\", got int"),
+    "kind not a known former": (
+        "li", lambda o: _factor(o, "Z").update(kind="add2"), "ScopeMismatch",
+        "kind of 'Z' must be one of \"add1\", \"exact\" and \"fragment\", got str"),
     "fixed context not an object": (
         "li", lambda o: _factor(o, "Z").update(fixed_context=[1]), "InvalidQuery",
         "fixed_context of 'Z' must be a JSON object, got list"),

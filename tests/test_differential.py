@@ -20,7 +20,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from dolearn.admg import Admg
+from dolearn.admg import Admg, CycleDetected, GraphError
 from dolearn.demo import fig3a_graph, fig4a_graph
 from dolearn.estimand import (
     BaseDist,
@@ -51,6 +51,7 @@ from dolearn.learn import (
 from dolearn.scm import (
     CausalBayesNet,
     CbnNode,
+    StateSpaceTooLarge,
     exact_interventional,
     exact_observational,
     interventional_family,
@@ -806,6 +807,100 @@ def test_oracle_edge_cases_match_reference():
     pos = {nd.name: i for i, nd in enumerate(net.nodes)}
     interleaved = CausalBayesNet([net.nodes[pos[n]] for n in ("A", "C", "U0", "B", "U1", "U2")])
     _assert_oracle_matches_reference(interleaved, {"B": 1})
+
+
+def test_compiled_layouts_give_reference_bytes_over_many_seeds():
+    """Realizations of one graph share a compiled layout, and every factor,
+    joint and family of each one is byte-equal to the reference kernels,
+    with ternary observables and binary or ternary hidden nodes."""
+    g = Admg.build([("A", 3), "B", ("C", 3), "D"], [("A", "B"), ("B", "C"), ("A", "D")],
+                   [("A", "C"), ("B", "D"), ("C", "D")])
+    x = {"B": 1, "D": 0}
+    idx = tuple(x.get(n, slice(None)) for n in g.names)
+    for hidden_card in (2, 3):
+        layouts = set()
+        for seed in range(40):
+            net = random_net_for(g, seed=seed, hidden_cardinality=hidden_card)
+            layouts.add(id(net._layout))
+            want = ref.random_net_for(g, seed=seed, hidden_cardinality=hidden_card)
+            assert [nd.cpt.tobytes() for nd in net.nodes] == [nd.cpt.tobytes()
+                                                               for nd in want.nodes]
+            for (name, got), nd in zip(net._mechanisms, net.nodes, strict=True):
+                assert name == nd.name
+                assert got.shape == ref.mechanism_factor(net, nd).shape
+                assert got.tobytes() == ref.mechanism_factor(net, nd).tobytes()
+            assert exact_observational(net).probs.tobytes() == ref.observable_family(net).tobytes()
+            family = ref.observable_family(net, frozenset(x))
+            assert exact_interventional(net, x).probs.tobytes() == family[idx].tobytes()
+            assert interventional_family(net, x).probs.tobytes() == family.tobytes()
+        assert len(layouts) == 1
+
+
+def _chain_nodes(order=("A", "B", "C"), cards=(2, 2, 2), hidden=()):
+    """A → B → C as nodes with random rows, declared in ``order``."""
+    rng = np.random.default_rng(len(order))
+    parents = {"A": (), "B": ("A",), "C": ("B",)}
+    card = dict(zip("ABC", cards))
+    return [CbnNode(n, card[n], parents[n],
+                    rng.dirichlet(np.ones(card[n]), size=int(np.prod([card[p] for p in parents[n]]))),
+                    hidden=n in hidden) for n in order]
+
+
+def test_nets_that_differ_in_structure_get_their_own_layout():
+    base = CausalBayesNet(_chain_nodes())
+    flipped = _chain_nodes()
+    flipped[2] = CbnNode("C", 2, ("A",), flipped[2].cpt)  # same names, another parent
+    variants = [
+        CausalBayesNet(_chain_nodes(order=("C", "B", "A"))),
+        CausalBayesNet(flipped),
+        CausalBayesNet(_chain_nodes(cards=(2, 3, 2))),
+        CausalBayesNet(_chain_nodes(hidden=("A",))),
+    ]
+    assert CausalBayesNet(_chain_nodes())._layout is base._layout
+    assert len({id(net._layout) for net in [base, *variants]}) == 5
+    assert variants[0].topological_order() == ("A", "B", "C")
+    assert variants[0].names == ("C", "B", "A")
+    assert variants[3].observables == ("B", "C")
+    for net in [base, *variants]:
+        assert net.topological_order() == ref.net_topological_order(net)
+        assert exact_observational(net).probs.tobytes() == ref.observable_family(net).tobytes()
+        _assert_oracle_matches_reference(net, {"B": 1})
+
+
+def test_a_failed_compile_is_not_cached():
+    cyclic = _chain_nodes()
+    cyclic[0] = CbnNode("A", 2, ("C",), np.full((2, 2), 0.5))
+    unknown = _chain_nodes()
+    unknown[2] = CbnNode("C", 2, ("Z",), unknown[2].cpt)
+    for _ in range(2):
+        with pytest.raises(CycleDetected):
+            CausalBayesNet(cyclic)
+        with pytest.raises(GraphError, match="unknown parent 'Z'"):
+            CausalBayesNet(unknown)
+    short = _chain_nodes()
+    short[1] = CbnNode("B", 2, ("A",), short[1].cpt[:1])
+    for _ in range(2):  # the layout compiles; each net still checks its own rows
+        with pytest.raises(GraphError, match="B: cpt has 1 rows, expected 2"):
+            CausalBayesNet(short)
+    assert CausalBayesNet(_chain_nodes()).topological_order() == ("A", "B", "C")
+
+
+def test_a_net_above_the_ceiling_compiles_without_a_grid(monkeypatch):
+    def no_grid(*args, **kwargs):
+        raise AssertionError("an open grid was formed")
+
+    monkeypatch.setattr(np, "indices", no_grid)
+    names = [f"V{i}" for i in range(30)]
+    nodes = [CbnNode(names[0], 2, (), [[0.5, 0.5]])]
+    nodes += [CbnNode(n, 2, (p,), [[0.9, 0.1], [0.2, 0.8]]) for p, n in zip(names, names[1:])]
+    net = CausalBayesNet(nodes)
+    assert net.joint_states() == 2**30
+    assert net.topological_order() == tuple(names)
+    for oracle in (exact_observational, lambda net: interventional_family(net, {"V3"}),
+                   lambda net: exact_interventional(net, {"V3": 1})):
+        with pytest.raises(StateSpaceTooLarge):
+            oracle(net)
+    assert sample_observational(net, seed=0, m=5).values.shape == (5, 30)
 
 
 # -- compiled estimand plans and run-drawn nets against their former forms -------
