@@ -57,7 +57,7 @@ class Admg:
             if not (0 <= a < n and 0 <= b < n):
                 raise GraphError(f"edge ({a},{b}) references an unknown variable")
             if a == b:
-                raise GraphError(f"self-loop at variable {a}")
+                raise GraphError(f"self-loop at variable {self.names[a]!r}")
         self.topological_order()  # raises CycleDetected on a directed cycle
 
     @classmethod
@@ -137,6 +137,9 @@ class Admg:
     def parents(self, i: int, within: frozenset[int] | None = None) -> frozenset[int]:
         ps = self._parents[i]
         return ps if within is None else ps & within
+
+    def children(self, i: int) -> frozenset[int]:
+        return self._children[i]
 
     # -- graph algorithms ----------------------------------------------------
 

@@ -44,12 +44,12 @@ from .tables import (
     PmfTable,
     Samples,
     ScopeMismatch,
+    check_rows,
     row_product,
     strides_for,
     symbols_of,
 )
 
-ROW_TOL = 1e-12
 FAMILY_CONSTANCY_TOL = 1e-9
 
 
@@ -146,11 +146,7 @@ class ConditionalTable:
             raise ScopeMismatch(
                 f"{self.target}: {probs.shape[0]} rows, expected {expected}"
             )
-        # written so that NaN fails both checks
-        if not probs.min(initial=0.0) >= -ROW_TOL:
-            raise ValueError(f"{self.target}: negative or NaN conditional entry")
-        if not np.abs(probs.sum(axis=1) - 1.0).max(initial=0.0) <= ROW_TOL:
-            raise ValueError(f"{self.target}: conditional rows must sum to 1")
+        check_rows(self.target, "conditional", probs)
 
     @cached_property
     def _strides(self) -> tuple[int, ...]:

@@ -10,7 +10,6 @@ scale.
 from __future__ import annotations
 
 import functools
-import heapq
 import itertools
 import math
 from dataclasses import dataclass
@@ -19,11 +18,18 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .admg import Admg, CycleDetected, GraphError
-from .tables import PmfTable, Samples, ancestral_sample, as_integer, row_index, strides_for
+from .admg import Admg, GraphError
+from .tables import (
+    PmfTable,
+    Samples,
+    ancestral_sample,
+    as_integer,
+    check_rows,
+    row_index,
+    strides_for,
+)
 
 STATE_CEILING = 2**24
-CPT_ROW_TOL = 1e-12
 
 
 class StateSpaceTooLarge(ValueError):
@@ -60,56 +66,38 @@ class CbnNode:
         if cpt.shape[1] != self.cardinality:
             raise GraphError(f"{self.name}: cpt has {cpt.shape[1]} columns, "
                              f"expected {self.cardinality}")
-        # written so that NaN fails both checks
-        if not cpt.min(initial=0.0) >= -CPT_ROW_TOL:  # a cpt of no rows is the net's to name
-            raise GraphError(f"{self.name}: negative or NaN cpt entry")
-        off = np.abs(np.add.reduce(cpt, axis=1) - 1.0)
-        if not np.maximum.reduce(off, initial=0.0) <= CPT_ROW_TOL:
-            row = int(np.argmax(~(off <= CPT_ROW_TOL)))
-            raise GraphError(f"{self.name}: cpt row {row} does not sum to 1")
+        check_rows(self.name, "cpt", cpt, GraphError)
 
 
 class _Layout:
     """Everything about a net that its CPT values do not touch, compiled from
     the node signatures ``(name, cardinality, parents, hidden)`` in declaration
-    order: the structure checks, the topological order (parents before
-    children; among ready nodes, declaration order first), each node's
-    parent strides and expected row count, the state space and its hidden
-    axes, and on first use each node's gather index over the open grid."""
+    order: the structure checks, the DAG over every node as an ``Admg`` and
+    its topological order (parents before children; among ready nodes,
+    declaration order first), each node's parent strides and expected row
+    count, the state space and its hidden axes, and on first use the DAG on
+    the observables and each node's gather index over the open grid."""
 
     def __init__(self, signature: tuple[tuple[str, int, tuple[str, ...], bool], ...]):
         self.names = tuple(name for name, _, _, _ in signature)
-        if len(set(self.names)) != len(self.names):
-            raise GraphError("node names must be unique")
         self.pos = {name: i for i, name in enumerate(self.names)}
         self.shape = tuple(card for _, card, _, _ in signature)
         self.signature = signature
-        strides, rows = [], []
-        children: list[list[int]] = [[] for _ in signature]
+        strides, rows, directed = [], [], set()
         for i, (name, _, parents, _) in enumerate(signature):
-            if len(set(parents)) != len(parents):
+            if len(set(parents)) != len(parents):  # an Admg would merge the two edges
                 raise GraphError(f"{name}: duplicate parents")
             for p in parents:
                 if p not in self.pos:
                     raise GraphError(f"{name}: unknown parent {p!r}")
-                children[self.pos[p]].append(i)
+                directed.add((self.pos[p], i))
             cards = [self.shape[self.pos[p]] for p in parents]
             strides.append(strides_for(cards))
             rows.append(math.prod(cards))
         self.strides, self.rows = tuple(strides), tuple(rows)  # shared: kept immutable
-        indeg = [len(parents) for _, _, parents, _ in signature]
-        ready = [i for i, d in enumerate(indeg) if d == 0]  # a heap of positions
-        order: list[str] = []
-        while ready:
-            i = heapq.heappop(ready)
-            order.append(self.names[i])
-            for c in children[i]:
-                indeg[c] -= 1
-                if indeg[c] == 0:
-                    heapq.heappush(ready, c)
-        if len(order) != len(signature):
-            raise CycleDetected("causal Bayes net graph contains a cycle")
-        self.order = tuple(order)
+        # raises GraphError on a repeated name or a self-parent, CycleDetected on a cycle
+        self.graph = Admg(self.names, self.shape, frozenset(directed), frozenset())
+        self.order = tuple(self.names[i] for i in self.graph.topological_order())
         self.joint_states = math.prod(self.shape)
         self.observables = tuple(name for name, _, _, hidden in signature if not hidden)
         self.hiddens = tuple(name for name, _, _, hidden in signature if hidden)
@@ -121,6 +109,11 @@ class _Layout:
         runs = itertools.groupby((s for s in signature if s[1] > 1), key=lambda s: s[3])
         self.runs_after_hidden = tuple(tuple(s[0] for s in run) for k, (hidden, run)
                                        in enumerate(runs) if k > 0 and not hidden)
+
+    @cached_property
+    def observed(self) -> Admg:
+        """The DAG induced on the observables, indexed in declaration order."""
+        return self.graph.induced_subgraph(set(range(len(self.names))) - set(self.hidden_axes))
 
     @cached_property
     def gathers(self) -> tuple[np.ndarray, ...]:
@@ -304,33 +297,20 @@ def latent_project(net: CausalBayesNet) -> Admg:
     Requires standard form: every hidden node is parentless and has exactly two
     observable children. Observable-to-observable edges pass through unchanged.
     """
-    obs = net.observables
-    pos = {n: i for i, n in enumerate(obs)}
-    children: dict[str, list[str]] = {h: [] for h in net.hiddens}
-    directed: set[tuple[int, int]] = set()
-    for nd in net.nodes:
-        for p in nd.parents:
-            if net.node(p).hidden:
-                if nd.hidden:
-                    raise NonStandardForm(f"hidden {p!r} has hidden child {nd.name!r}")
-                children[p].append(nd.name)
-            elif not nd.hidden:
-                directed.add((pos[p], pos[nd.name]))
-    bidirected: set[tuple[int, int]] = set()
-    for h in net.hiddens:
-        if net.node(h).parents:
-            raise NonStandardForm(f"hidden variable {h!r} has parents")
-        kids = children[h]
+    g, observed, hidden = net._layout.graph, net._layout.observed, net._layout.hidden_axes
+    bidirected = set()
+    for h in hidden:
+        name, kids = g.names[h], g.children(h)
+        if g.parents(h):
+            raise NonStandardForm(f"hidden variable {name!r} has parents")
+        if kids.intersection(hidden):
+            raise NonStandardForm(f"hidden {name!r} has hidden child "
+                                  f"{g.names_of(kids.intersection(hidden))[0]!r}")
         if len(kids) != 2:
-            raise NonStandardForm(
-                f"hidden variable {h!r} has {len(kids)} observable children, expected 2"
-            )
-        a, b = sorted(pos[k] for k in kids)
-        if a == b:
-            raise NonStandardForm(f"hidden variable {h!r} points twice at one child")
-        bidirected.add((a, b))
-    cards = tuple(net.cardinality(n) for n in obs)
-    return Admg(obs, cards, frozenset(directed), frozenset(bidirected))
+            raise NonStandardForm(f"hidden variable {name!r} has {len(kids)} "
+                                  f"observable children, expected 2")
+        bidirected.add(tuple(observed.index(k) for k in g.names_of(kids)))
+    return Admg(observed.names, observed.cards, observed.directed, frozenset(bidirected))
 
 
 @dataclass(frozen=True)
@@ -356,22 +336,11 @@ def check_strong_positivity(
     """Verify that every configuration of each component-plus-parents set has
     probability at least ``alpha``; reports the minimizing event per component."""
     obs_table = exact_observational(net)
-    obs = net.observables
-    obs_parents: dict[str, set[str]] = {n: set() for n in obs}
-    for nd in net.nodes:
-        if nd.hidden:
-            continue
-        for p in nd.parents:
-            if not net.node(p).hidden:
-                obs_parents[nd.name].add(p)
+    g = net._layout.observed
     reports = []
     for comp in components:
         comp = tuple(comp)
-        scope = set(comp)
-        for v in comp:
-            scope |= obs_parents[v]
-        scope_t = tuple(n for n in obs if n in scope)
-        marg = obs_table.marginal_to(scope_t)
+        marg = obs_table.marginal_to(g.names_of(g.pa_plus(g.indices(comp))))
         flat = marg.probs.reshape(-1)
         worst_flat = int(flat.argmin())
         worst_idx = np.unravel_index(worst_flat, marg.probs.shape)
@@ -397,19 +366,26 @@ def _floored_rows(rng: np.random.Generator, n_rows: int, card: int, gamma: float
     return rows / rows.sum(axis=1, keepdims=True)
 
 
-def hidden_names(g: Admg) -> list[str]:
-    """One hidden node name per bidirected edge, in sorted edge order:
-    ``U{k}``, prefixed with ``_`` until no observable or earlier hidden node
-    has it."""
-    names: list[str] = []
+def standard_form(g: Admg, hidden_cardinality: int = 2) -> tuple[tuple, ...]:
+    """The node signatures ``(name, cardinality, parents, hidden)`` of a
+    standard-form net on ``g``, in declaration order. First comes one
+    parentless hidden node per bidirected edge, in sorted edge order, named
+    ``U{k}`` prefixed with ``_`` until no observable or earlier hidden node
+    has the name. Then each observable reads its parents in index order and
+    then the hidden nodes of its edges."""
+    hidden: list[str] = []
     taken = set(g.names)
     for k in range(len(g.bidirected)):
         name = f"U{k}"
         while name in taken:
             name = "_" + name
-        names.append(name)
+        hidden.append(name)
         taken.add(name)
-    return names
+    edges = sorted(g.bidirected)
+    return tuple([(h, hidden_cardinality, (), True) for h in hidden] + [
+        (name, g.cards[i], g.names_of(g.parents(i))
+         + tuple(h for h, e in zip(hidden, edges) if i in e), False)
+        for i, name in enumerate(g.names)])
 
 
 def random_net_for(
@@ -441,22 +417,14 @@ def _net_plan(g: Admg, hidden_cardinality: int) -> tuple:
     """:func:`random_net_for`'s nodes without their rows: per run of equal
     cardinality, ``(cardinality, rows drawn, ((name, parents, hidden, first
     row, end row), ...))``."""
-    hidden = hidden_names(g)
-    edge_list = sorted(g.bidirected)
-    # (name, cardinality, parents, hidden) per node, in declaration order
-    specs = [(h, hidden_cardinality, (), True) for h in hidden]
-    for i, name in enumerate(g.names):
-        parents = [g.names[p] for p in sorted(g.parents(i))]
-        parents += [hidden[k] for k, e in enumerate(edge_list) if i in e]
-        specs.append((name, g.cards[i], tuple(parents), False))
-    card_of = {name: card for name, card, _, _ in specs}
+    signature = standard_form(g, hidden_cardinality)
     plan = []
-    for card, run in itertools.groupby(specs, key=lambda spec: spec[1]):
+    for card, run in itertools.groupby(zip(signature, _layout(signature).rows),
+                                       key=lambda spec: spec[0][1]):
         members, start = [], 0
-        for name, _, parents, is_hidden in run:
-            stop = start + math.prod(card_of[p] for p in parents)
-            members.append((name, parents, is_hidden, start, stop))
-            start = stop
+        for (name, _, parents, hidden), n_rows in run:
+            members.append((name, parents, hidden, start, start + n_rows))
+            start += n_rows
         plan.append((card, start, tuple(members)))
     return tuple(plan)
 

@@ -10,6 +10,7 @@ from typing import Container, Iterable, Iterator, Mapping, NamedTuple, Sequence
 import numpy as np
 
 TOTAL_TOL = 1e-9
+ROW_TOL = 1e-12  # per entry and per row sum of conditional probability rows
 RNG_ALGORITHM = "numpy-pcg64"
 CODE_LIMIT = 2**62  # largest mixed-radix code space encoded without re-densifying
 DENSE_FACTOR = 4  # code spaces up to this many times m (or 2**16) are bincounted directly
@@ -26,6 +27,18 @@ def strides_for(cards: Sequence[int]) -> tuple[int, ...]:
     for i in range(len(cards) - 2, -1, -1):
         out[i] = out[i + 1] * cards[i + 1]
     return tuple(out)
+
+
+def check_rows(name: str, kind: str, rows: np.ndarray, error: type = ValueError) -> None:
+    """Raise ``error`` naming ``name`` unless ``rows`` (2-D, one row per
+    conditioning configuration) are probability rows: no entry below
+    ``-ROW_TOL`` and every row summing to 1 within it. Written so that NaN
+    fails; a table of no rows passes, for its owner to name."""
+    if not rows.min(initial=0.0) >= -ROW_TOL:
+        raise error(f"{name}: negative or NaN {kind} entry")
+    off = np.abs(np.add.reduce(rows, axis=1) - 1.0)
+    if not np.maximum.reduce(off, initial=0.0) <= ROW_TOL:
+        raise error(f"{name}: {kind} row {int(np.argmax(~(off <= ROW_TOL)))} does not sum to 1")
 
 
 def iter_assignments(names: Sequence[str], cards: Sequence[int]) -> Iterator[dict[str, int]]:
@@ -247,17 +260,16 @@ class Samples:
 
     @cached_property
     def distinct(self) -> DistinctRows:
-        """Distinct rows and multiplicities, from one :meth:`row_codes` pass.
-        The rows kept are ``values[first_index]`` of each code, in code order."""
-        m = self.m
+        """Distinct rows and multiplicities from one :meth:`row_codes` pass, in
+        code order. Equal codes mean equal rows, so a code keeps any row of it:
+        the last one a scatter writes, in blocks so that no second m-length array forms."""
         code, size = self.row_codes()
         counts = np.bincount(code, minlength=size)
-        first = np.full(size, m, dtype=np.int64)
-        for lo in range(0, m, BLOCK_ROWS):
-            hi = min(lo + BLOCK_ROWS, m)
-            np.minimum.at(first, code[lo:hi], np.arange(lo, hi, dtype=np.int64))
+        at = np.empty(size, dtype=np.int64)
+        for lo in range(0, self.m, BLOCK_ROWS):
+            at[code[lo:lo + BLOCK_ROWS]] = np.arange(lo, min(lo + BLOCK_ROWS, self.m))
         present = np.flatnonzero(counts)
-        rows = self.values[first[present]].astype(np.int64)
+        rows = self.values[at[present]].astype(np.int64)
         weights = counts[present].astype(np.float64)
         rows.flags.writeable = False
         weights.flags.writeable = False

@@ -7,7 +7,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Iterator, Mapping, NamedTuple
 
 import numpy as np
@@ -273,7 +273,8 @@ def family_error(est: Estimand, net: CausalBayesNet, obs: PmfTable) -> float:
 
 @dataclass(frozen=True)
 class SweepResult:
-    """What :func:`soundness_sweep` counted and where it met its worst check."""
+    """What :func:`soundness_sweep` counted and where it met its worst check.
+    Each hedge keeps its subgraph, root set and internal set, not its trace."""
 
     graphs: int
     identifiable: int
@@ -299,7 +300,7 @@ def soundness_sweep(realizations: int) -> SweepResult:
             if isinstance(res, Estimand):
                 estimands.append((name, res))
             else:
-                hedges.append((number, g, name, res))
+                hedges.append((number, g, name, replace(res, trace=())))
         identifiable += len(estimands)
         if not estimands:
             continue

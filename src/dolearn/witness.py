@@ -13,7 +13,8 @@ the hidden bits that are read.
 Model A: each node of F XORs its forest parents and its tree bits. Model B:
 the nodes of S read only S's forest and S's tree; the rest of F is as in A.
 In both models the values of F are uniform on {XOR of R = 0}, so P(V)
-agrees. For the query P(V∖X | do(x)) the hedge has F∖S ⊆ X, so under do(x)
+agrees. The hedge of the query P(V∖X | do(x)), the one witnessed here, has
+F∖S ⊆ X (a hedge of a query with fewer targets need not), so under do(x)
 every node of F∖S is clamped. B still has XOR of R = 0, while in A that
 parity is the XOR of the tree bits joining S to F∖S plus a constant, a fair
 coin, so the interventional distributions differ by a TV of at least 1/2.
@@ -34,7 +35,7 @@ from .scm import (
     CbnNode,
     exact_interventional,
     exact_observational,
-    hidden_names,
+    standard_form,
 )
 from .verify import exact_tv
 
@@ -52,21 +53,20 @@ class IndistinguishablePair:
 
 
 def build_net(g: Admg, reads: Sequence[Collection[int]]) -> CausalBayesNet:
-    """The binary parity net on ``g`` in which observable i is the XOR of
-    the structural inputs in ``reads[i]``: input j < g.n is observable j and
-    input g.n + k is the hidden bit of the k-th bidirected edge in sorted
-    order. Each CPT lists all of its node's inputs, parents before hidden
-    bits, so the net projects onto ``g``."""
-    hidden = hidden_names(g)
-    names = g.names + tuple(hidden)
-    edges = sorted(g.bidirected)
-    nodes = [CbnNode(h, 2, (), np.array([[0.5, 0.5]]), hidden=True) for h in hidden]
-    for i, name in enumerate(g.names):
-        ins = sorted(g.parents(i)) + [g.n + k for k, e in enumerate(edges) if i in e]
-        # row index is row-major in the inputs: the first input varies slowest
-        coords = np.arange(2 ** len(ins))[:, None] >> np.arange(len(ins))[::-1] & 1
-        value = coords[:, [ins.index(j) for j in reads[i]]].sum(axis=1) % 2
-        nodes.append(CbnNode(name, 2, tuple(names[j] for j in ins), np.eye(2)[value]))
+    """The binary parity net on ``g``, in :func:`~dolearn.scm.standard_form`,
+    in which observable i is the XOR of the structural inputs in
+    ``reads[i]``: input j < g.n is observable j and input g.n + k is the
+    hidden bit of the k-th bidirected edge in sorted order. Each CPT reads
+    all of its node's inputs, so the net projects onto ``g``."""
+    signature = standard_form(g)
+    nodes = [CbnNode(h, 2, (), np.array([[0.5, 0.5]]), hidden=True)
+             for h, _, _, hidden in signature if hidden]
+    inputs = g.names + tuple(nd.name for nd in nodes)
+    for i, (name, _, parents, _) in enumerate(signature[len(nodes):]):
+        # row index is row-major in the parents: the first parent varies slowest
+        coords = np.arange(2 ** len(parents))[:, None] >> np.arange(len(parents))[::-1] & 1
+        value = coords[:, [parents.index(inputs[j]) for j in reads[i]]].sum(axis=1) % 2
+        nodes.append(CbnNode(name, 2, parents, np.eye(2)[value]))
     return CausalBayesNet(nodes)
 
 

@@ -14,7 +14,7 @@ from typing import Iterator
 
 import numpy as np
 
-from dolearn.admg import GraphError
+from dolearn.admg import Admg, GraphError
 from dolearn.estimand import (
     BaseDist,
     ChainProduct,
@@ -59,6 +59,30 @@ def net_topological_order(net) -> tuple[str, ...]:
                 ready.append(c)
         ready.sort(key=pos.get)
     return tuple(out)
+
+
+def latent_project(net) -> Admg:
+    """Hidden nodes collapsed to bidirected edges by walking every node's
+    parents; returns ``None`` where the net is not in standard form."""
+    obs = net.observables
+    pos = {n: i for i, n in enumerate(obs)}
+    children: dict[str, list[str]] = {h: [] for h in net.hiddens}
+    directed = set()
+    for nd in net.nodes:
+        for p in nd.parents:
+            if net.node(p).hidden:
+                if nd.hidden:
+                    return None
+                children[p].append(nd.name)
+            elif not nd.hidden:
+                directed.add((pos[p], pos[nd.name]))
+    bidirected = set()
+    for h in net.hiddens:
+        if net.node(h).parents or len(children[h]) != 2:
+            return None
+        bidirected.add(tuple(sorted(pos[k] for k in children[h])))
+    return Admg(obs, tuple(net.cardinality(n) for n in obs), frozenset(directed),
+                frozenset(bidirected))
 
 
 def sample_observational(net, seed: int, m: int) -> np.ndarray:

@@ -29,10 +29,16 @@ def workdir(tmp_path):
 
 def test_identify_success(workdir, capsys):
     tmp, g, net = workdir
-    code = main(["identify", "--graph", str(tmp / "graph.json"),
-                 "--query", str(tmp / "query.json")])
-    assert code == 0
-    out = json.loads(capsys.readouterr().out)
+    # a query without targets asks for every variable it does not intervene on
+    (tmp / "all.json").write_text(json.dumps({"intervene": [{"var": "X", "value": 0}]}))
+    outs = []
+    for query in ("query.json", "all.json"):
+        code = main(["identify", "--graph", str(tmp / "graph.json"),
+                     "--query", str(tmp / query)])
+        assert code == 0
+        outs.append(capsys.readouterr().out)
+    assert outs[0] == outs[1]
+    out = json.loads(outs[0])
     assert out["identifiable"] is True
     assert "P[z1|x]" in out["formula"]
     assert out["trace"][0]["step"] == "step4"
@@ -96,13 +102,15 @@ def test_invalid_query_is_input_error(workdir, capsys):
 
 def test_oracle_tables(workdir, capsys):
     tmp, g, net = workdir
-    code = main(["oracle", "--cbn", str(tmp / "net.json"),
-                 "--query", str(tmp / "query.json")])
-    assert code == 0
-    out = json.loads(capsys.readouterr().out)
+    (tmp / "y.json").write_text(json.dumps({"intervene": [{"var": "X", "value": 0}],
+                                            "targets": ["Y"]}))
     oracle = exact_interventional(net, {"X": 0})
-    assert out["vars"] == list(oracle.names)
-    assert np.allclose(out["probs"], oracle.probs.reshape(-1))
+    for query, want in [("query.json", oracle), ("y.json", oracle.marginal_to({"Y"}))]:
+        code = main(["oracle", "--cbn", str(tmp / "net.json"), "--query", str(tmp / query)])
+        assert code == 0
+        out = json.loads(capsys.readouterr().out)
+        assert out["vars"] == list(want.names)
+        assert np.allclose(out["probs"], want.probs.reshape(-1))
 
 
 def test_full_pipeline_roundtrip(workdir, capsys):
@@ -234,12 +242,11 @@ def test_simulate_rejects_nan_cpt(workdir, capsys):
 
 def test_learn_self_generate_requires_seed(workdir, capsys):
     tmp, g, net = workdir
-    code = main(["learn", "--graph", str(tmp / "graph.json"),
-                 "--query", str(tmp / "query.json"),
-                 "--cbn", str(tmp / "net.json"), "--m", "1000"])
-    assert code == 4
-    err = json.loads(capsys.readouterr().err)
-    assert err["error"] == "MissingSeed"
+    learn = ["learn", "--graph", str(tmp / "graph.json"), "--query", str(tmp / "query.json")]
+    for source, error in [(["--cbn", str(tmp / "net.json"), "--m", "1000"], "MissingSeed"),
+                          ([], "MissingInput")]:  # neither --samples nor --cbn
+        assert main(learn + source) == 4
+        assert json.loads(capsys.readouterr().err)["error"] == error
 
 
 def test_learn_self_generate_requires_sample_size(workdir, capsys):

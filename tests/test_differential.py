@@ -8,8 +8,9 @@ against the former effective-parent rule and its exact rows against the
 one-factor chains they replaced, the row products (oracle joints, learned
 evaluator, structural identities, factor errors) against their hand-written
 forms, compiled estimand plans against the tree interpreter they replaced,
-random nets against one Dirichlet draw per node and their sampling order
-against a re-sorted Kahn sort, and the witness pairs built from the hedge
+random nets against one Dirichlet draw per node, their sampling order
+against a re-sorted Kahn sort and their latent projection against the walk
+over each node's parents, and the witness pairs built from the hedge
 beside the seeded parity search they replaced, which must also find one."""
 
 import itertools
@@ -52,6 +53,7 @@ from dolearn.scm import (
     CausalBayesNet,
     CbnNode,
     StateSpaceTooLarge,
+    check_strong_positivity,
     exact_interventional,
     exact_observational,
     interventional_family,
@@ -872,17 +874,47 @@ def test_a_failed_compile_is_not_cached():
     cyclic[0] = CbnNode("A", 2, ("C",), np.full((2, 2), 0.5))
     unknown = _chain_nodes()
     unknown[2] = CbnNode("C", 2, ("Z",), unknown[2].cpt)
+    own_parent, twice_named, twice_read = _chain_nodes(), _chain_nodes(), _chain_nodes()
+    own_parent[1] = CbnNode("B", 2, ("B",), np.full((2, 2), 0.5))
+    twice_named.append(CbnNode("A", 2, (), [[0.5, 0.5]]))
+    twice_read[1] = CbnNode("B", 2, ("A", "A"), np.full((4, 2), 0.5))
     for _ in range(2):
         with pytest.raises(CycleDetected):
             CausalBayesNet(cyclic)
         with pytest.raises(GraphError, match="unknown parent 'Z'"):
             CausalBayesNet(unknown)
+        with pytest.raises(GraphError, match="self-loop at variable 'B'"):
+            CausalBayesNet(own_parent)
+        with pytest.raises(GraphError, match="variable names must be unique"):
+            CausalBayesNet(twice_named)
+        with pytest.raises(GraphError, match="B: duplicate parents"):
+            CausalBayesNet(twice_read)
     short = _chain_nodes()
     short[1] = CbnNode("B", 2, ("A",), short[1].cpt[:1])
     for _ in range(2):  # the layout compiles; each net still checks its own rows
         with pytest.raises(GraphError, match="B: cpt has 1 rows, expected 2"):
             CausalBayesNet(short)
     assert CausalBayesNet(_chain_nodes()).topological_order() == ("A", "B", "C")
+
+
+@settings(max_examples=150, deadline=None)
+@given(admgs(max_n=5, max_bidirected=4, cardinalities=(2, 3)), st.sampled_from([2, 3]),
+       st.integers(0, 2**16), st.randoms(use_true_random=False))
+def test_projection_and_order_match_the_parent_walk(g, hidden_card, seed, rnd):
+    """A standard-form net projects back onto its graph, also with its nodes
+    declared in another order, as the walk over each node's parents says;
+    its sampling order is the re-sorted Kahn sort's, and strong positivity
+    reads each component's Pa+ in the graph."""
+    net = random_net_for(g, seed=seed, hidden_cardinality=hidden_card)
+    assert latent_project(net) == ref.latent_project(net) == g
+    shuffled = CausalBayesNet(rnd.sample(net.nodes, len(net.nodes)))
+    assert latent_project(shuffled) == ref.latent_project(shuffled)
+    for n in (net, shuffled):
+        assert n.topological_order() == ref.net_topological_order(n)
+    comps = [g.names_of(c) for c in g.c_components()]
+    _, reports = check_strong_positivity(net, comps, alpha=0.0)
+    for comp, report in zip(comps, reports, strict=True):
+        assert report.event_scope == g.names_of(g.pa_plus(g.indices(comp)))
 
 
 def test_a_net_above_the_ceiling_compiles_without_a_grid(monkeypatch):

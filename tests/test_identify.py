@@ -158,20 +158,17 @@ class TestStructuralProperties:
                 assert _depth(res.expr) <= 3 * g.n
 
     def test_subset_targets_with_arbitrary_binding(self):
-        # a non-ancestor of the target joins the intervened set with an
-        # arbitrary value; the result must not depend on the value chosen
-        g = Admg.build(["X", "Y", "W"], [("X", "Y"), ("Y", "W")])
-        est = identify(CausalQuery(g, {"X": 1}, frozenset({"Y"})))
-        assert isinstance(est, Estimand)
-        net = random_net_for(g, seed=31)
-        obs = exact_observational(net)
-        oracle = exact_interventional(net, {"X": 1}).marginal_to({"Y"})
-        if est.arbitrary:
-            values = [
-                est.evaluate(obs, {"X": 1, "Y": 1, **{w: v for w in est.arbitrary}})
-                for v in (0, 1)
-            ]
-            assert values[0] == pytest.approx(values[1], abs=1e-12)
-        assert est.evaluate(obs, {"X": 1, "Y": 1}) == pytest.approx(
-            oracle.pmf({"Y": 1}), abs=1e-9
-        )
+        # W is an ancestor of Y only through X, so step 3 intervenes on it with
+        # an arbitrary value; the result must not depend on the value chosen
+        for bidirected, steps in [([("W", "Y")], ["step3", "step5c", "step2", "step1"]),
+                                  ([], ["step3", "step5b"])]:
+            g = Admg.build(["W", "X", "Y"], [("W", "X"), ("X", "Y")], bidirected)
+            est = identify(CausalQuery(g, {"X": 1}, frozenset({"Y"})))
+            assert isinstance(est, Estimand)
+            assert [t.step for t in est.trace] == steps
+            assert est.arbitrary == {"W"}
+            net = random_net_for(g, seed=31)
+            obs = exact_observational(net)
+            oracle = exact_interventional(net, {"X": 1}).marginal_to({"Y"}).pmf({"Y": 1})
+            for point in ({"X": 1, "Y": 1}, {"X": 1, "Y": 1, "W": 0}, {"X": 1, "Y": 1, "W": 1}):
+                assert est.evaluate(obs, point) == pytest.approx(oracle, abs=1e-12)

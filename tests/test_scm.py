@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from dolearn.admg import Admg, GraphError
+from dolearn.learn import ConditionalTable
 from dolearn.scm import (
     CausalBayesNet,
     CbnNode,
@@ -17,6 +18,7 @@ from dolearn.scm import (
     sample_observational,
 )
 from dolearn.verify import exact_tv
+from dolearn.witness import indistinguishable_pair
 
 
 def coin(name, p1=0.5, parents=(), rows=None, hidden=False, card=2):
@@ -49,6 +51,20 @@ class TestConstruction:
     def test_unknown_parent(self):
         with pytest.raises(GraphError):
             CausalBayesNet([CbnNode("B", 2, ("A",), np.eye(2))])
+
+    @pytest.mark.parametrize("rows, message", [
+        ([[0.5, 0.5], [np.nan, 1.0]], "Z: negative or NaN {} entry"),
+        ([[0.5, 0.5], [1.5, -0.5]], "Z: negative or NaN {} entry"),
+        ([[0.5, 0.5], [0.5, 0.5 + 1e-9]], "Z: {} row 1 does not sum to 1"),
+    ])
+    def test_one_row_rule_for_nets_and_learned_factors(self, rows, message):
+        with pytest.raises(GraphError, match=message.format("cpt")):
+            CbnNode("Z", 2, ("A",), np.array(rows))
+        with pytest.raises(ValueError, match=message.format("conditional")):
+            ConditionalTable("Z", 2, ("A",), (2,), np.array(rows))
+        within = np.array([[0.5, 0.5], [0.5, 0.5 + 1e-13]])  # inside the tolerance
+        assert CbnNode("Z", 2, ("A",), within).cpt.shape == (2, 2)
+        assert ConditionalTable("Z", 2, ("A",), (2,), within).probs.shape == (2, 2)
 
 
 class TestSampling:
@@ -186,8 +202,36 @@ class TestLatentProjection:
             CbnNode("B", 2, ("U",), np.eye(2)),
             CbnNode("C", 2, ("U",), np.eye(2)),
         ])
-        with pytest.raises(NonStandardForm):
+        with pytest.raises(NonStandardForm, match="'U' has 3 observable children, expected 2"):
             latent_project(net)
+
+    @pytest.mark.parametrize("nodes, message", [
+        ([coin("U", hidden=True), CbnNode("A", 2, ("U",), np.eye(2))],
+         "hidden variable 'U' has 1 observable children, expected 2"),
+        ([coin("U", hidden=True), coin("A")],
+         "hidden variable 'U' has 0 observable children, expected 2"),
+        ([coin("U", hidden=True), CbnNode("W", 2, ("U",), np.eye(2), hidden=True),
+          CbnNode("A", 2, ("U", "W"), np.tile(np.eye(2), (2, 1))),
+          CbnNode("B", 2, ("W",), np.eye(2))],
+         "hidden 'U' has hidden child 'W'"),
+    ])
+    def test_each_nonstandard_form_names_its_node(self, nodes, message):
+        with pytest.raises(NonStandardForm, match=message):
+            latent_project(CausalBayesNet(nodes))
+
+    def test_hidden_names_step_around_observables(self):
+        # U0 and U1 are observables, so the hidden nodes become _U0 and __U1
+        g = Admg.build(["U0", "U1", "_U1"], [("U0", "U1")], [("U0", "U1"), ("U1", "_U1")])
+        net = random_net_for(g, seed=3, hidden_cardinality=3)
+        assert net.hiddens == ("_U0", "__U1")
+        assert net.node("U1").parents == ("U0", "_U0", "__U1")
+        assert latent_project(net) == g
+        pair = indistinguishable_pair(g, {"U0": 1})
+        for witness in (pair.net_a, pair.net_b):
+            assert witness.names == net.names
+            assert [nd.parents for nd in witness.nodes] == [nd.parents for nd in net.nodes]
+            assert latent_project(witness) == g
+        assert pair.observational_tv <= 1e-9 and pair.interventional_tv >= 0.5
 
     def test_nonstandard_hidden_with_parent(self):
         net = CausalBayesNet([
@@ -196,7 +240,7 @@ class TestLatentProjection:
             CbnNode("B", 2, ("U",), np.eye(2)),
             CbnNode("C", 2, ("U",), np.eye(2)),
         ])
-        with pytest.raises(NonStandardForm):
+        with pytest.raises(NonStandardForm, match="hidden variable 'U' has parents"):
             latent_project(net)
 
 
