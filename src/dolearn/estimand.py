@@ -13,12 +13,12 @@ ratios and the learner's rows alike, so the zero-conditioning error,
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Callable, Container, Iterable, Mapping, Protocol, Sequence
 
 import numpy as np
 
-from .tables import PmfTable, ScopeMismatch, symbols_of
+from .tables import TOTAL_TOL, PmfTable, ScopeMismatch, symbols_of
 
 TABLE_TOTAL_TOL = 1e-6
 
@@ -228,19 +228,16 @@ _ONE = np.ones(())
 _ONE.flags.writeable = False
 
 
-def _view(names: tuple[str, ...], target: tuple[str, ...]) -> tuple:
-    """The transpose and indexer that view an array over ``names``
-    broadcastable over the axes of ``target``; ``None`` for an identity."""
-    perm = tuple(names.index(n) for n in target if n in names)
-    idx = tuple(slice(None) if n in names else None for n in target)
-    return (None if perm == tuple(range(len(perm))) else perm,
-            idx if any(i is None for i in idx) else None)
+def _view(names: tuple[str, ...], target: tuple[str, ...]) -> tuple | None:
+    """The indexer that broadcasts an array over ``names`` over the axes of
+    ``target``, of which it is a subsequence: every compiled array has its
+    axes in the access's order. ``None`` for an identity."""
+    if len(names) == len(target):
+        return None
+    return tuple(slice(None) if n in names else None for n in target)
 
 
-def _apply(arr: np.ndarray, view: tuple) -> np.ndarray:
-    perm, idx = view
-    if perm is not None:
-        arr = arr.transpose(perm)
+def _apply(arr: np.ndarray, idx: tuple | None) -> np.ndarray:
     return arr if idx is None else arr[idx]
 
 
@@ -370,10 +367,8 @@ def _compile_chain(
             _view(out_names, target), _view(factor_names, target),
         ))
         out_names = target
-    result_names = tuple(sorted((expr.scope | expr.free) - set(pins), key=order_key))
-    if set(out_names) != set(result_names):  # pragma: no cover - structural
+    if set(out_names) != (expr.scope | expr.free) - set(pins):  # pragma: no cover - structural
         raise ScopeMismatch("chain factors do not cover the node scope")
-    final = _view(out_names, result_names)
 
     def run_chain(access: DistAccess) -> np.ndarray:
         carrs = [run(access) for _, run in child_plans]
@@ -388,17 +383,32 @@ def _compile_chain(
             if v_slc is not None:
                 factor = factor[v_slc]
             out = _apply(out, out_view) * _apply(factor, factor_view)
-        return _apply(out, final)
+        return out
 
-    return result_names, run_chain
+    return out_names, run_chain
+
+
+# Bounded: a plan depends only on its key and holds no access, so equal trees
+# share one plan across graphs; a sweep reuses a graph's few plans back to back.
+@lru_cache(maxsize=64)
+def _plan(expr: DistExpr, access_names: tuple[str, ...], pins: tuple[tuple[str, int], ...],
+          point: bool) -> tuple[tuple[str, ...], Callable[[DistAccess], np.ndarray]]:
+    """The axes and runner :func:`_compile` gives ``expr`` for an access over
+    ``access_names`` with the sorted ``(name, value)`` pairs ``pins`` fixed,
+    under the point or the table binding rule."""
+    order, pinned = {n: i for i, n in enumerate(access_names)}, dict(pins)
+    names, run = _compile(expr, access_names, pinned, order.get, point)
+    if not point and expr.free <= set(pinned) and set(names) != expr.scope:  # pragma: no cover
+        raise ScopeMismatch(f"materialized axes {names} do not match scope")
+    return names, run
 
 
 def evaluate(expr: DistExpr, access: DistAccess, env: Mapping[str, int]) -> float:
     """Evaluate the expression at one point.
 
     ``env`` must assign every scope variable and every free reference of the
-    expression a symbol of the access; extra keys are ignored. The tree is
-    compiled with those values pinned and run once. A point checks only the
+    expression a symbol of the access; extra keys are ignored. The tree's plan
+    with those values pinned is run once. A point checks only the
     conditioning events its values reach, so it can evaluate where the
     table for the same intervention meets an empty event.
     """
@@ -407,54 +417,33 @@ def evaluate(expr: DistExpr, access: DistAccess, env: Mapping[str, int]) -> floa
     if missing:
         raise ScopeMismatch(f"environment lacks values for {sorted(missing)}")
     pins = _symbols({n: env[n] for n in needed}, access)
-    order = {n: i for i, n in enumerate(access.names)}
-    _, run = _compile(expr, access.names, pins, order.get, True)
+    _, run = _plan(expr, access.names, tuple(sorted(pins.items())), True)
     return float(run(access))
 
 
 def full_table(
-    expr: DistExpr,
-    access: DistAccess,
-    fixed: Mapping[str, int] | None = None,
-    allow_free_axes: bool = False,
-    plans: dict | None = None,
+    expr: DistExpr, access: DistAccess, fixed: Mapping[str, int] | None = None
 ) -> PmfTable:
     """Materialize the expression over its scope.
 
-    ``fixed`` must cover the free references of the expression (for instance
-    the intervention values), each a symbol of the access. With
-    ``allow_free_axes`` the unfixed references stay as extra axes instead,
-    one distribution slice per configuration. The result axes follow the base
-    distribution's variable order; a total deviating from 1 by more than 1e-6
-    is an error. The expression is compiled once for the access's variable
-    order, with the fixed references sliced at their values and the others
-    left as axes; a ``plans`` dict, kept by the caller for this one
-    expression, caches each compiled runner under the access's variable
-    names and the fixed values.
+    ``fixed`` assigns free references of the expression values, each a
+    symbol of the access (for instance the intervention values); a free
+    reference it leaves out stays as an extra axis, one distribution slice per
+    configuration. The result axes follow the access's variable order. With
+    no extra axes, a total deviating from 1 by more than
+    :data:`TABLE_TOTAL_TOL` (or NaN) is an error. The plan comes from the one
+    plan cache, keyed by the tree, the access's names and the fixed values.
     """
-    fixed = dict(fixed or {})
-    missing = expr.free - set(fixed)
-    if missing and not allow_free_axes:
-        raise ScopeMismatch(f"fixed values required for {sorted(missing)}")
-    fixed = {n: v for n, v in fixed.items() if n not in expr.scope}
+    fixed = {n: v for n, v in (fixed or {}).items() if n not in expr.scope}
     _symbols(fixed, access)
-    key = (access.names, tuple(sorted(fixed.items())))
-    plan = None if plans is None else plans.get(key)
-    if plan is None:
-        order = {n: i for i, n in enumerate(access.names)}
-        plan = _compile(expr, access.names, fixed, order.get, False)
-        if expr.free <= set(fixed) and set(plan[0]) != expr.scope:  # pragma: no cover
-            raise ScopeMismatch(f"materialized axes {plan[0]} do not match scope")
-        if plans is not None:
-            plans[key] = plan
-    names, run = plan
+    names, run = _plan(expr, access.names, tuple(sorted(fixed.items())), False)
     arr = run(access)
-    if missing:
+    if not expr.free <= set(fixed):
         return PmfTable(names, arr, context=fixed, normalized=False)
     total = float(arr.sum())
-    if abs(total - 1.0) > TABLE_TOTAL_TOL:
+    if not abs(total - 1.0) <= TABLE_TOTAL_TOL:
         raise ValueError(f"estimand table mass {total!r} deviates from 1")
-    return PmfTable(names, arr, context=fixed, normalized=abs(total - 1.0) <= 1e-9)
+    return PmfTable(names, arr, context=fixed, normalized=abs(total - 1.0) <= TOTAL_TOL)
 
 
 # -- rendering ----------------------------------------------------------------

@@ -25,7 +25,7 @@ from .estimand import (
     marginal,
     render,
 )
-from .tables import PmfTable, as_integer
+from .tables import PmfTable, ScopeMismatch, as_integer
 
 
 class InvalidQuery(ValueError):
@@ -121,8 +121,7 @@ class Estimand:
 
     ``intervened`` values parametrize the tree; ``arbitrary`` lists variables
     whose values provably do not matter (they may be bound to anything at
-    evaluation time and default to symbol 0). Materializations compile the
-    tree once per access layout and fixing, and keep the plans here.
+    evaluation time and default to symbol 0).
     """
 
     expr: DistExpr
@@ -131,10 +130,6 @@ class Estimand:
     intervened: frozenset[str]
     arbitrary: frozenset[str]
     trace: tuple[TraceStep, ...]
-    _plans: dict = field(default_factory=dict, init=False, repr=False, compare=False)
-
-    def __getstate__(self) -> dict:
-        return {**self.__dict__, "_plans": {}}  # compiled plans are not picklable
 
     def _env(self, env: Mapping[str, int]) -> dict[str, int]:
         full = {n: 0 for n in self.arbitrary}
@@ -148,15 +143,16 @@ class Estimand:
 
     def table(self, access: DistAccess, x: Mapping[str, int]) -> PmfTable:
         """Materialize the interventional distribution for one intervention."""
-        return full_table(self.expr, access, self._env(x), plans=self._plans)
+        env = self._env(x)
+        missing = self.expr.free - set(env)
+        if missing:
+            raise ScopeMismatch(f"fixed values required for {sorted(missing)}")
+        return full_table(self.expr, access, env)
 
     def family_table(self, access: DistAccess) -> PmfTable:
         """One table covering every intervention value: the free references
         stay as axes and each slice is the corresponding distribution."""
-        return full_table(
-            self.expr, access, {n: 0 for n in self.arbitrary}, allow_free_axes=True,
-            plans=self._plans,
-        )
+        return full_table(self.expr, access, {n: 0 for n in self.arbitrary})
 
     def render(self, style: str = "text") -> str:
         return render(self.expr, style)

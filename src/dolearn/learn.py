@@ -113,7 +113,8 @@ class ConditionalTable:
 
     ``probs`` has one row per configuration of ``cond`` (row-major) and one
     column per target symbol; every row sums to 1. ``kind`` names the former:
-    ``"add1"`` is :func:`learn_q` on a batch, with the raw ``counts`` kept;
+    ``"add1"`` is :func:`learn_q` on a batch, with the raw ``counts`` kept
+    (one non-negative count per entry of ``probs``);
     ``"exact"`` is :func:`learn_q` on an exact table; ``"fragment"`` is
     chain-ruled from a fragment table, uniform where a configuration is
     unreachable. ``fixed_context`` records intervention coordinates baked
@@ -136,8 +137,6 @@ class ConditionalTable:
                                 f"rows of {self.target_card}")
         probs = probs.reshape(-1, self.target_card)
         object.__setattr__(self, "probs", probs)
-        if self.counts is not None:
-            object.__setattr__(self, "counts", np.asarray(self.counts, dtype=np.float64))
         object.__setattr__(self, "cond", tuple(self.cond))
         object.__setattr__(self, "cond_cards", tuple(self.cond_cards))
         object.__setattr__(self, "fixed_context", dict(self.fixed_context))
@@ -147,6 +146,12 @@ class ConditionalTable:
                 f"{self.target}: {probs.shape[0]} rows, expected {expected}"
             )
         check_rows(self.target, "conditional", probs)
+        if self.counts is not None:
+            counts = np.asarray(self.counts, dtype=np.float64)
+            if counts.shape != probs.shape or not counts.min(initial=0.0) >= 0.0:
+                raise ScopeMismatch(f"{self.target}: counts must be {probs.shape[0]} rows of "
+                                    f"{self.target_card} non-negative numbers")
+            object.__setattr__(self, "counts", counts)
 
     @cached_property
     def _strides(self) -> tuple[int, ...]:
@@ -235,8 +240,7 @@ def learn_r(
         access = EmpiricalAccess(samples, g.cards)
     return {
         key: (
-            full_table(expr, access, {n: x[n] for n in g.names if n in expr.free and n in x},
-                       allow_free_axes=True),
+            full_table(expr, access, {n: x[n] for n in g.names if n in expr.free and n in x}),
             chain_depth(expr),
         )
         for key, expr in exprs.items()

@@ -90,9 +90,9 @@ class PmfTable:
             )
         if len(set(self.names)) != len(self.names):
             raise ScopeMismatch(f"duplicate variable names: {self.names}")
-        if probs.size and float(probs.min()) < -1e-12:
-            raise ValueError("negative probability mass")
-        if self.normalized and abs(self.total - 1.0) > TOTAL_TOL:
+        if not probs.min(initial=0.0) >= -ROW_TOL:  # written so that NaN fails
+            raise ValueError("negative or NaN probability mass")
+        if self.normalized and not abs(self.total - 1.0) <= TOTAL_TOL:
             raise ValueError(f"table mass {self.total!r} deviates from 1")
 
     @property

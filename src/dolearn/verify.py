@@ -264,8 +264,7 @@ def family_error(est: Estimand, net: CausalBayesNet, obs: PmfTable) -> float:
     fam = est.family_table(obs)
     # broadcast over observables the formula never reads
     idx = tuple(slice(None) if n in fam.names else None for n in obs.names)
-    perm = [fam.names.index(n) for n in obs.names if n in fam.names]
-    got = np.broadcast_to(np.transpose(fam.probs, perm)[idx], obs.cards)
+    got = np.broadcast_to(fam.probs[idx], obs.cards)
     oracle = interventional_family(net, est.intervened)
     diff = float(np.abs(got - oracle.probs).max())
     return math.inf if math.isnan(diff) else diff

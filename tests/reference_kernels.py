@@ -335,7 +335,7 @@ def q_from_table(obs, g, part):
         znames = conds[name]
         zcards = tuple(g.cards[g.index(z)] for z in znames)
         chain = ChainProduct(base, (name,), ((name, znames),))
-        rows = full_table(chain, obs, allow_free_axes=True).aligned_to(znames + (name,))
+        rows = full_table(chain, obs).aligned_to(znames + (name,))
         out[name] = ConditionalTable(
             name, g.cards[i], znames, zcards, rows.probs, kind="exact"
         )

@@ -173,3 +173,17 @@ def test_induced_subgraph_respects_components(g, data):
     sub_comps = {frozenset(sub.names[i] for i in c) for c in sub.c_components()}
     expected = {frozenset(g.names[i] for i in c) for c in chosen}
     assert sub_comps == expected
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: Admg(("A", "B"), (2,), (), ()), "names and cardinalities differ in length"),
+    (lambda: Admg(("A", "B"), (2, 2), {(0, 2)}, ()),
+     "edge (0,2) references an unknown variable"),
+    (lambda: Admg(("A", "B"), (2, 2), (), {(-1, 1)}),
+     "edge (-1,1) references an unknown variable"),
+    (lambda: Admg.build(["A", "B"]).index("Q"), "unknown variable 'Q'"),
+])
+def test_named_graph_errors(build, message):
+    with pytest.raises(GraphError) as exc:
+        build()
+    assert str(exc.value) == message

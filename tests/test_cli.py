@@ -377,6 +377,26 @@ def test_demo_example1(capsys):
     assert "P[z1|x]" in out["formula"]
 
 
+def test_demo_example2(capsys):
+    code = main(["demo", "example2", "--seed", "11", "--m", "20000"])
+    assert code == 0
+    out = json.loads(capsys.readouterr().out)
+    assert out["query"] == {"intervene": {"W": 0, "R": 0, "X": 1}, "targets": ["Y"]}
+    assert out["trace"] == ["step5c", "step2", "step5b"]
+    assert out["symbolic_vs_oracle_tv"] <= 1e-9
+    assert out["learned_vs_oracle_tv"] < 0.1
+    assert out["formula"].startswith("(Σ_w P[w]P[x|w,r]P[y|w,r,x])/(")
+
+
+def test_oracle_without_a_query_prints_the_observational_table(workdir, capsys):
+    tmp, g, net = workdir
+    assert main(["oracle", "--cbn", str(tmp / "net.json")]) == 0
+    out = json.loads(capsys.readouterr().out)
+    obs = exact_observational(net)
+    assert out["vars"] == list(obs.names)
+    assert np.allclose(out["probs"], obs.probs.reshape(-1))
+
+
 def test_demo_bow(capsys):
     assert main(["demo", "bow"]) == 0
     out = json.loads(capsys.readouterr().out)
@@ -642,6 +662,16 @@ NAME_CASES = {  # file, edit in place, error the CLI reports, part of its messag
     "true in counts": (
         "li", lambda o: _factor(o, "Z").update(counts=[[1.0, True], [1.0, 1.0]]),
         "ScopeMismatch", "counts of 'Z' must be nested JSON arrays of numbers"),
+    # each count file below once loaded, evaluated and was written back unchecked
+    "counts of another shape": (
+        "li", lambda o: _factor(o, "Z").update(counts=[[-5, 1e9, 3]]), "ScopeMismatch",
+        "Z: counts must be 2 rows of 2 non-negative numbers"),
+    "negative count": (
+        "li", lambda o: _factor(o, "Z").update(counts=[[1.0, -1.0], [1.0, 1.0]]),
+        "ScopeMismatch", "Z: counts must be 2 rows of 2 non-negative numbers"),
+    "NaN count": (
+        "li", lambda o: _factor(o, "Z").update(counts=[[1.0, float("nan")], [1.0, 1.0]]),
+        "ScopeMismatch", "Z: counts must be 2 rows of 2 non-negative numbers"),
     "kind not a string": (
         "li", lambda o: _factor(o, "Z").update(kind=1), "ScopeMismatch",
         "kind of 'Z' must be one of \"add1\", \"exact\" and \"fragment\", got int"),

@@ -27,6 +27,7 @@ from dolearn.estimand import (
     BaseDist,
     ChainProduct,
     ZeroConditioningEvent,
+    _plan,
     chain_depth,
     evaluate,
     full_table,
@@ -958,25 +959,24 @@ def _check_plans(g, x, net, m, seed):
         return
     accesses = (exact_observational(net),
                 EmpiricalAccess(sample_observational(net, seed, m), g.cards))
-    plans: dict = {}  # shared by both accesses: the plan depends on names only
+    _plan.cache_clear()  # shared by both accesses: the plan depends on names only
     for access in accesses:
         # the family table (free references as axes) and one intervention
-        for fixed, free_axes in (({n: 0 for n in est.arbitrary}, True),
-                                 ({**dict.fromkeys(est.arbitrary, 0), **x}, False)):
-            def run(cache):
-                return full_table(est.expr, access, fixed, allow_free_axes=free_axes,
-                                  plans=cache)
+        for fixed in ({n: 0 for n in est.arbitrary},
+                      {**dict.fromkeys(est.arbitrary, 0), **x}):
+            def run():
+                return full_table(est.expr, access, fixed)
 
             try:
                 want_names, want = ref.node_table(est.expr, access, fixed)
             except PositivityViolation as exc:
-                for cache in (None, plans, plans):
+                for _ in range(2):
                     with pytest.raises(PositivityViolation) as got:
-                        run(cache)
+                        run()
                     assert (got.value.variable, got.value.event) == (exc.variable, exc.event)
                 continue
-            for cache in (None, plans, plans):  # compiled fresh, then cached and reused
-                got = run(cache)
+            for _ in range(2):  # compiled on first use, then reused from the cache
+                got = run()
                 assert got.names == want_names
                 assert got.probs.shape == want.shape
                 assert got.probs.tobytes() == want.tobytes()
@@ -1016,6 +1016,24 @@ def test_compiled_plans_match_reference_on_tiny_batches(seed):
     g = random_admg(seed, 5, n_bidirected=3, cardinality=2 + seed % 2)
     x = {g.names[int(np.random.default_rng(seed).integers(5))]: 0}
     _check_plans(g, x, random_net_for(g, seed=seed), 20, seed)
+
+
+def test_one_plan_serves_a_table_and_a_batch_with_the_same_names():
+    g = fig4a_graph()
+    x = {"W": 0, "R": 1, "X": 0}
+    est = identify(CausalQuery(g, x, frozenset({"Y"})))
+    fixed = {**dict.fromkeys(est.arbitrary, 0), **x}
+    net = random_net_for(g, seed=11)
+    accesses = (exact_observational(net),
+                EmpiricalAccess(sample_observational(net, 3, 20_000), g.cards))
+    assert accesses[0].names == accesses[1].names
+    _plan.cache_clear()
+    for access in accesses:
+        want_names, want = ref.node_table(est.expr, access, fixed)
+        got = full_table(est.expr, access, fixed)
+        assert got.names == want_names
+        assert got.probs.tobytes() == want.tobytes()
+    assert _plan.cache_info()[:2] == (1, 1)  # (hits, misses)
 
 
 # the binary graphs random_admg(seed, 5, n_bidirected=3, max_component=5) with

@@ -3,13 +3,16 @@ import math
 import numpy as np
 import pytest
 
+from dolearn.admg import Admg
 from dolearn.estimand import (
     BaseDist,
     ChainProduct,
+    DistExpr,
     Marginal,
     Product,
     PositivityViolation,
     ZeroConditioningEvent,
+    _plan,
     chain_depth,
     evaluate,
     from_json_dict,
@@ -144,6 +147,7 @@ class TestFullTable:
         # -1 would read the X=1 table and 2 would fail inside numpy
         obs = exact_observational(random_net_for(fig3a, seed=7))
         est = identify(CausalQuery(fig3a, {"X": 0}, frozenset({"Z1", "Z2", "Y"})))
+        _plan.cache_clear()
         for _ in range(2):  # with an empty plan cache, then with a warm one
             with pytest.raises(ScopeMismatch, match="'X'"):
                 est.table(obs, {"X": value})
@@ -253,3 +257,99 @@ def test_soundness_on_random_identifiable_queries():
         assert np.abs(got.aligned_to(oracle.names).probs - oracle.probs).max() < 1e-9
         checked += 1
     assert checked >= 20
+
+
+AB = BaseDist(("A", "B"))
+
+
+@pytest.mark.parametrize("build, error, message", [
+    (lambda: Marginal(AB, frozenset({"C"})), ScopeMismatch,
+     "cannot drop ['C']: not in child scope"),
+    (lambda: ChainProduct(AB, ("A", "A"), (("A", ()), ("A", ()))), ScopeMismatch,
+     "duplicate variables in chain product"),
+    (lambda: ChainProduct(AB, ("A", "B"), (("B", ()), ("A", ()))), ScopeMismatch,
+     "conds must list exactly the chain variables in order"),
+    (lambda: ChainProduct(AB, ("A",), (("A", ("C",)),)), ScopeMismatch,
+     "chain factor 'A' references outside child scope"),
+    (lambda: ChainProduct(AB, ("A", "B"), (("A", ("B",)), ("B", ()))), ScopeMismatch,
+     "factor 'A' conditions on later chain variables"),
+    (lambda: Product(()), ScopeMismatch, "empty product"),
+    (lambda: render(AB, "html"), ValueError, "unknown render style 'html'"),
+    (lambda: to_json_dict(DistExpr()), TypeError, "unknown expression node DistExpr"),
+    (lambda: from_json_dict({"kind": "sum"}), ValueError, "unknown expression kind 'sum'"),
+])
+def test_named_expression_errors(build, error, message):
+    with pytest.raises(error) as exc:
+        build()
+    assert str(exc.value) == message
+
+
+def test_nested_chain_ratios_render_as_text():
+    # a chain over another chain prints each factor as a ratio of sums of the
+    # child, or as one sum where the factor conditions on nothing
+    abcd = ("A", "B", "C", "D")
+    inner = ChainProduct(BaseDist(abcd), abcd, (("A", ()), ("B", ()), ("C", ("A", "B")),
+                                                ("D", ("A", "B", "C"))))
+    outer = ChainProduct(inner, ("C", "D"), (("C", ("A",)), ("D", ("B",))))
+    assert render(outer) == (
+        "(Σ_{b',d'} P[a]P[b']P[c|a,b']P[d'|a,b',c])"
+        "/(Σ_{b',c',d'} P[a]P[b']P[c'|a,b']P[d'|a,b',c'])"
+        "(Σ_{a',c'} P[a']P[b]P[c'|a',b]P[d|a',b,c'])"
+        "/(Σ_{a',c',d'} P[a']P[b]P[c'|a',b]P[d'|a',b,c'])"
+    )
+    first = ChainProduct(inner, ("A", "C"), (("A", ()), ("C", ("A",))))
+    assert render(first) == (
+        "(Σ_{b,c',d} P[a]P[b]P[c'|a,b]P[d|a,b,c'])"
+        "(Σ_{b,d} P[a]P[b]P[c|a,b]P[d|a,b,c])"
+        "/(Σ_{b,c',d} P[a]P[b]P[c'|a,b]P[d|a,b,c'])"
+    )
+    assert render(outer, "latex").count(r"\dfrac") == 2
+
+
+def test_nan_mass_fails_the_table(fig3a):
+    # a table cannot be built holding NaN, so the entry is set after construction
+    obs = exact_observational(random_net_for(fig3a, seed=7))
+    obs.probs[0, 0, 0, 0] = np.nan
+    est = identify(CausalQuery(fig3a, {"X": 0}, frozenset({"Z1", "Z2", "Y"})))
+    with pytest.raises(ValueError, match="^estimand table mass nan deviates from 1$"):
+        est.table(obs, {"X": 0})
+    with pytest.raises(ValueError, match="^negative or NaN probability mass$"):
+        est.family_table(obs)
+
+
+class TestPlanCache:
+    def test_equal_trees_of_different_graphs_share_one_plan(self):
+        # both graphs give P(B, C | do(A)) = P[b|a]P[c|a,b]
+        graphs = [Admg.build(["A", "B", "C"], directed, [("B", "C")])
+                  for directed in ([("A", "B")], [("A", "B"), ("B", "C")])]
+        ests = [identify(CausalQuery(g, {"A": 0}, frozenset({"B", "C"}))) for g in graphs]
+        assert ests[0].expr == ests[1].expr and ests[0].graph != ests[1].graph
+        _plan.cache_clear()
+        for g, est in zip(graphs, ests):
+            net = random_net_for(g, seed=4)
+            got = est.table(exact_observational(net), {"A": 1})
+            want = exact_interventional(net, {"A": 1})
+            assert np.abs(got.aligned_to(want.names).probs - want.probs).max() < 1e-12
+        assert _plan.cache_info()[:2] == (1, 1)  # (hits, misses)
+
+    def test_a_table_without_its_intervention_value_fails_by_name(self, fig3a):
+        est = identify(CausalQuery(fig3a, {"X": 0}, frozenset({"Z1", "Z2", "Y"})))
+        obs = exact_observational(random_net_for(fig3a, seed=7))
+        with pytest.raises(ScopeMismatch) as exc:
+            est.table(obs, {})
+        assert str(exc.value) == "fixed values required for ['X']"
+        # full_table leaves it as an axis instead
+        assert full_table(est.expr, obs).names == obs.names
+
+    def test_a_point_reuses_its_plan(self, fig4a):
+        net = random_net_for(fig4a, seed=11)
+        access = EmpiricalAccess(sample_observational(net, 3, 2_000), fig4a.cards)
+        x = {"W": 0, "R": 1, "X": 0}
+        est = identify(CausalQuery(fig4a, x, frozenset({"Y"})))
+        _plan.cache_clear()
+        first = est.evaluate(access, {**x, "Y": 1})
+        assert _plan.cache_info()[:2] == (0, 1)
+        assert est.evaluate(access, {**x, "Y": 1}) == first
+        assert _plan.cache_info()[:2] == (1, 1)
+        est.evaluate(access, {**x, "Y": 0})  # another point is another plan
+        assert _plan.cache_info()[:2] == (1, 2)

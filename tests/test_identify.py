@@ -172,3 +172,9 @@ class TestStructuralProperties:
             oracle = exact_interventional(net, {"X": 1}).marginal_to({"Y"}).pmf({"Y": 1})
             for point in ({"X": 1, "Y": 1}, {"X": 1, "Y": 1, "W": 0}, {"X": 1, "Y": 1, "W": 1}):
                 assert est.evaluate(obs, point) == pytest.approx(oracle, abs=1e-12)
+
+
+@pytest.mark.parametrize("targets", [frozenset(), set(), ()])
+def test_an_empty_target_set_fails_by_name(fig3a, targets):
+    with pytest.raises(InvalidQuery, match="^target set is empty$"):
+        CausalQuery(fig3a, {"X": 0}, targets)

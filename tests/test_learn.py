@@ -482,8 +482,7 @@ class TestDualRoute:
         # the fragment query the learner compiles, materialized as it does
         est = identify(CausalQuery(g, {"X": 1}, frozenset({"A", "B"})))
         assert est.trace[0].step == "step4"
-        fam = full_table(est.expr, EmpiricalAccess(samples, g.cards), {"X": 1},
-                         allow_free_axes=True)
+        fam = full_table(est.expr, EmpiricalAccess(samples, g.cards), {"X": 1})
         assert set(fam.names) == {"A", "B"}
         assert fam.context == {"X": 1}
         oracle = exact_interventional(net, {"X": 1})
@@ -574,3 +573,18 @@ class TestBudget:
         m, detail = recommended_sample_size(fig3a, fig3a.indices({"X"}), 0.1, 0.1, 0.1)
         assert m >= max(detail["m_q"], detail["m_r"]) - 1
         assert detail["eps_r"] < detail["eps_q"]
+
+
+@pytest.mark.parametrize("counts", [
+    [[-5, 1e9, 3]],  # a shape other than the rows'
+    [[1.0, 2.0, 3.0, 4.0]],  # as many counts as entries, in another shape
+    [[1.0, -1.0], [2.0, 2.0]],
+    [[1.0, np.nan], [2.0, 2.0]],
+])
+def test_counts_must_match_the_rows_and_be_non_negative(counts):
+    rows = np.full((2, 2), 0.5)
+    with pytest.raises(ScopeMismatch) as exc:
+        ConditionalTable("Z", 2, ("A",), (2,), rows, counts=counts)
+    assert str(exc.value) == "Z: counts must be 2 rows of 2 non-negative numbers"
+    kept = ConditionalTable("Z", 2, ("A",), (2,), rows, counts=[[0, 3], [1, 1]])
+    assert kept.counts.dtype == np.float64 and kept.counts.tolist() == [[0, 3], [1, 1]]

@@ -67,6 +67,13 @@ class TestConstruction:
         assert ConditionalTable("Z", 2, ("A",), (2,), within).probs.shape == (2, 2)
 
 
+    @pytest.mark.parametrize("cardinality", [0, -1])
+    def test_a_cardinality_below_one_fails_by_name(self, cardinality):
+        with pytest.raises(GraphError) as exc:
+            CbnNode("X", cardinality, (), np.ones((1, 1)))
+        assert str(exc.value) == "X: cardinality must be positive"
+
+
 class TestSampling:
     def test_deterministic_net_forces_assignment(self):
         net = CausalBayesNet([

@@ -201,3 +201,30 @@ class TestSamples:
         s = Samples(("A", "B"), np.zeros((0, 2), dtype=np.int64))
         assert np.array_equal(s.counts_over(("A", "B"), (2, 2)), np.zeros((2, 2)))
         assert s.counts_over((), ()) == 0.0
+
+
+AB = PmfTable(("A", "B"), np.array([[0.1, 0.2], [0.3, 0.4]]))
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: AB.pmf({"A": 0}), "assignment lacks value for 'B'"),
+    (lambda: PmfTable(("A",), np.full((2, 2), 0.25)), "table has 2 axes but 1 names"),
+    (lambda: AB.axis("C"), "'C' not in table over ('A', 'B')"),
+    (lambda: Samples(("A", "B"), np.zeros((3, 3), dtype=np.int64)),
+     "sample array must be (m, n_vars)"),
+    (lambda: Samples(("A", "B"), np.zeros(4, dtype=np.int64)),
+     "sample array must be (m, n_vars)"),
+])
+def test_named_scope_errors(build, message):
+    with pytest.raises(ScopeMismatch) as exc:
+        build()
+    assert str(exc.value) == message
+
+
+@pytest.mark.parametrize("probs", [[[np.nan, 0.5], [0.25, 0.25]],
+                                   [[np.nan, np.nan], [np.nan, np.nan]],
+                                   [[-0.5, 1.0], [0.25, 0.25]]])
+@pytest.mark.parametrize("normalized", [True, False])
+def test_negative_or_nan_mass_fails(probs, normalized):
+    with pytest.raises(ValueError, match="^negative or NaN probability mass$"):
+        PmfTable(("A", "B"), probs, normalized=normalized)

@@ -1,15 +1,24 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
+from dolearn.admg import Admg
 from dolearn.identify import CausalQuery, identify
 from dolearn.learn import fit_from_table
-from dolearn.scm import exact_observational, random_admg, random_net_for, sample_observational
+from dolearn.scm import (
+    exact_interventional,
+    exact_observational,
+    random_admg,
+    random_net_for,
+    sample_observational,
+)
 from dolearn.tables import PmfTable, Samples, ScopeMismatch
 from dolearn.verify import (
     GraphMismatch,
     InfiniteKL,
+    VerifyReport,
     ZeroEvaluatorMass,
     compare_to_oracle,
     estimate_tv,
@@ -205,3 +214,18 @@ class TestSoundnessSweep:
         assert family_error(est, net, exact_observational(net)) < 1e-12
         other = exact_observational(random_net_for(g, seed=2))
         assert family_error(est, net, other) > 1e-3
+
+
+def test_compare_to_oracle_names_another_intervention_and_an_infinite_kl():
+    g = Admg.build(["X", "Y"], [("X", "Y")])
+    net = random_net_for(g, seed=5)
+    li = fit_from_table(exact_observational(net), g, {"X": 0})
+    with pytest.raises(GraphMismatch) as exc:
+        compare_to_oracle(li, net, {"X": 1})
+    assert str(exc.value) == "object was learned for {'X': 0}, queried with {'X': 1}"
+    y = li.factors["Y"]
+    never_one = dataclasses.replace(y, probs=np.tile([1.0, 0.0], (y.probs.shape[0], 1)))
+    report = compare_to_oracle(dataclasses.replace(li, factors={"Y": never_one}), net, {"X": 0})
+    assert report.kl is None  # the oracle puts mass on Y = 1
+    assert report.tv == pytest.approx(exact_interventional(net, {"X": 0}).pmf({"Y": 1}))
+    assert VerifyReport(tv=0.0, kl=0.0, x={}, m=None).worst_factor() is None
