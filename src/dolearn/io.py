@@ -281,8 +281,8 @@ def samples_to_csv(samples: Samples) -> str:
 
 
 def _single_digit_cells(body: str, k: int) -> np.ndarray | None:
-    """The (m, k) symbols of a body made only of ``d,d,...,d\\n`` rows of k
-    single ASCII digits, or None for any other body."""
+    """The (m, k) ``uint8`` symbols of a body made only of ``d,d,...,d\\n``
+    rows of k single ASCII digits, or None for any other body."""
     if not body.isascii() or len(body) % (2 * k):
         return None
     view = np.frombuffer(body.encode("ascii"), dtype=np.uint8).reshape(-1, 2 * k)
@@ -291,7 +291,7 @@ def _single_digit_cells(body: str, k: int) -> np.ndarray | None:
     digits = view[:, ::2] - np.uint8(ord("0"))  # wraps every non-digit above 9
     if not (digits < 10).all():
         return None
-    return digits.astype(np.int64)
+    return digits
 
 
 def samples_from_csv(text: str) -> Samples:
@@ -301,8 +301,11 @@ def samples_from_csv(text: str) -> Samples:
     CRLF line ends and blank lines allowed). A body of rows of single ASCII
     digits, each row ending in ``\\n``, as :func:`samples_to_csv` writes it
     for a batch of symbols below 10, is decoded from its bytes directly to the
-    same array. Header names must be distinct and non-empty; columns that a
-    graph does not name are kept here and ignored by the learner.
+    same values, held as ``uint8``. Any other body is read by ``np.loadtxt``
+    as int64, which may hold negative symbols; the batch rejects those by
+    name when it is read. Header names must be distinct and non-empty;
+    columns that a graph does not name are kept here and ignored by the
+    learner.
     """
     head, _, body = text.partition("\n")
     try:

@@ -148,6 +148,14 @@ class CausalBayesNet:
                 raise GraphError(f"{nd.name}: cpt has {nd.cpt.shape[0]} rows, "
                                  f"expected {expected_rows}")
 
+    @classmethod
+    def _compiled(cls, nodes: tuple[CbnNode, ...], layout: _Layout) -> "CausalBayesNet":
+        """A net over nodes that are known to match ``layout`` and to hold
+        checked CPT rows, built without checking them again."""
+        net = object.__new__(cls)
+        net.nodes, net._layout = nodes, layout
+        return net
+
     def node(self, name: str) -> CbnNode:
         try:
             return self.nodes[self._layout.pos[name]]
@@ -401,32 +409,46 @@ def random_net_for(
     first, then the observables; each run of consecutive nodes of equal
     cardinality takes its CPT rows from one Dirichlet draw, which consumes
     the seed's stream exactly as one draw per node would. The nodes without
-    their rows are planned once per graph and hidden cardinality.
+    their rows, and the net's layout, are planned once per graph and hidden
+    cardinality. Each draw's rows are checked once, with
+    :func:`~dolearn.tables.check_rows`; a bad row raises the
+    :class:`GraphError` that the node owning it would raise.
     """
+    layout, plan = _net_plan(g, hidden_cardinality)
     rng = np.random.default_rng(seed)
     nodes: list[CbnNode] = []
-    for card, n_rows, run in _net_plan(g, hidden_cardinality):
+    for card, n_rows, run in plan:
         rows = _floored_rows(rng, n_rows, card, gamma)
-        nodes.extend(CbnNode(name, card, parents, rows[start:stop], hidden=hidden)
-                     for name, parents, hidden, start, stop in run)
-    return CausalBayesNet(nodes)
+        try:
+            check_rows("", "cpt", rows, GraphError)
+        except GraphError:
+            for name, _, _, start, stop in run:
+                check_rows(name, "cpt", rows[start:stop], GraphError)
+            raise
+        for name, parents, hidden, start, stop in run:
+            node = object.__new__(CbnNode)  # its fields are those CbnNode() would check
+            node.__dict__.update(name=name, cardinality=card, parents=parents,
+                                 cpt=rows[start:stop], hidden=hidden)
+            nodes.append(node)
+    return CausalBayesNet._compiled(tuple(nodes), layout)
 
 
 @functools.lru_cache(maxsize=64)  # see _layout
-def _net_plan(g: Admg, hidden_cardinality: int) -> tuple:
-    """:func:`random_net_for`'s nodes without their rows: per run of equal
-    cardinality, ``(cardinality, rows drawn, ((name, parents, hidden, first
-    row, end row), ...))``."""
+def _net_plan(g: Admg, hidden_cardinality: int) -> tuple[_Layout, tuple]:
+    """:func:`random_net_for`'s layout, and its nodes without their rows: per
+    run of equal cardinality, ``(cardinality, rows drawn, ((name, parents,
+    hidden, first row, end row), ...))``."""
     signature = standard_form(g, hidden_cardinality)
+    layout = _layout(signature)
     plan = []
-    for card, run in itertools.groupby(zip(signature, _layout(signature).rows),
+    for card, run in itertools.groupby(zip(signature, layout.rows),
                                        key=lambda spec: spec[0][1]):
         members, start = [], 0
         for (name, _, parents, hidden), n_rows in run:
             members.append((name, parents, hidden, start, start + n_rows))
             start += n_rows
         plan.append((card, start, tuple(members)))
-    return tuple(plan)
+    return layout, tuple(plan)
 
 
 def random_admg(

@@ -173,7 +173,12 @@ class Samples:
     """A batch of joint observations: one column per variable, one row per draw.
 
     ``values`` is a read-only view of the array passed in; samplers pass the
-    transpose of an (n_vars, m) buffer, so each column is contiguous. The
+    transpose of an (n_vars, m) buffer, so each column is contiguous. A batch
+    that the sampler or the CSV reader builds holds its symbols in the
+    smallest unsigned dtype that holds its largest possible symbol: ``uint8``
+    up to cardinality 256, ``uint16`` above (``np.min_scalar_type``); a CSV
+    read through ``np.loadtxt`` stays int64. Code that multiplies symbols
+    widens them to int64 first (:func:`row_index`, :meth:`row_codes`). The
     batch's sufficient statistics (its distinct rows and their multiplicities)
     are computed on first use and memoized, so each ``counts_over`` is a
     bincount over at most min(m, prod(cards)) distinct rows. The batch keeps
@@ -245,14 +250,16 @@ class Samples:
         code = np.zeros(m, dtype=np.int64)
         size = 1
         for j, top in enumerate(self._top):
-            col = self.values[:, j].astype(np.int64, copy=False)
+            col = self.values[:, j]
+            if not np.can_cast(col.dtype, np.int64):  # uint64: no safe int64 add
+                col = col.astype(np.int64)
             radix = top + 1
             if radix > m:
                 col, radix = _densify(col)
             if size * radix > CODE_LIMIT:
                 code, size = _densify(code)
             code *= radix
-            code += col
+            code += col  # a narrow column widens inside the add, with no m-length copy
             size *= radix
         if size > max(DENSE_FACTOR * m, 1 << 16):
             code, size = _densify(code)
@@ -349,7 +356,12 @@ def ancestral_sample(
     variable is drawn by an earlier step or held at its ``fixed`` value, which
     offsets the rows whose cumulative sums give the step's thresholds.
     Variables in ``keep`` are written straight into the rows of an
-    (n_keep, m) int64 buffer whose transpose is the batch.
+    (n_keep, m) buffer whose transpose is the batch. The buffer, and the
+    scratch columns of the other steps, take the smallest unsigned dtype that
+    holds the largest symbol their steps can draw (``np.min_scalar_type(card
+    - 1)``: ``uint8`` up to card 256, ``uint16`` above); the row index a step
+    reads stays int64, and each parent is widened before it is multiplied by
+    its stride.
 
     The stream is the ``numpy-pcg64`` contract: the uniform of step ``j`` for
     row ``r`` is draw ``j * m + r`` of ``default_rng(seed)``. Rows are drawn in
@@ -370,9 +382,12 @@ def ancestral_sample(
         drawn = [(c, s) for c, s in zip(cond, strides) if c not in fixed]
         plan.append((name, drawn, cdf_thresholds(np.cumsum(probs[offset:], axis=1))))
     dropped = {n: i for i, n in enumerate(n for n, _, _ in plan if n not in slot)}
-    buf = np.empty((len(keep), m), dtype=np.int64)
+    # a step's thresholds have card - 1 rows, the largest symbol it draws
+    kept_top = max((len(t) for n, _, t in plan if n in slot), default=0)
+    dropped_top = max((len(t) for n, _, t in plan if n in dropped), default=0)
+    buf = np.empty((len(keep), m), dtype=np.min_scalar_type(kept_top))
     width = min(m, BLOCK_ROWS)
-    scratch = np.empty((len(dropped), width), dtype=np.int64)
+    scratch = np.empty((len(dropped), width), dtype=np.min_scalar_type(dropped_top))
     u_buf = np.empty(width, dtype=np.float64)
     index_buf = np.empty(width, dtype=np.int64)
     rng = np.random.default_rng(seed)
@@ -386,9 +401,9 @@ def ancestral_sample(
             rows: np.ndarray | int = 0
             for c, s in drawn:
                 if rows is index:  # a later drawn parent adds into the buffer
-                    index += cols[c] * s
+                    index += np.multiply(cols[c], s, dtype=np.int64)
                 else:
-                    rows = np.multiply(cols[c], s, out=index)
+                    rows = np.multiply(cols[c], s, out=index, dtype=np.int64)
             start = j * m + lo  # the stream position of this step's first draw here
             if start != at:
                 rng.bit_generator.advance(start - at)  # negative at a block start
@@ -442,10 +457,13 @@ def row_product(
 def row_index(
     cond: Sequence[str], strides: Sequence[int], grid: Mapping[str, int | np.ndarray]
 ) -> int | np.ndarray:
-    """The conditional row a step reads at ``grid``: ``sum(grid[c] * stride)``."""
+    """The conditional row a step reads at ``grid``: ``sum(grid[c] * stride)``.
+    A numpy value is widened to int64 before it is multiplied, so a narrow
+    symbol times a stride cannot wrap."""
     row: int | np.ndarray = 0
     for c, s in zip(cond, strides):
-        row = row + grid[c] * s
+        v = grid[c]
+        row = row + (v * s if type(v) is int else np.multiply(v, s, dtype=np.int64))
     return row
 
 

@@ -156,6 +156,30 @@ def _card3_net():
     return g, random_net_for(g, seed=5)
 
 
+def _symbol_dtype(cards):
+    """The sampler's dtype rule: one byte a symbol up to cardinality 256, two above."""
+    return np.uint8 if max(cards, default=1) <= 256 else np.uint16
+
+
+def _card257_net():
+    """A card-257 observable, so the batch is uint16, read by a child after a
+    hidden parent of stride 257, whose uint8 scratch column must not wrap."""
+    rng = np.random.default_rng(0)
+    return CausalBayesNet([
+        CbnNode("U", 2, (), np.array([0.3, 0.7]), hidden=True),
+        CbnNode("A", 257, ("U",), rng.dirichlet(np.ones(257), size=2)),
+        CbnNode("B", 2, ("U", "A"), rng.dirichlet(np.ones(2), size=514)),
+    ])
+
+
+def _six_ternary_parents_net():
+    """B reads six ternary parents: the first has stride 243, past one byte."""
+    rng = np.random.default_rng(1)
+    parents = tuple(f"P{i}" for i in range(6))
+    return CausalBayesNet([CbnNode(p, 3, (), rng.dirichlet(np.ones(3))) for p in parents]
+                          + [CbnNode("B", 2, parents, rng.dirichlet(np.ones(2), size=729))])
+
+
 def _net_with_negative_cpt_entry():
     rows = np.array([[0.6, 0.4 + 1e-13, -1e-13], [0.2, 0.3, 0.5]])
     return CausalBayesNet([
@@ -171,6 +195,8 @@ def _net_with_negative_cpt_entry():
     lambda: random_net_for(fig4a_graph(), seed=3),
     lambda: _card3_net()[1],
     _net_with_negative_cpt_entry,
+    _card257_net,
+    _six_ternary_parents_net,
 ])
 def test_sample_observational_matches_reference(make):
     net = make()
@@ -179,7 +205,7 @@ def test_sample_observational_matches_reference(make):
         assert batch.names == net.observables
         assert batch.rng_algorithm == "numpy-pcg64"
         assert np.array_equal(batch.values, ref.sample_observational(net, seed, m))
-        assert batch.values.dtype == np.int64
+        assert batch.values.dtype == _symbol_dtype(net.cardinality(n) for n in net.observables)
 
 
 def _learned_objects():
@@ -216,7 +242,7 @@ def test_generate_sample_matches_reference(li):
 def _check_generate(li, seed, m):
     draws = sample(li, seed=seed, m=m)
     assert np.array_equal(draws.values, ref.generate_sample(li, seed, m))
-    assert draws.values.dtype == np.int64
+    assert draws.values.dtype == _symbol_dtype(li.cards())
     again = sample(li, seed=seed, m=m)
     assert np.array_equal(again.values, draws.values)
     cols = [draws.values[:, j] for j in range(len(li.order))]
@@ -292,7 +318,7 @@ def test_sample_observational_matches_reference_across_blocks(make, m):
     net = make()
     batch = sample_observational(net, seed=m + 1, m=m)
     assert np.array_equal(batch.values, ref.sample_observational(net, m + 1, m))
-    assert batch.values.dtype == np.int64
+    assert batch.values.dtype == _symbol_dtype(net.cardinality(n) for n in net.observables)
 
 
 @pytest.mark.parametrize("m", BLOCK_SIZES)
@@ -372,6 +398,9 @@ def test_counts_over_matches_per_call_bincount(m, cards):
     rows, counts = s.distinct
     assert counts.sum() == m
     assert len(np.unique(rows, axis=0)) == len(rows)
+    for dtype in ("uint16", "uint64"):  # a narrow batch, and one with no safe int64 add
+        narrow = Samples(names, values.astype(dtype)).distinct
+        assert np.array_equal(narrow.rows, rows) and np.array_equal(narrow.counts, counts)
 
 
 def _wide_binary_batch():
@@ -517,7 +546,9 @@ def test_csv_codec_matches_row_code_writer_and_loadtxt_reader(samples, mutation,
         return
     assert not isinstance(got, SampleCsvError), (mutation, got)
     assert got.names == want.names
-    assert got.values.dtype == want.values.dtype == np.int64
+    single_digit = mutation is None and samples.largest_symbol < 10
+    assert (got.values.dtype, want.values.dtype) == (np.uint8 if single_digit else np.int64,
+                                                     np.int64)
     assert np.array_equal(got.values, want.values)
     if mutation is None:
         assert np.array_equal(got.values, samples.values)

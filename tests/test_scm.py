@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from dolearn import scm
 from dolearn.admg import Admg, GraphError
 from dolearn.learn import ConditionalTable
 from dolearn.scm import (
@@ -65,6 +66,24 @@ class TestConstruction:
         within = np.array([[0.5, 0.5], [0.5, 0.5 + 1e-13]])  # inside the tolerance
         assert CbnNode("Z", 2, ("A",), within).cpt.shape == (2, 2)
         assert ConditionalTable("Z", 2, ("A",), (2,), within).probs.shape == (2, 2)
+
+    @pytest.mark.parametrize("at, row, message", [
+        (3, [1.5, -0.5], "^C: negative or NaN cpt entry$"),
+        (2, [0.5, 0.5 + 1e-9], "^B: cpt row 1 does not sum to 1$"),
+        (0, [np.nan, 1.0], "^A: negative or NaN cpt entry$"),
+    ])
+    def test_random_net_names_the_node_that_owns_a_bad_row(self, monkeypatch, at, row, message):
+        # one Dirichlet draw of five binary rows: A owns row 0, B rows 1-2, C rows 3-4
+        drawn = scm._floored_rows
+
+        def spoiled(*args):
+            rows = drawn(*args)
+            rows[at] = row
+            return rows
+
+        monkeypatch.setattr(scm, "_floored_rows", spoiled)
+        with pytest.raises(GraphError, match=message):
+            random_net_for(Admg.build(["A", "B", "C"], [("A", "B"), ("B", "C")]), seed=0)
 
 
     @pytest.mark.parametrize("cardinality", [0, -1])

@@ -1,9 +1,12 @@
 import numpy as np
 import pytest
 
+from dolearn.admg import Admg
 from dolearn.demo import fig3a_graph
 from dolearn.estimand import BaseDist, full_table
-from dolearn.scm import random_net_for, sample_observational
+from dolearn.generate import sample
+from dolearn.learn import evaluate_point, fit_from_table
+from dolearn.scm import exact_observational, random_net_for, sample_observational
 from dolearn.tables import (
     EmpiricalAccess,
     PmfTable,
@@ -11,8 +14,10 @@ from dolearn.tables import (
     ScopeMismatch,
     ancestral_sample,
     iter_assignments,
+    row_index,
     strides_for,
 )
+from dolearn.verify import estimate_tv
 
 COIN_STEPS = [("A", (), (), np.array([[0.5, 0.5]]))]
 
@@ -228,3 +233,24 @@ def test_named_scope_errors(build, message):
 def test_negative_or_nan_mass_fails(probs, normalized):
     with pytest.raises(ValueError, match="^negative or NaN probability mass$"):
         PmfTable(("A", "B"), probs, normalized=normalized)
+
+
+@pytest.mark.parametrize("dtype", [np.uint8, np.uint16, np.int32])
+def test_narrow_symbols_read_the_rows_int64_symbols_read(dtype):
+    # B reads six ternary parents; the first has stride 243, so its symbol 2
+    # times its stride is past one byte
+    g = Admg.build([*((f"P{i}", 3) for i in range(6)), ("B", 2)],
+                   [(f"P{i}", "B") for i in range(6)])
+    li = fit_from_table(exact_observational(random_net_for(g, seed=3)), g, {})
+    wide = dict(zip(li.order, np.indices(li.cards()).reshape(len(li.order), -1)))
+    narrow = {n: v.astype(dtype) for n, v in wide.items()}
+    _, cond, strides, _ = li.factors["B"].step
+    assert np.array_equal(row_index(cond, strides, narrow), row_index(cond, strides, wide))
+    assert np.array_equal(evaluate_point(li, narrow), evaluate_point(li, wide))
+
+    def draws(as_dtype):
+        return lambda seed, m: Samples(li.order, sample(li, seed, m).values.astype(as_dtype))
+
+    table = li.table()
+    want = estimate_tv(draws(np.int64), li.evaluate, table.pmf, 0.1, 0.1, seed=2)
+    assert estimate_tv(draws(dtype), li.evaluate, table.pmf, 0.1, 0.1, seed=2) == want
