@@ -372,7 +372,7 @@ def _compile_chain(
 
     def run_chain(access: DistAccess) -> np.ndarray:
         carrs = [run(access) for _, run in child_plans]
-        out = _ONE
+        out = None  # from the first factor on, so a plan keeps the access's dtype
         for (keep, child, sum_axes, slc, v, num_names, v_slc, event_pins,
              out_view, factor_view) in steps:
             num = (access.marginal_probs(keep) if child is None
@@ -382,8 +382,9 @@ def _compile_chain(
             factor = conditional(num, num_names, v, event_pins)
             if v_slc is not None:
                 factor = factor[v_slc]
-            out = _apply(out, out_view) * _apply(factor, factor_view)
-        return out
+            factor = _apply(factor, factor_view)
+            out = factor if out is None else _apply(out, out_view) * factor
+        return _ONE if out is None else out  # an empty chain is the constant 1
 
     return out_names, run_chain
 

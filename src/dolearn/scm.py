@@ -239,7 +239,7 @@ def _full_joint(
                     factor = factor[at]
             joint = joint * factor
     if np.shape(joint) != shape:  # an axis no factor reads
-        full = np.empty(shape)
+        full = np.empty(shape, dtype=np.result_type(joint))
         full[...] = joint
         joint = full
     joint = np.asarray(joint, order="C")

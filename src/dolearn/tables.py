@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import operator
 from dataclasses import dataclass
 from functools import cached_property
@@ -177,9 +178,10 @@ class Samples:
     that the sampler or the CSV reader builds holds its symbols in the
     smallest unsigned dtype that holds its largest possible symbol: ``uint8``
     up to cardinality 256, ``uint16`` above (``np.min_scalar_type``); a CSV
-    read through ``np.loadtxt`` stays int64. Code that multiplies symbols
-    widens them to int64 first (:func:`row_index`, :meth:`row_codes`). The
-    batch's sufficient statistics (its distinct rows and their multiplicities)
+    read through ``np.loadtxt`` stays int64. Only :func:`row_index` widens
+    symbols to int64 before it multiplies them; the codes of
+    :meth:`row_codes` take the narrow dtype of their code space. The batch's
+    sufficient statistics (its distinct rows and their multiplicities)
     are computed on first use and memoized, so each ``counts_over`` is a
     bincount over at most min(m, prod(cards)) distinct rows. The batch keeps
     them valid only while the caller leaves the array it passed in unchanged.
@@ -236,30 +238,35 @@ class Samples:
         return max(self._top, default=-1)
 
     def row_codes(self) -> tuple[np.ndarray, int]:
-        """One int64 code per row, and the size of the code space.
+        """One code per row, and the size of the code space.
 
         Codes lie in ``[0, size)``, are equal exactly for equal rows, and
         ascend with the rows' mixed-radix order over the observed per-column
-        radix. When the next column would
-        overflow int64, the running code is first re-densified to its rank
-        among the codes seen so far, and once more if the final code space
-        exceeds max(4m, 2**16). Raises :class:`ScopeMismatch` for a non-integer
-        batch or a negative symbol. Not memoized: the codes cost 8 bytes a row.
+        radix. The code takes the smallest unsigned dtype that holds the
+        product of the radices (``uint16`` for 14 binary columns), each column
+        added into it as it is, so no column is widened over all m rows. Above
+        :data:`CODE_LIMIT` the code is int64, and when the next column would
+        overflow it, the running code is first re-densified to its rank
+        among the codes seen so far. The final code is re-densified once more
+        if its space exceeds max(4m, 2**16). Raises :class:`ScopeMismatch` for
+        a non-integer batch or a negative symbol. Not memoized.
         """
         m = self.m
-        code = np.zeros(m, dtype=np.int64)
+        # a column with more symbols than rows is re-densified to at most m
+        bound = math.prod(min(top + 1, m) for top in self._top)
+        code = np.zeros(m, dtype=np.min_scalar_type(bound) if bound <= CODE_LIMIT else np.int64)
         size = 1
         for j, top in enumerate(self._top):
             col = self.values[:, j]
-            if not np.can_cast(col.dtype, np.int64):  # uint64: no safe int64 add
-                col = col.astype(np.int64)
             radix = top + 1
             if radix > m:
                 col, radix = _densify(col)
             if size * radix > CODE_LIMIT:
                 code, size = _densify(code)
             code *= radix
-            code += col  # a narrow column widens inside the add, with no m-length copy
+            # in the code's dtype, not in float64 as int64 + uint64 would be; a
+            # symbol is below its radix, so the unsafe cast of the column cannot wrap
+            np.add(code, col, out=code, dtype=code.dtype, casting="unsafe")
             size *= radix
         if size > max(DENSE_FACTOR * m, 1 << 16):
             code, size = _densify(code)
@@ -269,12 +276,18 @@ class Samples:
     def distinct(self) -> DistinctRows:
         """Distinct rows and multiplicities from one :meth:`row_codes` pass, in
         code order. Equal codes mean equal rows, so a code keeps any row of it:
-        the last one a scatter writes, in blocks so that no second m-length array forms."""
+        the last one a scatter writes. The codes are counted and scattered a
+        block at a time, so the only m-length array is the narrow code itself;
+        a block holds max(:data:`BLOCK_ROWS`, size) rows, so each bincount of
+        ``size`` bins costs at most twice its rows."""
         code, size = self.row_codes()
-        counts = np.bincount(code, minlength=size)
+        counts = np.zeros(size, dtype=np.int64)
         at = np.empty(size, dtype=np.int64)
-        for lo in range(0, self.m, BLOCK_ROWS):
-            at[code[lo:lo + BLOCK_ROWS]] = np.arange(lo, min(lo + BLOCK_ROWS, self.m))
+        step = max(BLOCK_ROWS, size)
+        for lo in range(0, self.m, step):
+            block = code[lo:lo + step].astype(np.intp, copy=False)
+            counts += np.bincount(block, minlength=size)
+            at[block] = np.arange(lo, lo + len(block))
         present = np.flatnonzero(counts)
         rows = self.values[at[present]].astype(np.int64)
         weights = counts[present].astype(np.float64)
@@ -326,9 +339,11 @@ def draw_inverse_cdf(
     """Invert one uniform per draw through the cumulative row it selects.
 
     ``thresholds`` is :func:`cdf_thresholds` of a table with one
-    cumulative-probability row per conditioning configuration. ``out[i]``
-    becomes the number of the ``card - 1`` smallest thresholds of row
-    ``rows[i]`` that ``u[i]`` exceeds. On every row, sorted or not, that is
+    cumulative-probability row per conditioning configuration; ``rows`` is
+    a row number or an array of them in any integer dtype (the sampler's is
+    the narrowest that holds its row count). ``out[i]`` becomes the number
+    of the ``card - 1`` smallest thresholds of row ``rows[i]`` that ``u[i]``
+    exceeds. On every row, sorted or not, that is
     the count of all ``card`` thresholds exceeded capped at ``card - 1``, so
     rounding in the last cumulative entry cannot yield an out-of-range
     symbol, and the draws for a seed are those of the compare-and-cap form.
@@ -359,9 +374,11 @@ def ancestral_sample(
     (n_keep, m) buffer whose transpose is the batch. The buffer, and the
     scratch columns of the other steps, take the smallest unsigned dtype that
     holds the largest symbol their steps can draw (``np.min_scalar_type(card
-    - 1)``: ``uint8`` up to card 256, ``uint16`` above); the row index a step
-    reads stays int64, and each parent is widened before it is multiplied by
-    its stride.
+    - 1)``: ``uint8`` up to card 256, ``uint16`` above). A step's row index
+    takes ``np.min_scalar_type(n)``, n being the number of rows it reads from
+    its offset or, if larger, a drawn parent's stride (a cardinality-1
+    parent's can be); each parent is multiplied by its stride and added in
+    that dtype, which its symbols cannot overflow.
 
     The stream is the ``numpy-pcg64`` contract: the uniform of step ``j`` for
     row ``r`` is draw ``j * m + r`` of ``default_rng(seed)``. Rows are drawn in
@@ -376,34 +393,36 @@ def ancestral_sample(
     seed = _count(seed, "seed")
     fixed = fixed or {}
     slot = {n: i for i, n in enumerate(keep)}
-    plan = []  # (variable, drawn parents with strides, thresholds from the fixed offset)
+    plan = []  # (variable, drawn parents with strides, index dtype, thresholds from the offset)
     for name, cond, strides, probs in steps:
         offset = sum(fixed[c] * s for c, s in zip(cond, strides) if c in fixed)
         drawn = [(c, s) for c, s in zip(cond, strides) if c not in fixed]
-        plan.append((name, drawn, cdf_thresholds(np.cumsum(probs[offset:], axis=1))))
-    dropped = {n: i for i, n in enumerate(n for n, _, _ in plan if n not in slot)}
+        index_type = np.min_scalar_type(max([len(probs) - offset, *(s for _, s in drawn)]))
+        plan.append((name, drawn, index_type, cdf_thresholds(np.cumsum(probs[offset:], axis=1))))
+    dropped = {n: i for i, n in enumerate(n for n, *_ in plan if n not in slot)}
     # a step's thresholds have card - 1 rows, the largest symbol it draws
-    kept_top = max((len(t) for n, _, t in plan if n in slot), default=0)
-    dropped_top = max((len(t) for n, _, t in plan if n in dropped), default=0)
+    kept_top = max((len(t) for n, _, _, t in plan if n in slot), default=0)
+    dropped_top = max((len(t) for n, _, _, t in plan if n in dropped), default=0)
     buf = np.empty((len(keep), m), dtype=np.min_scalar_type(kept_top))
     width = min(m, BLOCK_ROWS)
     scratch = np.empty((len(dropped), width), dtype=np.min_scalar_type(dropped_top))
     u_buf = np.empty(width, dtype=np.float64)
-    index_buf = np.empty(width, dtype=np.int64)
+    index_bufs = {t: np.empty(width, dtype=t) for _, drawn, t, _ in plan if drawn}
     rng = np.random.default_rng(seed)
     at = 0  # draws of the stream consumed so far
     for lo in range(0, m, BLOCK_ROWS):
         hi = min(lo + BLOCK_ROWS, m)
-        u, index = u_buf[: hi - lo], index_buf[: hi - lo]
+        u = u_buf[: hi - lo]
+        index = {t: b[: hi - lo] for t, b in index_bufs.items()}
         cols = {n: buf[i, lo:hi] for n, i in slot.items()}
         cols.update({n: scratch[i, : hi - lo] for n, i in dropped.items()})
-        for j, (name, drawn, thresholds) in enumerate(plan):
+        for j, (name, drawn, index_type, thresholds) in enumerate(plan):
             rows: np.ndarray | int = 0
             for c, s in drawn:
-                if rows is index:  # a later drawn parent adds into the buffer
-                    index += np.multiply(cols[c], s, dtype=np.int64)
+                if rows is index[index_type]:  # a later drawn parent adds into the buffer
+                    rows += np.multiply(cols[c], s, dtype=index_type)
                 else:
-                    rows = np.multiply(cols[c], s, out=index, dtype=np.int64)
+                    rows = np.multiply(cols[c], s, out=index[index_type], dtype=index_type)
             start = j * m + lo  # the stream position of this step's first draw here
             if start != at:
                 rng.bit_generator.advance(start - at)  # negative at a block start

@@ -1,7 +1,9 @@
 """Package code against reference versions kept in the test tree: the vectorized
 batch kernels and the sample CSV writer against their loop-and-stack forms (the
 samplers also at batch sizes around their row blocks, with their scratch memory
-held to a few blocks), the byte-array sample CSV codec against its row-code
+held to a few blocks, and at the edges of their narrow row indices; the row
+codes at the edges of their narrow dtypes, with the count's memory held to a
+few blocks), the byte-array sample CSV codec against its row-code
 writer and ``np.loadtxt`` reader, the fragment learner against its former copy
 of the identification recursion, the Bayes-net learner's conditioning sets
 against the former effective-parent rule and its exact rows against the
@@ -427,6 +429,94 @@ def test_distinct_rows_are_first_occurrences_in_code_order():
     rows, counts = Samples(("A", "B"), values).distinct
     assert rows.tolist() == [[0, 1], [0, 2], [1, 0]]
     assert counts.tolist() == [1.0, 3.0, 2.0]
+
+
+# -- row indices and row codes at the edges of their narrow dtypes
+
+
+def _wide_family_net(parent_cards, card1_first):
+    """B reads parents of ``parent_cards``, first a cardinality-1 parent when
+    ``card1_first``: its stride is then as large as the rows B reads. D reads
+    B's three rows, from a uint16 batch column when a parent has card 257."""
+    rng = np.random.default_rng(len(parent_cards))
+    parents = ("C",) * card1_first + tuple(f"P{i}" for i in range(len(parent_cards)))
+    cards = (1,) * card1_first + tuple(parent_cards)
+    nodes = [CbnNode(p, c, (), rng.dirichlet(np.ones(c))) for p, c in zip(parents, cards)]
+    rows = rng.dirichlet(np.ones(3), size=int(np.prod(parent_cards)))
+    return CausalBayesNet(nodes + [CbnNode("B", 3, parents, rows),
+                                   CbnNode("D", 2, ("B",), rng.dirichlet(np.ones(2), size=3))])
+
+
+@pytest.mark.parametrize("card1_first", [False, True], ids=["drawn", "card1-first"])
+@pytest.mark.parametrize("parent_cards", [(15, 17), (16, 16), (257,)],
+                         ids=["255-rows", "256-rows", "257-rows"])
+def test_sampler_row_index_at_the_one_byte_edge(parent_cards, card1_first):
+    net = _wide_family_net(parent_cards, card1_first)
+    for seed, m in [(0, 1), (1, BLOCK_ROWS + 5)]:
+        batch = sample_observational(net, seed=seed, m=m)
+        assert np.array_equal(batch.values, ref.sample_observational(net, seed, m))
+
+
+@pytest.mark.parametrize("x", [{"V1": 0}, {"V1": 127}, {"V1": 299}])
+def test_generate_row_index_with_a_fixed_parent_between_drawn_ones(x):
+    # V3 reads (V0, V1, V2) at strides (600, 2, 1) with V1 intervened: from the
+    # offset it reads 2 to 600 rows, past which the cardinality-1 V0 strides
+    g = Admg.build([("V0", 1), ("V1", 300), ("V2", 2), ("V3", 2)],
+                   [("V0", "V3"), ("V1", "V3"), ("V2", "V3")])
+    li = fit_from_table(exact_observational(random_net_for(g, seed=4)), g, x)
+    assert li.factors["V3"].cond == ("V0", "V1", "V2")
+    _check_generate(li, seed=6, m=BLOCK_ROWS + 5)
+
+
+@pytest.mark.parametrize("m, cards", [
+    (300, (2,) * 8),  # a code space of 2**8
+    (300, (256,)),  # one column of radix 2**8
+    (300, (257, 1)),  # 2**8 + 1
+    (20_000, (2,) * 16),  # 2**16, bincounted without re-densifying
+    (70_000, (65_536,)),  # one column of radix 2**16
+    (70_000, (1, 65_537)),  # 2**16 + 1
+])
+def test_row_codes_take_the_dtype_of_their_code_space(m, cards):
+    rng = np.random.default_rng(m + len(cards))
+    names, values = _random_batch(rng, m, cards)
+    values[0] = np.array(cards) - 1  # every column's radix is its card
+    size = int(np.prod(cards))
+    want = np.ravel_multi_index(tuple(values.T), cards)
+    for dtype in ("int64", "uint16", "uint64"):
+        if max(cards) > 2**16 and dtype == "uint16":
+            continue
+        s = Samples(names, values.astype(dtype))
+        code, got = s.row_codes()
+        assert got == size and code.dtype == np.min_scalar_type(size)
+        assert np.array_equal(code, want)
+        for keep in [names, names[:1], names[-1:], names[::2]]:
+            sub = tuple(cards[names.index(n)] for n in keep)
+            assert np.array_equal(s.counts_over(keep, sub),
+                                  ref.counts_over(names, values, keep, sub))
+
+
+def test_distinct_adds_three_bytes_a_row_and_a_few_blocks():
+    # 14 binary columns: the code is uint16, 2 bytes a row; one bincount over
+    # all of it would copy it to intp, 8 bytes a row more. The rows repeat 64
+    # patterns, so the distinct rows kept are a few KiB and the peak is in the count
+    m = 2**17
+    rng = np.random.default_rng(0)
+    patterns = rng.integers(0, 2, size=(64, 14), dtype=np.uint8)
+    patterns[0] = 1  # every column's radix is 2
+    s = Samples(tuple(f"V{j}" for j in range(14)), patterns[rng.integers(0, 64, size=m)])
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        rows, _ = s.distinct
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(rows) <= 64
+    block_bytes = BLOCK_ROWS * 8
+    # the code, and per block its intp copy, bincount and row numbers, with
+    # the counts and first rows over the 2**14 codes
+    extra = peak - base
+    assert extra <= 3 * m + 5 * block_bytes, (extra - 3 * m) / block_bytes
 
 
 HEADER_NAMES = ["A", "V10", "B,C", 'say "hi"', " pad ", "Σ", "line\nbreak", "semi;colon"]

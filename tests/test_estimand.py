@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -353,3 +354,33 @@ class TestPlanCache:
         assert _plan.cache_info()[:2] == (1, 1)
         est.evaluate(access, {**x, "Y": 0})  # another point is another plan
         assert _plan.cache_info()[:2] == (1, 2)
+
+
+class FractionAccess:
+    """Exact marginals of a joint held as an object array of Fractions."""
+
+    def __init__(self, names, probs):
+        self.names, self.probs = tuple(names), probs
+        self.cards = probs.shape
+
+    def marginal_probs(self, keep):
+        drop = tuple(i for i, n in enumerate(self.names) if n not in keep)
+        return self.probs.sum(axis=drop) if drop else self.probs
+
+
+@pytest.mark.parametrize("graph, x", [
+    ("fig3a", {"X": 0}),  # a product of chains over the base
+    ("fig4a", {"W": 0, "R": 1, "X": 0}),  # chains over a chain
+])
+def test_a_plan_over_fractions_stays_exact(graph, x, request):
+    g = request.getfixturevalue(graph)
+    weights = np.random.default_rng(5).integers(1, 50, size=g.cards)
+    joint = np.vectorize(lambda w: Fraction(int(w), int(weights.sum())), otypes=[object])(weights)
+    est = identify(CausalQuery(g, x, frozenset(g.names) - set(x)))
+    names, run = _plan(est.expr, g.names, tuple(sorted(x.items())), False)
+    exact = run(FractionAccess(g.names, joint))
+    assert exact.dtype == object and {type(v) for v in exact.flat} == {Fraction}
+    assert sum(exact.flat) == 1
+    table = est.table(PmfTable(g.names, joint.astype(np.float64)), x)
+    assert table.names == names
+    assert np.abs(exact.astype(np.float64) - table.probs).max() < 1e-12
