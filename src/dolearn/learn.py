@@ -185,20 +185,20 @@ def learn_q(
     out: dict[str, ConditionalTable] = {}
     for i in sorted(part.c_high):
         name = g.names[i]
-        card = g.cards[i]
-        znames = conds[name]
-        zcards = tuple(g.cards[g.index(z)] for z in znames)
-        names = znames + (name,)
+        names = conds[name] + (name,)
+        counts = None
         if isinstance(samples_or_table, PmfTable):  # divided in table order, as chains are
             marg = samples_or_table.marginal_to(names)
             rows = conditional(marg.probs, marg.names, name)
             rows = rows.transpose([marg.names.index(n) for n in names])
-            out[name] = ConditionalTable(name, card, znames, zcards, rows, kind="exact")
         else:
-            counts = samples_or_table.counts_over(names, zcards + (card,))
-            out[name] = ConditionalTable(name, card, znames, zcards,
-                                         conditional(counts + 1.0, names, name),
-                                         counts=counts.reshape(-1, card))
+            counts = samples_or_table.counts_over(names, [g.cards[g.index(n)] for n in names])
+            rows = conditional(counts + 1.0, names, name)
+        out[name] = ConditionalTable(
+            name, rows.shape[-1], conds[name], rows.shape[:-1], rows,
+            counts=None if counts is None else counts.reshape(-1, rows.shape[-1]),
+            kind="exact" if counts is None else "add1",
+        )
     return out
 
 
@@ -277,11 +277,10 @@ def _family_conditionals(
         marg = marg.sliced(dict.fromkeys(later_ctx, 0))
         # order conditioning axes by topological position for the row layout
         cond = tuple(sorted((n for n in marg.names if n != v), key=topo_pos.get))
-        card = g.cards[g.index(v)]
         # unreachable configurations get uniform rows
         rows = conditional(marg.aligned_to(cond + (v,)).probs, cond + (v,), v, uniform=True)
         out[v] = ConditionalTable(
-            v, card, cond, tuple(g.cards[g.index(n)] for n in cond), rows,
+            v, rows.shape[-1], cond, rows.shape[:-1], rows,
             kind="fragment", fixed_context=dict(table.context or {}),
         )
     return out
@@ -437,29 +436,32 @@ def recommended_sample_size(
     return m, {"m_q": m_q, "m_r": m_r, "eps_q": eps_q, "eps_r": eps_r}
 
 
+def _learn(source: Samples | PmfTable, g: Admg, x: Mapping[str, int],
+           metadata: Mapping[str, object]) -> LearnedInterventional:
+    """Partition, learn both factor groups, assemble: the one pipeline behind
+    :func:`learn_interventional` and :func:`fit_from_table`."""
+    check_intervention(g, x)
+    part = relative_partition(g, g.indices(x))
+    return assemble(learn_q(source, g, part), learn_r(source, g, part, x), part, g, x, metadata)
+
+
 def learn_interventional(
     samples: Samples,
     g: Admg,
     x: Mapping[str, int],
     config: LearnConfig | None = None,
 ) -> LearnedInterventional:
-    """Full pipeline against a sample batch: partition, learn both factor
-    groups, assemble."""
+    """The learner on a sample batch whose symbols fit the graph."""
     config = config or LearnConfig()
     samples.check_symbols(g.names, g.cards)
-    check_intervention(g, x)
-    part = relative_partition(g, g.indices(x))
-    q = learn_q(samples, g, part)
-    r = learn_r(samples, g, part, x)
-    meta = {
+    return _learn(samples, g, x, {
         "m": samples.m,
         "epsilon": config.epsilon,
         "delta": config.delta,
         "alpha": config.alpha,
         "source": "samples",
         "rng_algorithm": samples.rng_algorithm,
-    }
-    return assemble(q, r, part, g, x, meta)
+    })
 
 
 def fit_from_table(
@@ -470,10 +472,7 @@ def fit_from_table(
     """Infinite-sample limit: plug an exact observational table straight in.
 
     All factors become exact ratios of the table, so the assembled evaluator
-    reproduces the identification formula with no statistical error.
+    reproduces the identification formula with no statistical error. A table
+    whose cardinalities disagree with the graph raises :class:`ScopeMismatch`.
     """
-    check_intervention(g, x)
-    part = relative_partition(g, g.indices(x))
-    q = learn_q(obs, g, part)
-    r = learn_r(obs, g, part, x)
-    return assemble(q, r, part, g, x, {"source": "exact-table"})
+    return _learn(obs, g, x, {"source": "exact-table"})

@@ -341,10 +341,10 @@ def draw_inverse_cdf(
     ``thresholds`` is :func:`cdf_thresholds` of a table with one
     cumulative-probability row per conditioning configuration; ``rows`` is
     a row number or an array of them in any integer dtype (the sampler's is
-    the narrowest that holds its row count). ``out[i]`` becomes the number
-    of the ``card - 1`` smallest thresholds of row ``rows[i]`` that ``u[i]``
-    exceeds. On every row, sorted or not, that is
-    the count of all ``card`` thresholds exceeded capped at ``card - 1``, so
+    the narrowest that holds its row count), widened to ``intp`` once for
+    every gather. ``out[i]`` becomes the number of the ``card - 1`` smallest
+    thresholds of row ``rows[i]`` that ``u[i]`` exceeds. On every row, sorted
+    or not, that is the count of all ``card`` thresholds exceeded capped at ``card - 1``, so
     rounding in the last cumulative entry cannot yield an out-of-range
     symbol, and the draws for a seed are those of the compare-and-cap form.
     A binary variable costs one gather and one compare; card 1 writes zeros.
@@ -352,6 +352,7 @@ def draw_inverse_cdf(
     if len(thresholds) == 0:
         out.fill(0)
         return
+    rows = np.asarray(rows, dtype=np.intp)
     np.greater(u, np.take(thresholds[0], rows), out=out)
     for tau in thresholds[1:]:
         out += u > np.take(tau, rows)

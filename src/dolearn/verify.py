@@ -23,7 +23,7 @@ from .scm import (
     latent_project,
     random_net_for,
 )
-from .tables import PmfTable, Samples, ScopeMismatch, row_product
+from .tables import PmfTable, Samples, ScopeMismatch, row_product, symbols_of
 
 
 class InfiniteKL(ArithmeticError):
@@ -179,7 +179,9 @@ def tian_q_table(
     """The non-intervened-components distribution for one fixing of the rest.
 
     With ``factors`` given, learned rows replace the exact conditionals.
+    A ``fix`` without a symbol in range for each c_low variable raises :class:`ScopeMismatch`.
     """
+    symbols_of(fix, g.names_of(part.c_low), [g.cards[i] for i in sorted(part.c_low)])
     if factors is None:
         factors = learn_q(obs, g, part)
     names = tuple(g.names[i] for i in sorted(part.c_high))
@@ -199,18 +201,14 @@ def kl_decomposition_sides(
 ) -> tuple[float, float]:
     """Both sides of the Bayes-net KL decomposition for one fixing.
 
-    Left: KL between the exact and learned component distributions computed
-    directly. Right: the per-variable sum of conditioning-weighted row KLs.
+    Left: :func:`exact_kl` between the exact and learned component
+    distributions. Right: the per-variable sum of conditioning-weighted row
+    KLs. A bad ``fix`` raises :class:`ScopeMismatch`, as in :func:`tian_q_table`.
     """
     exact = learn_q(obs, g, part)
     q = tian_q_table(obs, g, part, fix, exact)
     q_hat = tian_q_table(obs, g, part, fix, q_factors)
-    direct = float(
-        np.sum(np.where(q.probs > 0.0, q.probs * np.log(
-            np.where(q.probs > 0.0, q.probs, 1.0)
-            / np.where(q_hat.probs > 0.0, q_hat.probs, 1.0)
-        ), 0.0))
-    )
+    direct = exact_kl(q, q_hat)
     decomposed = 0.0
     for name in q.names:
         free = [z for z in exact[name].cond if z in q.names]

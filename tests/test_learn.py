@@ -29,6 +29,7 @@ from dolearn.scm import (
 )
 from dolearn.tables import PmfTable, Samples, ScopeMismatch, iter_assignments
 from dolearn.verify import (
+    InfiniteKL,
     compare_to_oracle,
     exact_kl,
     exact_tv,
@@ -364,7 +365,48 @@ class TestInterventionRange:
         assert np.array_equal(a.table().probs, b.table().probs)
 
 
+class TestTableCardinalities:
+    """A factor takes its cardinalities from the rows it forms, so a table
+    that disagrees with the graph fails by name instead of aliasing rows."""
+
+    def test_bayes_net_factor_of_a_mismatched_table(self):
+        g = Admg.build(["C", "D", "B"], [("C", "B"), ("D", "B")])
+        probs = np.random.default_rng(0).dirichlet(np.ones(8)).reshape(4, 1, 2)
+        with pytest.raises(ScopeMismatch, match=r"factor 'B' declares cardinalities \(2, 4, 1\)"):
+            fit_from_table(PmfTable(("C", "D", "B"), probs), g, {"C": 1, "D": 1})
+
+    def test_fragment_factor_of_a_mismatched_table(self):
+        g = Admg.build(["X", "M", "Y"], [("X", "M"), ("M", "Y")], [("X", "Y")])
+        probs = np.random.default_rng(1).dirichlet(np.ones(12)).reshape(2, 2, 3)
+        with pytest.raises(ScopeMismatch, match=r"factor 'Y' declares cardinalities \(3, 2\)"):
+            fit_from_table(PmfTable(("X", "M", "Y"), probs), g, {"X": 0})
+
+
 class TestStructuralIdentities:
+    @pytest.mark.parametrize("fix, error", [
+        ({"X": -1, "Z2": 0}, "not a symbol in"),
+        ({"X": 0, "Z2": 2}, "not a symbol in"),
+        ({"X": 0}, "lacks value for 'Z2'"),
+    ])
+    def test_bad_fix_is_a_scope_mismatch(self, fig3a, fix, error):
+        obs = exact_observational(random_net_for(fig3a, seed=3))
+        part = part_of(fig3a, {"X"})
+        with pytest.raises(ScopeMismatch, match=error):
+            tian_q_table(obs, fig3a, part, fix)
+        with pytest.raises(ScopeMismatch, match=error):
+            kl_decomposition_sides(obs, fig3a, part, learn_q(obs, fig3a, part), fix)
+
+    def test_direct_kl_is_infinite_off_the_learned_support(self, fig3a):
+        obs = exact_observational(random_net_for(fig3a, seed=3))
+        part = part_of(fig3a, {"X"})
+        q_factors = learn_q(obs, fig3a, part)
+        y = q_factors["Y"]
+        rows = np.zeros_like(y.probs)
+        rows[:, 0] = 1.0
+        q_factors["Y"] = ConditionalTable("Y", y.target_card, y.cond, y.cond_cards, rows)
+        with pytest.raises(InfiniteKL):
+            kl_decomposition_sides(obs, fig3a, part, q_factors, {"X": 0, "Z2": 0})
+
     def test_ratio_sandwich(self, fig3a):
         net = random_net_for(fig3a, seed=13)
         obs = exact_observational(net)
