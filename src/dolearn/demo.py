@@ -17,9 +17,11 @@ from .scm import (
     exact_interventional,
     exact_observational,
     random_admg,
+    random_admg_args,
     random_net_for,
     sample_observational,
 )
+from .tables import as_count
 from .verify import compare_to_oracle, exact_tv
 from .witness import indistinguishable_pair
 
@@ -111,7 +113,15 @@ def random_identifiable_case(
     n_intervene: int = 1,
 ) -> tuple[Admg, dict[str, int]]:
     """Rejection-sample a sparse graph and an intervention whose full-remainder
-    effect is identifiable."""
+    effect is identifiable. The size arguments are checked as
+    :func:`~dolearn.scm.random_admg` checks them, and ``n_intervene`` must be
+    a non-negative integer less than ``n`` (so that some variable is left to
+    be a target), before the first draw."""
+    n, max_in_degree, n_bidirected, max_component = random_admg_args(
+        n, max_in_degree, n_bidirected, max_component)
+    n_intervene = as_count(n_intervene, "n_intervene")
+    if n_intervene >= n:
+        raise ValueError(f"n_intervene must be less than n = {n}, got {n_intervene}")
     rng = np.random.default_rng(seed)
     for attempt in range(500):
         g = random_admg(

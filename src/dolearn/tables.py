@@ -183,8 +183,9 @@ class Samples:
     :meth:`row_codes` take the narrow dtype of their code space. The batch's
     sufficient statistics (its distinct rows and their multiplicities)
     are computed on first use and memoized, so each ``counts_over`` is a
-    bincount over at most min(m, prod(cards)) distinct rows. The batch keeps
-    them valid only while the caller leaves the array it passed in unchanged.
+    bincount over at most min(m, prod(cards)) distinct rows, and each scope's
+    counts are memoized too. The batch keeps them valid only while the caller
+    leaves the array it passed in unchanged.
     """
 
     names: tuple[str, ...]
@@ -310,11 +311,25 @@ class Samples:
     def counts_over(self, names: Sequence[str], cards: Sequence[int]) -> np.ndarray:
         """Joint occurrence counts over a sub-scope, shaped like the sub-scope.
 
+        The counts are memoized per ``(names, cards)`` and returned read-only,
+        so each scope is counted once per batch, whichever caller asks.
         Raises :class:`ScopeMismatch` for a non-integer batch, a negative
         symbol, or a symbol at or above its requested cardinality.
         """
-        names = tuple(names)
-        cards = tuple(cards)
+        key = (tuple(names), tuple(cards))
+        counts = self._counts.get(key)
+        if counts is None:
+            counts = self._tally(*key)
+            counts.flags.writeable = False
+            self._counts[key] = counts
+        return counts
+
+    @cached_property
+    def _counts(self) -> dict[tuple[tuple[str, ...], tuple[int, ...]], np.ndarray]:
+        return {}
+
+    def _tally(self, names: tuple[str, ...], cards: tuple[int, ...]) -> np.ndarray:
+        """The counting kernel behind :meth:`counts_over`."""
         cols = self.check_symbols(names, cards)
         if not names:
             return np.array(float(self.m))
@@ -390,8 +405,8 @@ def ancestral_sample(
     ``m`` and ``seed`` must be non-negative integers (``bool`` is not one);
     anything else is a :class:`ValueError` naming the argument.
     """
-    m = _count(m, "sample size m")
-    seed = _count(seed, "seed")
+    m = as_count(m, "sample size m")
+    seed = as_count(seed, "seed")
     fixed = fixed or {}
     slot = {n: i for i, n in enumerate(keep)}
     plan = []  # (variable, drawn parents with strides, index dtype, thresholds from the offset)
@@ -446,7 +461,7 @@ def as_integer(value: object) -> int | None:
         return None
 
 
-def _count(value: int, what: str) -> int:
+def as_count(value: object, what: str) -> int:
     """``value`` as a non-negative Python int; a :class:`ValueError` naming
     ``what`` for a negative, non-integer or ``bool`` value."""
     count = as_integer(value)

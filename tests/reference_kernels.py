@@ -573,6 +573,59 @@ def random_net_for(g, seed: int, gamma: float = 0.1, hidden_cardinality: int = 2
     return CausalBayesNet(nodes)
 
 
+# -- random graphs and standard forms, as they were before the union-find ------
+
+
+def random_admg(
+    seed: int,
+    n: int,
+    max_in_degree: int = 2,
+    n_bidirected: int = 2,
+    max_component: int = 3,
+    cardinality: int = 2,
+) -> Admg:
+    """A whole candidate graph, with every c-component, per drawn edge."""
+    rng = np.random.default_rng(seed)
+    names = tuple(f"V{i}" for i in range(n))
+    directed: set[tuple[int, int]] = set()
+    for child in range(1, n):
+        k = int(rng.integers(0, min(max_in_degree, child) + 1))
+        for p in rng.choice(child, size=k, replace=False):
+            directed.add((int(p), child))
+    g = Admg(names, (cardinality,) * n, frozenset(directed), frozenset())
+    bidirected: set[tuple[int, int]] = set()
+    attempts = 0
+    while len(bidirected) < n_bidirected and attempts < 50 * (n_bidirected + 1):
+        attempts += 1
+        a, b = rng.choice(n, size=2, replace=False)
+        edge = (int(min(a, b)), int(max(a, b)))
+        if edge in bidirected:
+            continue
+        candidate = Admg(names, (cardinality,) * n, frozenset(directed),
+                         frozenset(bidirected | {edge}))
+        if max(len(c) for c in candidate.c_components()) <= max_component:
+            bidirected.add(edge)
+            g = candidate
+    return g
+
+
+def standard_form(g, hidden_cardinality: int = 2) -> tuple[tuple, ...]:
+    """Each observable scans every bidirected edge for its hidden parents."""
+    hidden: list[str] = []
+    taken = set(g.names)
+    for k in range(len(g.bidirected)):
+        name = f"U{k}"
+        while name in taken:
+            name = "_" + name
+        hidden.append(name)
+        taken.add(name)
+    edges = sorted(g.bidirected)
+    return tuple([(h, hidden_cardinality, (), True) for h in hidden] + [
+        (name, g.cards[i], g.names_of(g.parents(i))
+         + tuple(h for h, e in zip(hidden, edges) if i in e), False)
+        for i, name in enumerate(g.names)])
+
+
 # -- witness search, as it was with GF(2) canonical forms ----------------------
 
 

@@ -64,6 +64,7 @@ from dolearn.scm import (
     random_admg,
     random_net_for,
     sample_observational,
+    standard_form,
 )
 from dolearn.tables import (
     BLOCK_ROWS,
@@ -1228,6 +1229,69 @@ def test_net_topological_order_matches_reference(g, rnd):
     rnd.shuffle(nodes)  # declaration order no longer topological
     net = CausalBayesNet(nodes)
     assert net.topological_order() == ref.net_topological_order(net)
+
+
+# -- random instances: union-find generator and one-pass standard form --------
+
+# observable names that the hidden names U0 and U1 must step around (to _U0
+# and __U1), given to the first vertices of a graph
+COLLIDING = ("U0", "U1", "_U1")
+
+
+def _check_random_instance(seed, n, max_in_degree, n_bidirected, max_component, cardinality):
+    """The generator draws the reference's graph, or both reject the call;
+    the standard form of the graph, and of it with colliding names, is the
+    reference's."""
+    args = (seed, n, max_in_degree, n_bidirected, max_component, cardinality)
+    try:
+        want = ref.random_admg(*args)
+    except ValueError:  # numpy cannot draw a pair among fewer than two variables
+        assert n_bidirected > 0 and n < 2
+        with pytest.raises(ValueError, match="^n_bidirected must"):
+            random_admg(*args)
+        return
+    got = random_admg(*args)
+    assert got == want
+    assert len(got.bidirected) <= n_bidirected
+    assert max((len(c) for c in got.c_components()), default=0) <= max(max_component, 1)
+    renamed = Admg(COLLIDING[:n] + got.names[len(COLLIDING):], got.cards, got.directed,
+                   got.bidirected)
+    for g in (got, renamed):
+        for hidden_card in (2, 3):
+            assert standard_form(g, hidden_card) == ref.standard_form(g, hidden_card)
+
+
+def _generator_grid(n):
+    """Every in-degree bound, edge counts up to one past the number of pairs
+    (the attempt cap) on up to 7 variables, and component bounds from 0 to n,
+    with cardinalities 1 to 3."""
+    pairs = n * (n - 1) // 2
+    edge_counts = {0, 1, 2, n // 3} | ({pairs, pairs + 1} if n <= 7 else {n} if n <= 16 else set())
+    for d in range(5):
+        for b in sorted(edge_counts):
+            for k in sorted({0, 1, 2, 3, n // 2, n}):
+                yield d, b, k, 1 + (d + b + k) % 3
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 3, 4, 5, 7, 9, 16, 40])
+def test_random_admg_matches_reference_on_a_grid(n):
+    for seed, (d, b, k, card) in enumerate(_generator_grid(n)):
+        _check_random_instance(1000 * n + seed, n, d, b, k, card)
+
+
+@st.composite
+def generator_args(draw):
+    n = draw(st.integers(0, 40))
+    pairs = n * (n - 1) // 2
+    return (draw(st.integers(0, 2**32 - 1)), n, draw(st.integers(0, 4)),
+            draw(st.integers(0, pairs + 2 if n <= 7 else n)),
+            draw(st.integers(0, n)), draw(st.integers(1, 3)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(generator_args())
+def test_random_admg_matches_reference(args):
+    _check_random_instance(*args)
 
 
 # -- witness pairs: built from the hedge, beside the former seeded search ------

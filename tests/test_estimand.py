@@ -86,6 +86,27 @@ class TestEvaluate:
         got = [est.evaluate(access, {**x, "Y": y}) for y in (0, 1)]
         assert got == pytest.approx([0.16930466705133673, 0.8306953329486633], abs=1e-12)
 
+    def test_points_count_each_leaf_scope_once_per_batch(self, fig4a, monkeypatch):
+        batch = sample_observational(random_net_for(fig4a, seed=11), 3, 2000)
+        access = EmpiricalAccess(batch, fig4a.cards)
+        asked, tallied = [], []
+        counts_over, tally = Samples.counts_over, Samples._tally
+        monkeypatch.setattr(Samples, "counts_over", lambda self, names, cards: asked.append(
+            (tuple(names), tuple(cards))) or counts_over(self, names, cards))
+        monkeypatch.setattr(Samples, "_tally", lambda self, names, cards: tallied.append(
+            (names, cards)) or tally(self, names, cards))
+        points = list(iter_assignments(fig4a.names, fig4a.cards))
+        ests = [identify(CausalQuery(fig4a, {v: p[v] for v in "WRX"}, frozenset({"Y"})))
+                for p in points]
+        got = [est.evaluate(access, p) for est, p in zip(ests, points)]
+        assert len(asked) == 48  # three leaves a point, at 16 points
+        assert sorted(tallied) == sorted(set(asked)) == [
+            (("W",), (2,)), (("W", "R", "X"), (2, 2, 2)), (("W", "R", "X", "Y"), (2, 2, 2, 2))]
+        counts = batch.counts_over(("W",), (2,))
+        assert counts is batch.counts_over(["W"], [2]) and not counts.flags.writeable
+        fresh = EmpiricalAccess(Samples(batch.names, batch.values), fig4a.cards)
+        assert [est.evaluate(fresh, p) for est, p in zip(ests, points)] == got
+
     def test_marginal_linearity(self):
         t = PmfTable(("A", "B"), np.array([[0.1, 0.2], [0.3, 0.4]]))
         base = BaseDist(("A", "B"))

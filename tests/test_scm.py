@@ -3,6 +3,7 @@ import pytest
 
 from dolearn import scm
 from dolearn.admg import Admg, GraphError
+from dolearn.demo import random_identifiable_case
 from dolearn.learn import ConditionalTable
 from dolearn.scm import (
     CausalBayesNet,
@@ -20,6 +21,8 @@ from dolearn.scm import (
 )
 from dolearn.verify import exact_tv
 from dolearn.witness import indistinguishable_pair
+
+from . import reference_kernels as ref
 
 
 def coin(name, p1=0.5, parents=(), rows=None, hidden=False, card=2):
@@ -295,6 +298,52 @@ class TestStrongPositivity:
         ok, reports = check_strong_positivity(net, [["X", "Z2"]], alpha=0.2**3)
         assert ok
         assert set(reports[0].event_scope) == {"X", "Z1", "Z2"}
+
+
+class TestRandomInstances:
+    @pytest.mark.parametrize("n_bidirected", [0, 1, 4, 12, 100])
+    def test_one_graph_is_built_per_call(self, monkeypatch, n_bidirected):
+        built = []
+        post_init = Admg.__post_init__
+        monkeypatch.setattr(Admg, "__post_init__",
+                            lambda self: built.append(self) or post_init(self))
+        g = random_admg(5, 12, n_bidirected=n_bidirected)  # 100 > 66 pairs: the attempt cap
+        assert len(built) == 1 and built[0] is g
+        built.clear()
+        assert ref.random_admg(5, 12, n_bidirected=n_bidirected) == g
+        assert len(built) > 1 or n_bidirected == 0  # a candidate graph per new pair drawn
+
+    @pytest.mark.parametrize("kwargs, name", [
+        ({"n": 4.0}, "n"),
+        ({"n": -1}, "n"),
+        ({"n": True}, "n"),
+        ({"max_in_degree": 1.5}, "max_in_degree"),
+        ({"max_in_degree": -1}, "max_in_degree"),
+        ({"n_bidirected": -1}, "n_bidirected"),
+        ({"n_bidirected": 2.0}, "n_bidirected"),
+        ({"max_component": -2}, "max_component"),
+        ({"max_component": "3"}, "max_component"),
+        ({"n": 1, "n_bidirected": 1}, "n_bidirected"),
+        ({"n": 0}, "n_bidirected"),  # the default asks for 2 edges
+    ])
+    def test_a_bad_size_argument_is_named(self, kwargs, name):
+        kwargs = {"n": 5, **kwargs}
+        with pytest.raises(ValueError, match=f"^{name} must"):
+            random_admg(0, **kwargs)
+        with pytest.raises(ValueError, match=f"^{name} must"):
+            random_identifiable_case(0, **kwargs)
+
+    @pytest.mark.parametrize("n_intervene", [6, 5, -1, 1.0, None])
+    def test_a_bad_intervention_count_is_named(self, n_intervene):
+        with pytest.raises(ValueError, match="^n_intervene must"):
+            random_identifiable_case(0, n=5, n_intervene=n_intervene)
+
+    def test_valid_arguments_draw_as_before(self):
+        g = random_admg(3, np.int64(9), np.int8(2), np.uint16(3), np.int32(3))
+        assert g == random_admg(3, 9, 2, 3, 3) == ref.random_admg(3, 9, 2, 3, 3)
+        assert random_admg(3, 1, n_bidirected=0) == ref.random_admg(3, 1, n_bidirected=0)
+        assert random_identifiable_case(4, n=np.int64(6), n_intervene=np.int8(2)) \
+            == random_identifiable_case(4, n=6, n_intervene=2)
 
 
 class TestEmpiricalConvergence:
