@@ -116,13 +116,13 @@ def random_identifiable_case(
     effect is identifiable. The size arguments are checked as
     :func:`~dolearn.scm.random_admg` checks them, and ``n_intervene`` must be
     a non-negative integer less than ``n`` (so that some variable is left to
-    be a target), before the first draw."""
+    be a target), and ``seed`` a non-negative integer, before the first draw."""
     n, max_in_degree, n_bidirected, max_component = random_admg_args(
         n, max_in_degree, n_bidirected, max_component)
     n_intervene = as_count(n_intervene, "n_intervene")
     if n_intervene >= n:
         raise ValueError(f"n_intervene must be less than n = {n}, got {n_intervene}")
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(as_count(seed, "seed"))
     for attempt in range(500):
         g = random_admg(
             int(rng.integers(0, 2**31)), n,

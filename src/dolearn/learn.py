@@ -180,17 +180,22 @@ def learn_q(
     """Conditionals for every variable outside the intervened components,
     conditioned on its effective parents: add-1 smoothed counts of a batch,
     or exact ratios of a table, where an empty event raises
-    :class:`PositivityViolation`."""
+    :class:`PositivityViolation`. A table that lacks a graph variable raises
+    :class:`ScopeMismatch` naming it, before any row is formed."""
     conds = _q_conds(g, part)
+    table = samples_or_table if isinstance(samples_or_table, PmfTable) else None
+    if table is not None and not table.scope >= set(g.names):
+        raise ScopeMismatch(f"table over {table.names} lacks graph variables "
+                            f"{sorted(set(g.names) - table.scope)}")
     out: dict[str, ConditionalTable] = {}
     for i in sorted(part.c_high):
         name = g.names[i]
         names = conds[name] + (name,)
         counts = None
-        if isinstance(samples_or_table, PmfTable):  # divided in table order, as chains are
-            marg = samples_or_table.marginal_to(names)
-            rows = conditional(marg.probs, marg.names, name)
-            rows = rows.transpose([marg.names.index(n) for n in names])
+        if table is not None:  # divided in table order, as chains are
+            marg_names = [n for n in table.names if n in names]
+            rows = conditional(table.marginal_probs(names), marg_names, name)
+            rows = rows.transpose([marg_names.index(n) for n in names])
         else:
             counts = samples_or_table.counts_over(names, [g.cards[g.index(n)] for n in names])
             rows = conditional(counts + 1.0, names, name)
@@ -265,20 +270,19 @@ def _family_conditionals(
     ctx = set(table.names) - set(variables)
     out: dict[str, ConditionalTable] = {}
     for t, v in enumerate(variables):
-        marg = table.marginal_to(ctx | set(variables[: t + 1]))
-        later_ctx = [n for n in marg.names if n in ctx and topo_pos[n] > topo_pos[v]]
-        for n in later_ctx:
-            ax = marg.axis(n)
-            spread = marg.probs.max(axis=ax) - marg.probs.min(axis=ax)
-            if spread.max(initial=0.0) > FAMILY_CONSTANCY_TOL:
-                raise ValueError(
-                    f"fragment table for {v!r} varies with later context {n!r}"
-                )
-        marg = marg.sliced(dict.fromkeys(later_ctx, 0))
-        # order conditioning axes by topological position for the row layout
-        cond = tuple(sorted((n for n in marg.names if n != v), key=topo_pos.get))
+        keep = ctx | set(variables[: t + 1])
+        names = [n for n in table.names if n in keep]
+        probs = table.marginal_probs(keep)
+        later = [n for n in names if n in ctx and topo_pos[n] > topo_pos[v]]
+        for n in later:
+            if np.ptp(probs, axis=names.index(n)).max(initial=0.0) > FAMILY_CONSTANCY_TOL:
+                raise ValueError(f"fragment table for {v!r} varies with later context {n!r}")
+        # conditioning axes by topological position for the row layout; the
+        # later context axes go first, to be sliced at symbol 0
+        cond = tuple(sorted((n for n in names if n != v and n not in later), key=topo_pos.get))
+        probs = probs.transpose([names.index(n) for n in (*later, *cond, v)])[(0,) * len(later)]
         # unreachable configurations get uniform rows
-        rows = conditional(marg.aligned_to(cond + (v,)).probs, cond + (v,), v, uniform=True)
+        rows = conditional(probs, cond + (v,), v, uniform=True)
         out[v] = ConditionalTable(
             v, rows.shape[-1], cond, rows.shape[:-1], rows,
             kind="fragment", fixed_context=dict(table.context or {}),
@@ -416,8 +420,10 @@ def recommended_sample_size(
 
     The budget splits the total variation target between the Bayes-net part
     (through its KL bound) and the fragment tables (pointwise, scaled by the
-    recursion blow-up). Constants are indicative, not guarantees.
+    recursion blow-up). Constants are indicative, not guarantees. The
+    targets are checked as :class:`LearnConfig` checks them.
     """
+    LearnConfig(epsilon, delta, alpha)
     p = structure_params(g, x)
     n, k, d, ell, sigma = p["n"], p["k"], p["d"], p["ell"], p["sigma"]
     eps_q = epsilon / 2.0
@@ -473,6 +479,7 @@ def fit_from_table(
 
     All factors become exact ratios of the table, so the assembled evaluator
     reproduces the identification formula with no statistical error. A table
-    whose cardinalities disagree with the graph raises :class:`ScopeMismatch`.
+    that lacks a graph variable, or whose cardinalities disagree with the
+    graph, raises :class:`ScopeMismatch`.
     """
     return _learn(obs, g, x, {"source": "exact-table"})

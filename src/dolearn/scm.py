@@ -349,17 +349,12 @@ def check_strong_positivity(
     reports = []
     for comp in components:
         comp = tuple(comp)
-        marg = obs_table.marginal_to(g.names_of(g.pa_plus(g.indices(comp))))
-        flat = marg.probs.reshape(-1)
-        worst_flat = int(flat.argmin())
-        worst_idx = np.unravel_index(worst_flat, marg.probs.shape)
-        worst = {n: int(v) for n, v in zip(marg.names, worst_idx)}
+        scope = g.names_of(g.pa_plus(g.indices(comp)))  # in table order
+        probs = obs_table.marginal_probs(scope)
+        worst = np.unravel_index(int(probs.argmin()), probs.shape)  # the first minimum
         reports.append(PositivityReport(
-            component=comp,
-            event_scope=marg.names,
-            min_probability=float(flat[worst_flat]),
-            worst_event=worst,
-            alpha=alpha,
+            component=comp, event_scope=scope, min_probability=float(probs[worst]),
+            worst_event={n: int(v) for n, v in zip(scope, worst)}, alpha=alpha,
         ))
     return all(r.ok for r in reports), reports
 
@@ -415,10 +410,12 @@ def random_net_for(
     their rows, and the net's layout, are planned once per graph and hidden
     cardinality. Each draw's rows are checked once, with
     :func:`~dolearn.tables.check_rows`; a bad row raises the
-    :class:`GraphError` that the node owning it would raise.
+    :class:`GraphError` that the node owning it would raise. ``seed`` and
+    ``hidden_cardinality`` must be non-negative integers (``bool`` is not
+    one); anything else is a :class:`ValueError` naming the argument.
     """
-    layout, plan = _net_plan(g, hidden_cardinality)
-    rng = np.random.default_rng(seed)
+    layout, plan = _net_plan(g, as_count(hidden_cardinality, "hidden_cardinality"))
+    rng = np.random.default_rng(as_count(seed, "seed"))
     nodes: list[CbnNode] = []
     for card, n_rows, run in plan:
         rows = _floored_rows(rng, n_rows, card, gamma)
@@ -492,11 +489,12 @@ def random_admg(
     checked in near-constant time by a union-find over the accepted edges,
     and one :class:`Admg` at the end (0.26 s at n = 12,800 with n // 3 edges
     on a 2-vCPU Xeon VM). Size arguments are checked by
-    :func:`random_admg_args` before the first draw.
+    :func:`random_admg_args`, and ``seed`` as a non-negative integer, before
+    the first draw.
     """
     n, max_in_degree, n_bidirected, max_component = random_admg_args(
         n, max_in_degree, n_bidirected, max_component)
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(as_count(seed, "seed"))
     names = tuple(f"V{i}" for i in range(n))
     directed: set[tuple[int, int]] = set()
     for child in range(1, n):

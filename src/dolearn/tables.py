@@ -108,12 +108,6 @@ class PmfTable:
     def total(self) -> float:
         return float(self.probs.sum())
 
-    def axis(self, name: str) -> int:
-        try:
-            return self.names.index(name)
-        except ValueError:
-            raise ScopeMismatch(f"{name!r} not in table over {self.names}") from None
-
     def pmf(self, assignment: Mapping[str, int | np.ndarray]) -> float | np.ndarray:
         """Mass at an assignment. Extra keys are ignored; a missing key or a
         symbol outside ``[0, card)`` is a :class:`ScopeMismatch`. Values may be
@@ -138,17 +132,6 @@ class PmfTable:
             tuple(n for n in self.names if n in keep), self.marginal_probs(keep),
             context=self.context, normalized=self.normalized,
         )
-
-    def sliced(self, fixed: Mapping[str, int]) -> "PmfTable":
-        """Fix some coordinates. The result is an unnormalized slice."""
-        relevant = {n: v for n, v in fixed.items() if n in self.scope}
-        if not relevant:
-            return self
-        idx = tuple(relevant.get(n, slice(None)) for n in self.names)
-        kept = tuple(n for n in self.names if n not in relevant)
-        ctx = dict(self.context or {})
-        ctx.update(relevant)
-        return PmfTable(kept, self.probs[idx], context=ctx, normalized=False)
 
     def aligned_to(self, names: Sequence[str]) -> "PmfTable":
         names = tuple(names)

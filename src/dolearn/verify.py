@@ -14,7 +14,7 @@ import numpy as np
 
 from .admg import Admg, CycleDetected
 from .identify import CausalQuery, Estimand, HedgeWitness, identify
-from .learn import ConditionalTable, LearnedInterventional, RelativePartition, learn_q
+from .learn import ConditionalTable, LearnConfig, LearnedInterventional, RelativePartition, learn_q
 from .scm import (
     CausalBayesNet,
     exact_interventional,
@@ -83,8 +83,11 @@ def estimate_tv(
     Each evaluator is called once, with the whole batch: a mapping from each
     sampled variable to its integer column. It returns the mass at every row
     (an array of length m, or anything that broadcasts to it), as
-    ``PmfTable.pmf`` and ``LearnedInterventional.evaluate`` do.
+    ``PmfTable.pmf`` and ``LearnedInterventional.evaluate`` do. ``epsilon``
+    and ``delta`` are checked as :class:`~dolearn.learn.LearnConfig` checks
+    them.
     """
+    LearnConfig(epsilon, delta)
     m = int(math.ceil(2.0 * epsilon**-2 * math.log(2.0 / delta)))
     batch = sampler(seed, m)
     cols = {n: batch.values[:, j] for j, n in enumerate(batch.names)}
@@ -121,6 +124,12 @@ class VerifyReport:
         return max(self.factor_errors, key=lambda f: f.abs_error)
 
 
+def _marginal_in_order(table: PmfTable, names: list[str]) -> np.ndarray:
+    """The bare marginal array of ``table`` over ``names``, axes in that order."""
+    kept = [n for n in table.names if n in names]
+    return table.marginal_probs(names).transpose([kept.index(n) for n in names])
+
+
 def compare_to_oracle(
     li: LearnedInterventional,
     net: CausalBayesNet,
@@ -148,8 +157,8 @@ def compare_to_oracle(
         grid = dict(li.x)
         grid.update(zip(axes, np.indices(cards, sparse=True)))
         learned = row_product([f.step], grid)
-        joint = oracle.marginal_to(axes).aligned_to(axes).probs
-        mass = oracle.marginal_to(free).aligned_to(free).probs[..., None] if free else 1.0
+        joint = _marginal_in_order(oracle, axes)
+        mass = _marginal_in_order(oracle, free)[..., None] if free else 1.0
         # unreachable configurations are skipped: their rows are immaterial
         reached = np.broadcast_to(np.greater(mass, 0.0), joint.shape)
         true = np.divide(joint, mass, out=np.zeros_like(joint), where=reached)
@@ -219,7 +228,7 @@ def kl_decomposition_sides(
         ratio = np.divide(true, row_product([q_factors[name].step], grid),
                           out=np.ones_like(true), where=true > 0.0)
         row_kl = (true * np.log(ratio)).sum(axis=-1)
-        weight = q.marginal_to(free).aligned_to(free).probs if free else np.ones(())
+        weight = q.marginal_probs(free) if free else np.ones(())  # free is in table order
         seen = weight > 0.0
         decomposed += float(np.sum(weight[seen] * row_kl[seen]))
     return direct, decomposed

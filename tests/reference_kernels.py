@@ -22,13 +22,28 @@ from dolearn.estimand import (
     PositivityViolation,
     Product,
     _is_base_chain,
+    conditional,
     full_table,
 )
 from dolearn.io import SampleCsvError
-from dolearn.learn import ConditionalTable, _q_conds
-from dolearn.scm import CausalBayesNet, CbnNode, exact_interventional, exact_observational
-from dolearn.tables import PmfTable, Samples, ScopeMismatch, iter_assignments, strides_for
-from dolearn.verify import exact_tv
+from dolearn import verify as package_verify
+from dolearn.learn import FAMILY_CONSTANCY_TOL, ConditionalTable, _q_conds
+from dolearn.scm import (
+    CausalBayesNet,
+    CbnNode,
+    PositivityReport,
+    exact_interventional,
+    exact_observational,
+)
+from dolearn.tables import (
+    PmfTable,
+    Samples,
+    ScopeMismatch,
+    iter_assignments,
+    row_product,
+    strides_for,
+)
+from dolearn.verify import FactorError, InfiniteKL, VerifyReport, exact_kl, exact_tv
 from dolearn.witness import IndistinguishablePair
 
 
@@ -803,3 +818,136 @@ def indistinguishable_pair(g, x, seed: int = 0, max_models: int = 250_000):
         if obs_tv <= 1e-9 and int_tv >= 1e-3:
             return IndistinguishablePair(net_a, net_b, dict(x), obs_tv, int_tv)
     return None
+
+
+# -- the table-wrapping readers, as they were before the library read bare
+#    marginals inside: each marginal a validated table, sliced and aligned ------
+
+
+def _sliced_table(table: PmfTable, fixed) -> PmfTable:
+    """Fix some coordinates of ``table``: an unnormalized slice that records
+    them in its context."""
+    relevant = {n: v for n, v in fixed.items() if n in table.scope}
+    if not relevant:
+        return table
+    idx = tuple(relevant.get(n, slice(None)) for n in table.names)
+    kept = tuple(n for n in table.names if n not in relevant)
+    ctx = dict(table.context or {})
+    ctx.update(relevant)
+    return PmfTable(kept, table.probs[idx], context=ctx, normalized=False)
+
+
+def learn_q_by_tables(table: PmfTable, g, part) -> dict[str, ConditionalTable]:
+    """The exact-table branch of ``learn_q``: each conditional divided in
+    table order, then aligned to (effective parents, variable)."""
+    conds = _q_conds(g, part)
+    out = {}
+    for i in sorted(part.c_high):
+        name = g.names[i]
+        names = conds[name] + (name,)
+        marg = table.marginal_to(names)
+        rows = conditional(marg.probs, marg.names, name)
+        rows = rows.transpose([marg.names.index(n) for n in names])
+        out[name] = ConditionalTable(name, rows.shape[-1], conds[name], rows.shape[:-1], rows,
+                                     kind="exact")
+    return out
+
+
+def family_conditionals(table: PmfTable, variables, g) -> dict[str, ConditionalTable]:
+    """Chain-rule a fragment table into per-variable conditional rows, one
+    marginal table, one slice and one alignment per variable."""
+    topo_pos = {g.names[i]: k for k, i in enumerate(g.topological_order())}
+    variables = sorted(variables, key=topo_pos.get)
+    ctx = set(table.names) - set(variables)
+    out = {}
+    for t, v in enumerate(variables):
+        marg = table.marginal_to(ctx | set(variables[: t + 1]))
+        later_ctx = [n for n in marg.names if n in ctx and topo_pos[n] > topo_pos[v]]
+        for n in later_ctx:
+            ax = marg.names.index(n)
+            spread = marg.probs.max(axis=ax) - marg.probs.min(axis=ax)
+            if spread.max(initial=0.0) > FAMILY_CONSTANCY_TOL:
+                raise ValueError(f"fragment table for {v!r} varies with later context {n!r}")
+        marg = _sliced_table(marg, dict.fromkeys(later_ctx, 0))
+        cond = tuple(sorted((n for n in marg.names if n != v), key=topo_pos.get))
+        rows = conditional(marg.aligned_to(cond + (v,)).probs, cond + (v,), v, uniform=True)
+        out[v] = ConditionalTable(v, rows.shape[-1], cond, rows.shape[:-1], rows,
+                                  kind="fragment", fixed_context=dict(table.context or {}))
+    return out
+
+
+def compare_to_oracle_by_tables(li, net, x) -> VerifyReport:
+    """``compare_to_oracle`` with every oracle marginal a table, aligned to
+    (free conditioning variables..., target)."""
+    oracle = exact_interventional(net, x)
+    learned = li.table().aligned_to(oracle.names)
+    tv = exact_tv(learned, oracle)
+    try:
+        kl = exact_kl(oracle, learned)
+    except InfiniteKL:
+        kl = None
+    factor_errors = []
+    for name in li.order:
+        f = li.factors[name]
+        free = [c for c in f.cond if c not in li.x]
+        axes = free + [name]
+        cards = [li.graph.cards[li.graph.index(c)] for c in axes]
+        grid = dict(li.x)
+        grid.update(zip(axes, np.indices(cards, sparse=True)))
+        learned = row_product([f.step], grid)
+        joint = oracle.marginal_to(axes).aligned_to(axes).probs
+        mass = oracle.marginal_to(free).aligned_to(free).probs[..., None] if free else 1.0
+        reached = np.broadcast_to(np.greater(mass, 0.0), joint.shape)
+        true = np.divide(joint, mass, out=np.zeros_like(joint), where=reached)
+        err = np.where(reached, np.abs(learned - true), 0.0)
+        worst = int(np.argmax(err))
+        worst_event = (
+            dict(zip(axes, map(int, np.unravel_index(worst, err.shape))))
+            if err.flat[worst] > 0.0 else {}
+        )
+        factor_errors.append(FactorError(name, worst_event, float(err.flat[worst])))
+    m = li.metadata.get("m") if isinstance(li.metadata, dict) else None
+    return VerifyReport(tv=tv, kl=kl, x=dict(x), m=m, factor_errors=tuple(factor_errors))
+
+
+def kl_sides_by_tables(obs, g, part, q_factors, fix) -> tuple[float, float]:
+    """``kl_decomposition_sides`` with each conditioning weight read as an
+    aligned marginal table of the component distribution."""
+    exact = learn_q_by_tables(obs, g, part)
+    q = package_verify.tian_q_table(obs, g, part, fix, exact)
+    q_hat = package_verify.tian_q_table(obs, g, part, fix, q_factors)
+    direct = exact_kl(q, q_hat)
+    decomposed = 0.0
+    for name in q.names:
+        free = [z for z in exact[name].cond if z in q.names]
+        axes = free + [name]
+        grid = dict(fix)
+        grid.update(zip(axes, np.indices([g.cards[g.index(n)] for n in axes], sparse=True)))
+        true = row_product([exact[name].step], grid)
+        ratio = np.divide(true, row_product([q_factors[name].step], grid),
+                          out=np.ones_like(true), where=true > 0.0)
+        row_kl = (true * np.log(ratio)).sum(axis=-1)
+        weight = q.marginal_to(free).aligned_to(free).probs if free else np.ones(())
+        seen = weight > 0.0
+        decomposed += float(np.sum(weight[seen] * row_kl[seen]))
+    return direct, decomposed
+
+
+def strong_positivity(net, components, alpha):
+    """``check_strong_positivity`` with each component-plus-parents marginal
+    a table."""
+    obs_table = exact_observational(net)
+    g = net._layout.observed
+    reports = []
+    for comp in components:
+        comp = tuple(comp)
+        marg = obs_table.marginal_to(g.names_of(g.pa_plus(g.indices(comp))))
+        flat = marg.probs.reshape(-1)
+        worst_flat = int(flat.argmin())
+        worst_idx = np.unravel_index(worst_flat, marg.probs.shape)
+        worst = {n: int(v) for n, v in zip(marg.names, worst_idx)}
+        reports.append(PositivityReport(
+            component=comp, event_scope=marg.names, min_probability=float(flat[worst_flat]),
+            worst_event=worst, alpha=alpha,
+        ))
+    return all(r.ok for r in reports), reports

@@ -249,7 +249,7 @@ def test_criterion_8_structural_identities(learned_cases):
         cards = [g.cards[g.index(n)] for n in low_names]
         for fix in iter_assignments(low_names, cards):
             q = tian_q_table(obs, g, part, fix)
-            ratio = obs.sliced(fix).aligned_to(q.names).probs / q.probs
+            ratio = obs.probs[tuple(fix.get(n, slice(None)) for n in obs.names)] / q.probs
             worst_sandwich = max(
                 worst_sandwich, float(np.max(bound - ratio)), float(np.max(ratio - 1.0))
             )

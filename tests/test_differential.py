@@ -9,7 +9,10 @@ of the identification recursion, the Bayes-net learner's conditioning sets
 against the former effective-parent rule and its exact rows against the
 one-factor chains they replaced, the row products (oracle joints, learned
 evaluator, structural identities, factor errors) against their hand-written
-forms, compiled estimand plans against the tree interpreter they replaced,
+forms, the bare marginal reads of the fragment chain rule, the exact-table
+rows, the oracle check, the KL weights and the positivity audit bit for bit
+against the table-wrapping readers they replaced, compiled estimand plans
+against the tree interpreter they replaced,
 random nets against one Dirichlet draw per node, their sampling order
 against a re-sorted Kahn sort and their latent projection against the walk
 over each node's parents, and the witness pairs built from the hedge
@@ -35,7 +38,7 @@ from dolearn.estimand import (
     full_table,
 )
 from dolearn.generate import sample
-from dolearn.io import SampleCsvError, samples_from_csv, samples_to_csv
+from dolearn.io import SampleCsvError, dump_json, li_to_dict, samples_from_csv, samples_to_csv
 from dolearn.identify import (
     CausalQuery,
     HedgeWitness,
@@ -44,6 +47,7 @@ from dolearn.identify import (
     is_identifiable,
 )
 from dolearn.learn import (
+    LearnedInterventional,
     PositivityViolation,
     evaluate_point,
     fit_from_table,
@@ -1056,6 +1060,67 @@ def test_a_net_above_the_ceiling_compiles_without_a_grid(monkeypatch):
         with pytest.raises(StateSpaceTooLarge):
             oracle(net)
     assert sample_observational(net, seed=0, m=5).values.shape == (5, 30)
+
+
+# -- bare marginal reads against the table-wrapping readers they replaced -------
+
+
+def _names_reversed(g):
+    """``g`` with its variables listed in reverse, so that table order is not
+    a topological order."""
+    return Admg.build([(n, c) for n, c in zip(reversed(g.names), reversed(g.cards))],
+                      [(g.names[a], g.names[b]) for a, b in g.directed],
+                      [(g.names[a], g.names[b]) for a, b in g.bidirected])
+
+
+def _marginal_reader_cases():
+    """(graph, intervention, net seed, hidden cardinality, batch size): fig3a
+    and fig4a with their queries, fig3a with no intervention, both realized
+    again with ternary hidden nodes and with their variables listed in
+    reverse, and the ternary graphs whose fragments rebase at step 5c, some
+    with context axes after a fragment variable."""
+    fig3a, fig4a = fig3a_graph(), fig4a_graph()
+    return [(fig3a, {"X": 0}, 7, 2, 20_000), (fig3a, {}, 7, 2, 20_000),
+            (fig4a, {"W": 0, "R": 0, "X": 1}, 11, 2, 20_000),
+            (fig3a, {"X": 1}, 3, 3, 20_000), (fig4a, {"W": 1, "R": 0, "X": 0}, 5, 3, 20_000),
+            (_names_reversed(fig3a), {"X": 0}, 7, 2, 20_000),
+            (_names_reversed(fig4a), {"W": 0, "R": 0, "X": 1}, 11, 2, 20_000),
+            *((g, x, seed, 2, m) for g, x, seed, m in _rebasing_cases())]
+
+
+@pytest.mark.parametrize("case", _marginal_reader_cases())
+def test_marginal_readers_match_table_wrapping_reference(case):
+    g, x, seed, hidden_card, m = case
+    net = random_net_for(g, seed=seed, hidden_cardinality=hidden_card)
+    obs = exact_observational(net)
+    batch = sample_observational(net, seed + 1, m)
+    part = relative_partition(g, g.indices(x))
+    fragments = dict(part.sub_components)
+    for source in (batch, obs):
+        try:
+            li = learn_interventional(batch, g, x) if source is batch else fit_from_table(obs, g, x)
+        except PositivityViolation:
+            assert source is batch  # a fragment event the batch never saw
+            continue
+        want = dict(learn_q(batch, g, part) if source is batch
+                    else ref.learn_q_by_tables(obs, g, part))
+        for key, (table, _) in learn_r(source, g, part, x).items():
+            want.update(ref.family_conditionals(table, g.names_of(fragments[key]), g))
+        assert set(li.factors) == set(want)
+        for name, f in li.factors.items():
+            assert np.array_equal(f.probs, want[name].probs)
+            assert (f.counts is None) == (want[name].counts is None)
+            assert f.counts is None or np.array_equal(f.counts, want[name].counts)
+        want_li = LearnedInterventional(g, x, li.order, want, li.metadata)
+        assert dump_json(li_to_dict(li)) == dump_json(li_to_dict(want_li))
+        assert compare_to_oracle(li, net, x) == ref.compare_to_oracle_by_tables(li, net, x)
+    comps = [g.names_of(c) for c in part.components]
+    assert check_strong_positivity(net, comps, 0.05) == ref.strong_positivity(net, comps, 0.05)
+    q_factors = learn_q(batch, g, part)
+    low = sorted(g.names_of(part.c_low))
+    for fix in iter_assignments(low, [g.cards[g.index(n)] for n in low]):
+        assert kl_decomposition_sides(obs, g, part, q_factors, fix) \
+            == ref.kl_sides_by_tables(obs, g, part, q_factors, fix)
 
 
 # -- compiled estimand plans and run-drawn nets against their former forms -------

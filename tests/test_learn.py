@@ -382,6 +382,39 @@ class TestTableCardinalities:
             fit_from_table(PmfTable(("X", "M", "Y"), probs), g, {"X": 0})
 
 
+class TestBoundaryTables:
+    """Inside the learner and the oracle check a marginal is a bare array; a
+    validated table is built only where one leaves the library."""
+
+    @pytest.mark.parametrize("x", [{}, {"X": 0}])
+    def test_a_table_without_a_graph_variable_is_named(self, fig3a, monkeypatch, x):
+        obs = exact_observational(random_net_for(fig3a, seed=3)).marginal_to(["X", "Z1", "Y"])
+        monkeypatch.setattr("dolearn.learn.conditional",
+                            lambda *args, **kwargs: pytest.fail("a row was formed"))
+        with pytest.raises(ScopeMismatch, match="'Z2'"):
+            fit_from_table(obs, fig3a, x)
+
+    @pytest.mark.parametrize("graph, x", [("fig3a", {"X": 0}),
+                                          ("fig4a", {"W": 0, "R": 0, "X": 1})])
+    def test_tables_built_to_learn_and_check(self, request, monkeypatch, graph, x):
+        g = request.getfixturevalue(graph)
+        net = random_net_for(g, seed=7)
+        batch = sample_observational(net, seed=8, m=20_000)
+        obs = exact_observational(net)
+        fragments = len(part_of(g, x).sub_components)
+        built = []
+        post_init = PmfTable.__post_init__
+        monkeypatch.setattr(PmfTable, "__post_init__",
+                            lambda self: built.append(self.names) or post_init(self))
+        for learn in (lambda: learn_interventional(batch, g, x), lambda: fit_from_table(obs, g, x)):
+            built.clear()
+            li = learn()
+            assert len(built) == fragments == 1  # each fragment's table from full_table
+            built.clear()
+            compare_to_oracle(li, net, x)
+            assert len(built) == 3  # the oracle, the learned table and its alignment
+
+
 class TestStructuralIdentities:
     @pytest.mark.parametrize("fix, error", [
         ({"X": -1, "Z2": 0}, "not a symbol in"),
@@ -419,7 +452,7 @@ class TestStructuralIdentities:
         low = sorted(fig3a.names_of(part.c_low))
         for fix in iter_assignments(low, [fig3a.cards[fig3a.index(n)] for n in low]):
             q = tian_q_table(obs, fig3a, part, fix)
-            ratio = obs.sliced(fix).aligned_to(q.names).probs / q.probs
+            ratio = obs.probs[tuple(fix.get(n, slice(None)) for n in obs.names)] / q.probs
             assert np.all((bound - 1e-9 <= ratio) & (ratio <= 1.0 + 1e-9))
 
     def test_tian_q_value_follows_an_in_place_edit_of_the_table(self, fig3a):
@@ -591,6 +624,13 @@ class TestGoldenConvergence:
         assert li.metadata["fragment_rebase_depths"] == {"(0, 0)": 1}
 
 
+BAD_TARGETS = [
+    {"epsilon": 0.0}, {"epsilon": -1.0}, {"epsilon": 1.5},
+    {"delta": 0.0}, {"delta": 1.0}, {"alpha": 0.0}, {"alpha": 1.01},
+    {"epsilon": float("nan")},
+]
+
+
 class TestBudget:
     def test_budget_monotone_in_epsilon(self, fig3a):
         xset = fig3a.indices({"X"})
@@ -598,15 +638,18 @@ class TestBudget:
         tight, _ = recommended_sample_size(fig3a, xset, 0.05, 0.1, 0.1)
         assert 0 < loose < tight
 
-    @pytest.mark.parametrize("targets", [
-        {"epsilon": 0.0}, {"epsilon": -1.0}, {"epsilon": 1.5},
-        {"delta": 0.0}, {"delta": 1.0}, {"alpha": 0.0}, {"alpha": 1.01},
-        {"epsilon": float("nan")},
-    ])
+    @pytest.mark.parametrize("targets", BAD_TARGETS)
     def test_config_rejects_out_of_range_targets(self, targets):
         name = next(iter(targets))
         with pytest.raises(ValueError, match=name):
             LearnConfig(**targets)
+
+    @pytest.mark.parametrize("targets", BAD_TARGETS)
+    def test_budget_rejects_out_of_range_targets(self, fig3a, targets):
+        name = next(iter(targets))
+        with pytest.raises(ValueError, match=f"^{name} must be in"):
+            recommended_sample_size(fig3a, fig3a.indices({"X"}),
+                                    **{"epsilon": 0.1, "delta": 0.1, "alpha": 0.1, **targets})
 
     def test_config_accepts_range_ends(self):
         assert LearnConfig(epsilon=1.0, delta=0.5, alpha=1.0).alpha == 1.0

@@ -338,12 +338,30 @@ class TestRandomInstances:
         with pytest.raises(ValueError, match="^n_intervene must"):
             random_identifiable_case(0, n=5, n_intervene=n_intervene)
 
+    @pytest.mark.parametrize("seed", [-1, 1.5, True, None, "3"])
+    def test_a_bad_seed_is_named(self, seed):
+        g = random_admg(0, 5)
+        for draw in (lambda: random_admg(seed, 5), lambda: random_identifiable_case(seed),
+                     lambda: random_net_for(g, seed)):
+            with pytest.raises(ValueError, match="^seed must"):
+                draw()
+
+    @pytest.mark.parametrize("hidden_cardinality", [-1, 1.5, True, "2"])
+    def test_a_bad_hidden_cardinality_is_named(self, hidden_cardinality):
+        with pytest.raises(ValueError, match="^hidden_cardinality must"):
+            random_net_for(random_admg(0, 5), 0, hidden_cardinality=hidden_cardinality)
+
     def test_valid_arguments_draw_as_before(self):
         g = random_admg(3, np.int64(9), np.int8(2), np.uint16(3), np.int32(3))
         assert g == random_admg(3, 9, 2, 3, 3) == ref.random_admg(3, 9, 2, 3, 3)
         assert random_admg(3, 1, n_bidirected=0) == ref.random_admg(3, 1, n_bidirected=0)
         assert random_identifiable_case(4, n=np.int64(6), n_intervene=np.int8(2)) \
             == random_identifiable_case(4, n=6, n_intervene=2)
+        assert random_admg(np.uint32(3), 9) == random_admg(3, 9)
+        assert random_identifiable_case(np.int16(4)) == random_identifiable_case(4)
+        a = random_net_for(g, np.int64(5), hidden_cardinality=np.uint8(3))
+        b = random_net_for(g, 5, hidden_cardinality=3)
+        assert all(np.array_equal(p.cpt, q.cpt) for p, q in zip(a.nodes, b.nodes, strict=True))
 
 
 class TestEmpiricalConvergence:

@@ -40,14 +40,6 @@ class TestPmfTable:
         assert np.allclose(m.probs, [0.4, 0.6])
         assert np.allclose(t.marginal_probs({"A"}), [0.3, 0.7])
 
-    def test_sliced_records_context(self):
-        t = PmfTable(("A", "B"), np.array([[0.1, 0.2], [0.3, 0.4]]))
-        s = t.sliced({"A": 1})
-        assert s.names == ("B",)
-        assert s.context == {"A": 1}
-        assert not s.normalized
-        assert np.allclose(s.probs, [0.3, 0.4])
-
     def test_aligned_to(self):
         t = PmfTable(("A", "B"), np.array([[0.1, 0.2], [0.3, 0.4]]))
         u = t.aligned_to(("B", "A"))
@@ -214,7 +206,6 @@ AB = PmfTable(("A", "B"), np.array([[0.1, 0.2], [0.3, 0.4]]))
 @pytest.mark.parametrize("build, message", [
     (lambda: AB.pmf({"A": 0}), "assignment lacks value for 'B'"),
     (lambda: PmfTable(("A",), np.full((2, 2), 0.25)), "table has 2 axes but 1 names"),
-    (lambda: AB.axis("C"), "'C' not in table over ('A', 'B')"),
     (lambda: Samples(("A", "B"), np.zeros((3, 3), dtype=np.int64)),
      "sample array must be (m, n_vars)"),
     (lambda: Samples(("A", "B"), np.zeros(4, dtype=np.int64)),

@@ -134,6 +134,16 @@ class TestEstimateTv:
         want = sum(max(0.0, 1.0 - q.pmf(a) / p.pmf(a)) for a in rows)
         assert est.value == pytest.approx(want / est.samples_used, abs=1e-12)
 
+    @pytest.mark.parametrize("epsilon, delta, name", [
+        (0.0, 0.1, "epsilon"), (-0.1, 0.1, "epsilon"), (1.5, 0.1, "epsilon"),
+        (float("nan"), 0.1, "epsilon"), (0.1, 0.0, "delta"), (0.1, 1.0, "delta"),
+    ])
+    def test_a_bad_accuracy_target_is_named_before_drawing(self, epsilon, delta, name):
+        t = bern(0.3)
+        never = lambda seed, m: pytest.fail("the sampler was called")
+        with pytest.raises(ValueError, match=f"^{name} must be in"):
+            estimate_tv(never, t.pmf, t.pmf, epsilon, delta, seed=1)
+
     def test_zero_evaluator_mass_names_the_first_zero_row(self):
         t = PmfTable(("A", "B"), np.full((2, 2), 0.25))
         draw = lambda seed, m: Samples(("A", "B"), [[0, 0], [1, 0], [0, 1], [1, 0]][:m])
