@@ -98,8 +98,8 @@ def _cmd_oracle(args) -> int:
     if args.query:
         x, targets = _load(args.query, dio.query_from_dict, "QueryError")
         table = exact_interventional(net, x)
-        if targets:
-            table = table.marginal_to(targets)
+        if targets:  # in table order; a target the table lacks sorts last, to be named
+            table = table.marginal_to(sorted(targets, key=(*table.names, *targets).index))
     else:
         table = exact_observational(net)
     _write(args, dio.table_to_dict(table))

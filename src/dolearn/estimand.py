@@ -14,11 +14,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from typing import Callable, Container, Iterable, Mapping, Protocol, Sequence
+from typing import Callable, Iterable, Mapping, Protocol, Sequence
 
 import numpy as np
 
-from .tables import TOTAL_TOL, PmfTable, ScopeMismatch, symbols_of
+from .tables import TOTAL_TOL, PmfTable, ScopeMismatch, _scope_order, symbols_of
 
 TABLE_TOTAL_TOL = 1e-6
 
@@ -65,13 +65,15 @@ def conditional(num: np.ndarray, names: Sequence[str], v: str,
 class DistAccess(Protocol):
     """Marginals of a distribution over an ordered scope.
 
-    ``marginal_probs`` is the bare marginal array that compiled plans read.
+    ``marginal_probs(names)`` is the bare marginal array that compiled plans
+    read, with exactly the named axes in the order given; a name the access
+    lacks, or one given twice, is a :class:`ScopeMismatch` naming it.
     """
 
     names: tuple[str, ...]
     cards: tuple[int, ...]
 
-    def marginal_probs(self, keep: Container[str]) -> np.ndarray: ...
+    def marginal_probs(self, names: Sequence[str]) -> np.ndarray: ...
 
 
 class DistExpr:
@@ -241,14 +243,6 @@ def _apply(arr: np.ndarray, idx: tuple | None) -> np.ndarray:
     return arr if idx is None else arr[idx]
 
 
-def _leaf_names(keep: frozenset[str], access_names: tuple[str, ...]) -> tuple[str, ...]:
-    """Axes of the access's marginal over ``keep``, checked to exist."""
-    unknown = keep - set(access_names)
-    if unknown:
-        raise ScopeMismatch(f"cannot keep unknown variables {sorted(unknown)}")
-    return tuple(n for n in access_names if n in keep)
-
-
 def _sliced(names: tuple[str, ...], pins: Mapping[str, int]) -> tuple:
     """The indexer that slices ``pins`` out of an array over ``names``
     (``None`` if none of them is pinned) and the axes it leaves."""
@@ -287,8 +281,8 @@ def _compile(
     when a node needs it whole.
     """
     if _is_base_chain(expr):
-        keep = expr.scope
-        slc, names = _sliced(_leaf_names(keep, access_names), pins if point else {})
+        keep = _scope_order(expr.scope, access_names)
+        slc, names = _sliced(keep, pins if point else {})
         if slc is None:
             return names, lambda access: access.marginal_probs(keep)
         return names, lambda access: access.marginal_probs(keep)[slc]
@@ -346,10 +340,10 @@ def _compile_chain(
     child_plans, steps = [], []
     out_names: tuple[str, ...] = ()
     for (v, zs), child_pins in zip(expr.conds, factor_pins):
-        keep = frozenset(zs) | {v} | family
+        keep = _scope_order(frozenset(zs) | {v} | family, access_names)
         if base_chain:
             child = sum_axes = None
-            num_names = _leaf_names(keep, access_names)
+            num_names = keep
         else:
             child = children.setdefault(tuple(sorted(child_pins.items())), len(children))
             if child == len(child_plans):

@@ -192,10 +192,8 @@ def learn_q(
         name = g.names[i]
         names = conds[name] + (name,)
         counts = None
-        if table is not None:  # divided in table order, as chains are
-            marg_names = [n for n in table.names if n in names]
-            rows = conditional(table.marginal_probs(names), marg_names, name)
-            rows = rows.transpose([marg_names.index(n) for n in names])
+        if table is not None:
+            rows = conditional(table.marginal_probs(names), names, name)
         else:
             counts = samples_or_table.counts_over(names, [g.cards[g.index(n)] for n in names])
             rows = conditional(counts + 1.0, names, name)
@@ -270,17 +268,15 @@ def _family_conditionals(
     ctx = set(table.names) - set(variables)
     out: dict[str, ConditionalTable] = {}
     for t, v in enumerate(variables):
-        keep = ctx | set(variables[: t + 1])
-        names = [n for n in table.names if n in keep]
-        probs = table.marginal_probs(keep)
-        later = [n for n in names if n in ctx and topo_pos[n] > topo_pos[v]]
-        for n in later:
-            if np.ptp(probs, axis=names.index(n)).max(initial=0.0) > FAMILY_CONSTANCY_TOL:
-                raise ValueError(f"fragment table for {v!r} varies with later context {n!r}")
+        later = [n for n in table.names if n in ctx and topo_pos[n] > topo_pos[v]]
         # conditioning axes by topological position for the row layout; the
         # later context axes go first, to be sliced at symbol 0
-        cond = tuple(sorted((n for n in names if n != v and n not in later), key=topo_pos.get))
-        probs = probs.transpose([names.index(n) for n in (*later, *cond, v)])[(0,) * len(later)]
+        cond = tuple(sorted((ctx - set(later)) | set(variables[:t]), key=topo_pos.get))
+        probs = table.marginal_probs((*later, *cond, v))
+        for i, n in enumerate(later):
+            if np.ptp(probs, axis=i).max(initial=0.0) > FAMILY_CONSTANCY_TOL:
+                raise ValueError(f"fragment table for {v!r} varies with later context {n!r}")
+        probs = probs[(0,) * len(later)]
         # unreachable configurations get uniform rows
         rows = conditional(probs, cond + (v,), v, uniform=True)
         out[v] = ConditionalTable(

@@ -48,6 +48,7 @@ class CbnNode:
     ``cpt`` has one row per parent configuration (row-major in ``parents``
     order) and one column per symbol; every row sums to 1. Rows nested over
     the parents, as a net JSON file holds them, are read by their last axis.
+    ``cardinality`` is kept as a Python int.
     """
 
     name: str
@@ -62,7 +63,12 @@ class CbnNode:
         if cpt.ndim != 2:  # one row, or rows nested over the parents, symbols last
             cpt = cpt.reshape(math.prod(cpt.shape[:-1]), cpt.shape[-1])
         object.__setattr__(self, "cpt", cpt)
-        if self.cardinality < 1:
+        card = as_integer(self.cardinality)
+        if card is None:
+            raise GraphError(f"{self.name}: cardinality must be an integer, "
+                             f"got {self.cardinality!r}")
+        object.__setattr__(self, "cardinality", card)
+        if card < 1:
             raise GraphError(f"{self.name}: cardinality must be positive")
         if cpt.shape[1] != self.cardinality:
             raise GraphError(f"{self.name}: cpt has {cpt.shape[1]} columns, "
@@ -349,7 +355,7 @@ def check_strong_positivity(
     reports = []
     for comp in components:
         comp = tuple(comp)
-        scope = g.names_of(g.pa_plus(g.indices(comp)))  # in table order
+        scope = g.names_of(g.pa_plus(g.indices(comp)))
         probs = obs_table.marginal_probs(scope)
         worst = np.unravel_index(int(probs.argmin()), probs.shape)  # the first minimum
         reports.append(PositivityReport(
@@ -410,11 +416,14 @@ def random_net_for(
     their rows, and the net's layout, are planned once per graph and hidden
     cardinality. Each draw's rows are checked once, with
     :func:`~dolearn.tables.check_rows`; a bad row raises the
-    :class:`GraphError` that the node owning it would raise. ``seed`` and
-    ``hidden_cardinality`` must be non-negative integers (``bool`` is not
-    one); anything else is a :class:`ValueError` naming the argument.
+    :class:`GraphError` that the node owning it would raise. ``seed`` must be a
+    non-negative integer and ``hidden_cardinality`` a positive one (``bool`` is
+    neither); anything else is a :class:`ValueError` naming the argument.
     """
-    layout, plan = _net_plan(g, as_count(hidden_cardinality, "hidden_cardinality"))
+    hidden_cardinality = as_count(hidden_cardinality, "hidden_cardinality")
+    if hidden_cardinality == 0:
+        raise ValueError("hidden_cardinality must be positive, got 0")
+    layout, plan = _net_plan(g, hidden_cardinality)
     rng = np.random.default_rng(as_count(seed, "seed"))
     nodes: list[CbnNode] = []
     for card, n_rows, run in plan:

@@ -6,7 +6,7 @@ import math
 import operator
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Container, Iterable, Iterator, Mapping, NamedTuple, Sequence
+from typing import Collection, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -116,32 +116,39 @@ class PmfTable:
         out = self.probs[symbols_of(assignment, self.names, self.probs.shape)]
         return out if isinstance(out, np.ndarray) else float(out)
 
-    def marginal_probs(self, keep: Container[str]) -> np.ndarray:
-        """The bare marginal array over the variables in ``keep``, axes in
-        table order. Names in ``keep`` that the table lacks are not checked
-        here; :meth:`marginal_to` checks them and wraps this array."""
-        drop_axes = tuple(i for i, n in enumerate(self.names) if n not in keep)
-        return self.probs.sum(axis=drop_axes) if drop_axes else self.probs
+    def marginal_probs(self, names: Sequence[str]) -> np.ndarray:
+        """The bare marginal array over ``names``, one axis per name in the
+        order given, under the scope rule of :func:`_scope_order`. Names in
+        table order cost no transpose."""
+        names = tuple(names)
+        kept = _scope_order(names, self.names)
+        drop = tuple([i for i, n in enumerate(self.names) if n not in names])
+        probs = self.probs.sum(axis=drop) if drop else self.probs
+        return probs if kept == names else probs.transpose([kept.index(n) for n in names])
 
     def marginal_to(self, keep: Iterable[str]) -> "PmfTable":
-        keep = set(keep)
-        unknown = keep - self.scope
-        if unknown:
-            raise ScopeMismatch(f"cannot keep unknown variables {sorted(unknown)}")
-        return PmfTable(
-            tuple(n for n in self.names if n in keep), self.marginal_probs(keep),
-            context=self.context, normalized=self.normalized,
-        )
+        """The marginal over ``keep`` as a validated table, axes in that order."""
+        keep = tuple(keep)
+        return PmfTable(keep, self.marginal_probs(keep),
+                        context=self.context, normalized=self.normalized)
 
     def aligned_to(self, names: Sequence[str]) -> "PmfTable":
-        names = tuple(names)
-        if set(names) != self.scope or len(names) != len(self.names):
-            raise ScopeMismatch(f"cannot align {self.names} to {names}")
-        perm = tuple(self.names.index(n) for n in names)
-        return PmfTable(
-            names, np.transpose(self.probs, perm),
-            context=self.context, normalized=self.normalized,
-        )
+        """The table with its axes in the order of ``names``, a permutation of its own."""
+        if len(names) != len(self.names):
+            raise ScopeMismatch(f"cannot align {self.names} to {tuple(names)}")
+        return self.marginal_to(names)
+
+
+def _scope_order(names: Collection[str], scope: tuple[str, ...]) -> tuple[str, ...]:
+    """The names of ``scope`` among ``names``, in ``scope`` order. The one scope
+    rule of marginal reads: a name that ``scope`` lacks, or one given twice,
+    is a :class:`ScopeMismatch` naming it."""
+    kept = tuple([n for n in scope if n in names])
+    if len(kept) != len(names):
+        unknown = sorted(set(names) - set(scope))
+        raise ScopeMismatch(f"cannot keep unknown variables {unknown}" if unknown
+                            else f"cannot keep a variable twice: {tuple(names)}")
+    return kept
 
 
 class DistinctRows(NamedTuple):
@@ -511,14 +518,13 @@ class EmpiricalAccess:
         """Relative frequencies over every column, counted once per access."""
         return self._joint
 
-    def marginal_probs(self, keep: Container[str]) -> np.ndarray:
-        """Bare relative frequencies over the columns in ``keep``, axes in
-        batch column order. An empty batch gives all zeros, so conditioning on
-        it fails positivity instead of dividing by zero. Names in ``keep``
-        that the batch lacks are not checked here; the estimand compiler
-        checks them when it builds a plan."""
-        names = tuple(n for n in self.names if n in keep)
-        cards = tuple(c for n, c in zip(self.names, self.cards) if n in keep)
+    def marginal_probs(self, names: Sequence[str]) -> np.ndarray:
+        """Bare relative frequencies over ``names``, one axis per name in the
+        order given, under the scope rule of :func:`_scope_order`. An
+        empty batch gives all zeros, so conditioning on it fails positivity
+        instead of dividing by zero."""
+        _scope_order(names, self.names)
+        cards = tuple(self.cards[self.names.index(n)] for n in names)
         return self.samples.counts_over(names, cards) / max(self.samples.m, 1)
 
     def pmf(self, assignment: Mapping[str, int]) -> float:

@@ -124,12 +124,6 @@ class VerifyReport:
         return max(self.factor_errors, key=lambda f: f.abs_error)
 
 
-def _marginal_in_order(table: PmfTable, names: list[str]) -> np.ndarray:
-    """The bare marginal array of ``table`` over ``names``, axes in that order."""
-    kept = [n for n in table.names if n in names]
-    return table.marginal_probs(names).transpose([kept.index(n) for n in names])
-
-
 def compare_to_oracle(
     li: LearnedInterventional,
     net: CausalBayesNet,
@@ -157,8 +151,8 @@ def compare_to_oracle(
         grid = dict(li.x)
         grid.update(zip(axes, np.indices(cards, sparse=True)))
         learned = row_product([f.step], grid)
-        joint = _marginal_in_order(oracle, axes)
-        mass = _marginal_in_order(oracle, free)[..., None] if free else 1.0
+        joint = oracle.marginal_probs(axes)
+        mass = oracle.marginal_probs(free)[..., None] if free else 1.0
         # unreachable configurations are skipped: their rows are immaterial
         reached = np.broadcast_to(np.greater(mass, 0.0), joint.shape)
         true = np.divide(joint, mass, out=np.zeros_like(joint), where=reached)
@@ -228,7 +222,7 @@ def kl_decomposition_sides(
         ratio = np.divide(true, row_product([q_factors[name].step], grid),
                           out=np.ones_like(true), where=true > 0.0)
         row_kl = (true * np.log(ratio)).sum(axis=-1)
-        weight = q.marginal_probs(free) if free else np.ones(())  # free is in table order
+        weight = q.marginal_probs(free) if free else np.ones(())
         seen = weight > 0.0
         decomposed += float(np.sum(weight[seen] * row_kl[seen]))
     return direct, decomposed

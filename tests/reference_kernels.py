@@ -415,7 +415,8 @@ def _marginal_to(access, keep) -> tuple[tuple[str, ...], np.ndarray]:
     unknown = set(keep) - set(access.names)
     if unknown:
         raise ScopeMismatch(f"cannot keep unknown variables {sorted(unknown)}")
-    return tuple(n for n in access.names if n in keep), access.marginal_probs(keep)
+    names = tuple(n for n in access.names if n in keep)
+    return names, access.marginal_probs(names)
 
 
 def _aligned(arr: np.ndarray, names: tuple[str, ...], target: tuple[str, ...]) -> np.ndarray:

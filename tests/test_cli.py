@@ -102,15 +102,20 @@ def test_invalid_query_is_input_error(workdir, capsys):
 
 def test_oracle_tables(workdir, capsys):
     tmp, g, net = workdir
-    (tmp / "y.json").write_text(json.dumps({"intervene": [{"var": "X", "value": 0}],
-                                            "targets": ["Y"]}))
+    for name, targets in [("y.json", ["Y"]), ("yz.json", ["Y", "Z1"]), ("q.json", ["Y", "Q"])]:
+        (tmp / name).write_text(json.dumps({"intervene": [{"var": "X", "value": 0}],
+                                            "targets": targets}))
     oracle = exact_interventional(net, {"X": 0})
-    for query, want in [("query.json", oracle), ("y.json", oracle.marginal_to({"Y"}))]:
+    for query, want in [("query.json", oracle), ("y.json", oracle.marginal_to({"Y"})),
+                        ("yz.json", oracle.marginal_to(("Z1", "Y")))]:
         code = main(["oracle", "--cbn", str(tmp / "net.json"), "--query", str(tmp / query)])
         assert code == 0
         out = json.loads(capsys.readouterr().out)
-        assert out["vars"] == list(want.names)
+        assert out["vars"] == list(want.names)  # in table order, whatever the file's
         assert np.allclose(out["probs"], want.probs.reshape(-1))
+    err = _input_error(capsys, ["oracle", "--cbn", str(tmp / "net.json"),
+                                "--query", str(tmp / "q.json")])
+    assert err == {"error": "ScopeMismatch", "message": "cannot keep unknown variables ['Q']"}
 
 
 def test_full_pipeline_roundtrip(workdir, capsys):

@@ -749,6 +749,36 @@ def test_table_fit_matches_estimand_table(case):
     assert np.abs(got.probs - want.probs).max() <= 1e-12
 
 
+@settings(max_examples=60, deadline=None)
+@given(admgs(max_n=6, max_bidirected=4, cardinalities=(2, 3), min_n=2, min_bidirected=1),
+       st.integers(0, 2**16), st.data())
+def test_declaration_order_does_not_matter(g, seed, data):
+    """A net's nodes declared in a random order, and so its projected graph
+    and its tables in that order too, give the oracle, the estimand's table
+    and the learned table of the net as first declared."""
+    confounded = sorted({g.names[v] for edge in g.bidirected for v in edge})
+    picks = data.draw(st.lists(st.sampled_from(confounded), min_size=1,
+                               max_size=min(2, g.n - 1), unique=True))
+    x = {n: data.draw(st.integers(0, g.cards[g.index(n)] - 1)) for n in picks}
+    net = random_net_for(g, seed=seed)
+    shuffled = CausalBayesNet(data.draw(st.permutations(net.nodes)))
+    tables = []
+    for graph_net in (net, shuffled):
+        graph, obs = latent_project(graph_net), exact_observational(graph_net)
+        assert graph.names == obs.names
+        out = [exact_interventional(graph_net, x)]
+        est = identify(CausalQuery(graph, x, frozenset(graph.names) - set(x)))
+        if isinstance(est, HedgeWitness):
+            with pytest.raises(NotIdentifiable):
+                fit_from_table(obs, graph, x)
+        else:
+            out += [est.table(obs, x), fit_from_table(obs, graph, x).table()]
+        tables.append(out)
+    assert len(tables[0]) == len(tables[1])
+    for first, again in zip(*tables):
+        assert np.abs(again.aligned_to(first.names).probs - first.probs).max() <= 1e-12
+
+
 # -- the Bayes-net learner's conditioning sets against effective parents --------
 
 

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -94,6 +96,23 @@ class TestConstruction:
         with pytest.raises(GraphError) as exc:
             CbnNode("X", cardinality, (), np.ones((1, 1)))
         assert str(exc.value) == "X: cardinality must be positive"
+
+    @pytest.mark.parametrize("cardinality", [2.0, "2", True, None])
+    def test_a_cardinality_that_is_not_an_integer_fails_by_name(self, cardinality):
+        with pytest.raises(GraphError, match="^X: cardinality must be an integer"):
+            CbnNode("X", cardinality, (), np.full((1, 2), 0.5))
+
+    def test_a_numpy_cardinality_is_kept_as_a_python_int(self):
+        card = np.uint8(16)  # 16 * 16 rows would overflow in uint8
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            net = CausalBayesNet([
+                CbnNode("A", card, (), np.full((1, 16), 1 / 16)),
+                CbnNode("B", card, ("A",), np.full((16, 16), 1 / 16)),
+                CbnNode("C", card, ("A", "B"), np.full((256, 16), 1 / 16)),
+            ])
+        assert all(type(node.cardinality) is int for node in net.nodes)
+        assert net.node("C").cpt.shape == (256, 16)
 
 
 class TestSampling:
@@ -346,7 +365,7 @@ class TestRandomInstances:
             with pytest.raises(ValueError, match="^seed must"):
                 draw()
 
-    @pytest.mark.parametrize("hidden_cardinality", [-1, 1.5, True, "2"])
+    @pytest.mark.parametrize("hidden_cardinality", [0, -1, 1.5, True, "2"])
     def test_a_bad_hidden_cardinality_is_named(self, hidden_cardinality):
         with pytest.raises(ValueError, match="^hidden_cardinality must"):
             random_net_for(random_admg(0, 5), 0, hidden_cardinality=hidden_cardinality)

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -38,7 +40,7 @@ class TestPmfTable:
         m = t.marginal_to({"B"})
         assert m.names == ("B",)
         assert np.allclose(m.probs, [0.4, 0.6])
-        assert np.allclose(t.marginal_probs({"A"}), [0.3, 0.7])
+        assert np.allclose(t.marginal_probs(("A",)), [0.3, 0.7])
 
     def test_aligned_to(self):
         t = PmfTable(("A", "B"), np.array([[0.1, 0.2], [0.3, 0.4]]))
@@ -137,12 +139,12 @@ class TestSamples:
     def test_empirical_marginal(self):
         s = Samples(("A", "B"), np.array([[0, 1], [1, 1], [1, 0], [1, 1]]))
         acc = EmpiricalAccess(s, (2, 2))
-        assert acc.marginal_probs({"B"}).tolist() == [0.25, 0.75]
-        assert np.array_equal(acc.marginal_probs({"B", "A"}), acc.table().probs)
+        assert acc.marginal_probs(("B",)).tolist() == [0.25, 0.75]
+        assert np.array_equal(acc.marginal_probs(("A", "B")), acc.table().probs)
         with pytest.raises(ScopeMismatch, match="unknown variables"):
             full_table(BaseDist(("C",)), acc)
         empty = EmpiricalAccess(Samples(("A",), np.zeros((0, 1), dtype=np.int64)), (2,))
-        assert empty.marginal_probs({"A"}).tolist() == [0.0, 0.0]
+        assert empty.marginal_probs(("A",)).tolist() == [0.0, 0.0]
 
     def test_symbol_at_or_above_cardinality_is_rejected(self):
         s = Samples(("A", "B"), [[0, 2], [0, 0], [1, 1]])
@@ -215,6 +217,35 @@ def test_named_scope_errors(build, message):
     with pytest.raises(ScopeMismatch) as exc:
         build()
     assert str(exc.value) == message
+
+
+def _marginal_readers():
+    """A table and a batch over A, B, C of cardinalities 2, 3, 4, each with
+    the joint array a marginal is summed from, and its divisor."""
+    rng = np.random.default_rng(0)
+    names, cards = ("A", "B", "C"), (2, 3, 4)
+    joint = rng.dirichlet(np.ones(24)).reshape(cards)
+    values = rng.integers(0, cards, size=(50, 3))
+    counts = np.zeros(cards)
+    np.add.at(counts, tuple(values.T), 1.0)
+    return [(PmfTable(names, joint), joint, 1.0),
+            (EmpiricalAccess(Samples(names, values), cards), counts, 50.0)]
+
+
+@pytest.mark.parametrize("access, joint, m", _marginal_readers(), ids=["table", "batch"])
+def test_marginal_probs_answers_in_the_order_asked(access, joint, m):
+    for k in range(4):
+        for names in itertools.permutations(access.names, k):
+            drop = tuple(i for i, n in enumerate(access.names) if n not in names)
+            kept = [n for n in access.names if n in names]
+            want = np.transpose(joint.sum(axis=drop), [kept.index(n) for n in names]) / m
+            got = access.marginal_probs(names)
+            assert got.shape == want.shape and got.tobytes() == want.tobytes(), names
+    for names in [("Q",), ("B", "Q"), ("Q", "A", "C")]:
+        with pytest.raises(ScopeMismatch, match=r"unknown variables \['Q'\]"):
+            access.marginal_probs(names)
+    with pytest.raises(ScopeMismatch, match="twice"):
+        access.marginal_probs(("A", "B", "A"))
 
 
 @pytest.mark.parametrize("probs", [[[np.nan, 0.5], [0.25, 0.25]],
